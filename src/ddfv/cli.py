@@ -122,12 +122,12 @@ def _load_mesh(cfg):
 def _case_and_params(cfg, dt):
     case = harness.get_case(cfg["case"])
     lam = TensorSpec.parse(cfg["lam"]) if cfg["lam"] else case.lam
-    newton = NewtonConfig(tol_residual_l1=cfg["newton_tol"],
-                          max_iter=cfg["newton_max_iter"])
     t_final = cfg["tfinal"] if cfg["tfinal"] is not None else case.t_final
     params = SchemeParams(
         dt=dt, t_final=t_final, kappa=cfg["kappa"], beta=cfg["beta"],
-        lam=lam, potential=case.potential, newton=newton,
+        lam=lam, potential=case.potential,
+        newton=NewtonConfig(tol_residual_l1=cfg["newton_tol"],
+                            max_iter=cfg["newton_max_iter"]),
     )
     return case, params
 
@@ -170,13 +170,14 @@ def cmd_mesh(args):
 
 def _trace_csv(records):
     lines = ["n,t,mass,energy,dissipation,dissipation_hat,penalty,min_u,"
-             "newton_iters,newton_residual"]
+             "newton_iters,newton_residual,newton_backtracks,factorizations"]
     for r in records:
         opt = [r.dissipation, r.dissipation_hat, r.penalty_bracket]
         opt = ["" if v is None else repr(v) for v in opt]
         lines.append(
             f"{r.n},{r.t!r},{r.mass!r},{r.energy!r},{opt[0]},{opt[1]},"
-            f"{opt[2]},{r.min_u!r},{r.newton_iterations},{r.newton_residual!r}"
+            f"{opt[2]},{r.min_u!r},{r.newton_iterations},{r.newton_residual!r},"
+            f"{r.newton_backtracks},{r.factorizations}"
         )
     return "\n".join(lines) + "\n"
 
@@ -206,12 +207,10 @@ def cmd_converge(args):
     cfg = effective_config(args)
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
-    case, _ = _case_and_params(cfg, cfg["dt0"])
-    newton = NewtonConfig(tol_residual_l1=cfg["newton_tol"],
-                          max_iter=cfg["newton_max_iter"])
+    case, params = _case_and_params(cfg, cfg["dt0"])
     rows = harness.convergence_study(
         case, cfg["family"], cfg["levels"], n0=cfg["n0"], dt0=cfg["dt0"],
-        kappa=cfg["kappa"], beta=cfg["beta"], newton=newton,
+        kappa=cfg["kappa"], beta=cfg["beta"], newton=params.newton,
         family_kwargs=_family_kwargs(cfg),
     )
     (out / "convergence.csv").write_text(harness.rows_to_csv(rows))
@@ -225,12 +224,10 @@ def cmd_longtime(args):
     write_effective_config(cfg, out)
     mesh = _load_mesh(cfg)
     case, params = _case_and_params(cfg, cfg["dt"])
-    newton = NewtonConfig(tol_residual_l1=cfg["newton_tol"],
-                          max_iter=cfg["newton_max_iter"])
     t_final = cfg["tfinal"] if cfg["tfinal"] is not None else 2.0
     result = harness.longtime_study(
         case, mesh, cfg["dt"], t_final, kappa=cfg["kappa"], beta=cfg["beta"],
-        newton=newton,
+        newton=params.newton,
     )
     (out / "energy_decay.csv").write_text(result.to_csv())
     if args.plot_script:

@@ -25,7 +25,7 @@ from .scheme import (
     relative_energy,
     stationary_state,
 )
-from .solver import newton_solve
+from .solver import LinearSolver, newton_solve
 
 MASS_DRIFT_TOL = 1e-11
 ENERGY_DECAY_SLACK = 1e-9
@@ -168,6 +168,7 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     InvariantViolation.
     """
     assembly = Assembly(mesh, params)
+    linear_solver = LinearSolver()
     v_field = assembly.v_field
     one = DiscreteField.full(mesh, 1.0)
 
@@ -190,6 +191,7 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
             assembly.system_jacobian,
             start,
             params.newton,
+            linear_solver,
         )
         field = DiscreteField(mesh, u_next)
         mass = bracket(mesh, field, one)
@@ -203,6 +205,7 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
             newton_iterations=stats.iterations,
             newton_residual=stats.residual_l1,
             newton_backtracks=stats.backtracks,
+            factorizations=stats.factorizations,
             floor_activated=stats.floor_activated,
         )
         if check_invariants:

@@ -84,6 +84,7 @@ class StateRecord:
     newton_iterations: int = 0
     newton_residual: float = 0.0
     newton_backtracks: int = 0
+    factorizations: int = 0
     floor_activated: bool = False
 
 
@@ -239,10 +240,6 @@ class Assembly:
         ones = np.ones(mesh.n_diamonds)
         self.row_coef = np.column_stack([ones, coef_l, ones, -ones])
 
-        cols = np.column_stack([self.col_k, self.col_l, self.col_vk, self.col_vl])
-        self.jac_rows = np.repeat(cols, 4, axis=1).ravel()
-        self.jac_cols = np.tile(cols, (1, 4)).ravel()
-
         self.time_mask = np.ones(self.n, dtype=bool)
         self.time_mask[nc:off] = False
         half_mass = np.concatenate([
@@ -259,12 +256,32 @@ class Assembly:
             self.ov_c = mesh.overlap_cell
             self.ov_v = off + mesh.overlap_vert
             self.ov_w = mesh.overlap_area
-            self.pen_rows = np.concatenate(
-                [self.ov_c, self.ov_c, self.ov_v, self.ov_v]
-            )
-            self.pen_cols = np.concatenate(
-                [self.ov_c, self.ov_v, self.ov_v, self.ov_c]
-            )
+
+        # Fixed CSR pattern of the Jacobian.  Its COO entries are, in this
+        # order, the 4x4 diamond blocks, the time diagonal and, for
+        # kappa > 0, the 2x2 overlap blocks of the penalization;
+        # jac_scatter maps each COO entry to its CSR slot, so assembly
+        # only sums values.
+        cols = np.column_stack([self.col_k, self.col_l, self.col_vk, self.col_vl])
+        coo_rows = [np.repeat(cols, 4, axis=1).ravel()]
+        coo_cols = [np.tile(cols, (1, 4)).ravel()]
+        diag_idx = np.flatnonzero(self.time_mask)
+        coo_rows.append(diag_idx)
+        coo_cols.append(diag_idx)
+        if params.kappa > 0.0:
+            coo_rows.append(np.concatenate(
+                [self.ov_c, self.ov_c, self.ov_v, self.ov_v]))
+            coo_cols.append(np.concatenate(
+                [self.ov_c, self.ov_v, self.ov_v, self.ov_c]))
+        keys = (np.concatenate(coo_rows).astype(np.int64) * self.n
+                + np.concatenate(coo_cols))
+        slots, self.jac_scatter = np.unique(keys, return_inverse=True)
+        pattern_rows = slots // self.n
+        self.jac_indices = (slots % self.n).astype(np.int32)
+        self.jac_indptr = np.concatenate([
+            [0], np.cumsum(np.bincount(pattern_rows, minlength=self.n)),
+        ]).astype(np.int32)
+        self.jac_row_weight = self.inv_weight[pattern_rows]
 
     # -- value helpers --
 
@@ -325,15 +342,7 @@ class Assembly:
         for i in range(4):
             src = d_f1 if i < 2 else d_f2
             values[:, i, :] = self.row_coef[:, i, None] * src
-        rows = [self.jac_rows]
-        cols = [self.jac_cols]
-        vals = [values.ravel()]
-
-        diag_idx = np.flatnonzero(self.time_mask)
-        rows.append(diag_idx)
-        cols.append(diag_idx)
-        vals.append(self.time_coef)
-
+        vals = [values.ravel(), self.time_coef]
         if self.params.kappa > 0.0:
             w = self.pen_scale * self.ov_w
             vals.append(np.concatenate([
@@ -342,14 +351,17 @@ class Assembly:
                 w * inv[self.ov_v],       # row v, col v
                 -w * inv[self.ov_c],      # row v, col c
             ]))
-            rows.append(self.pen_rows)
-            cols.append(self.pen_cols)
+        return self._csr(np.bincount(self.jac_scatter,
+                                     weights=np.concatenate(vals),
+                                     minlength=len(self.jac_indices)))
 
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    def _csr(self, data):
+        # The pattern arrays are copied so that in-place edits of a returned
+        # matrix cannot corrupt the cached pattern.
+        return sp.csr_matrix(
+            (data, self.jac_indices.copy(), self.jac_indptr.copy()),
             shape=(self.n, self.n),
         )
-        return mat.tocsr()
 
     def residual_vec(self, u, u_prev):
         """Divergence-form residual: d/dt + div(flux) + kappa * penalization
@@ -359,7 +371,7 @@ class Assembly:
 
     def jacobian_vec(self, u):
         """Analytic Jacobian of the divergence-form residual (CSR)."""
-        return sp.diags(self.inv_weight) @ self.system_jacobian(u)
+        return self._csr(self.jac_row_weight * self.system_jacobian(u).data)
 
     def dissipation_vec(self, u):
         """Entropy production and its diagonal-form counterpart."""

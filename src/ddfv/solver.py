@@ -1,16 +1,34 @@
 """Newton iteration for the per-step nonlinear system and the inner solve.
 
-The systems are small 2D problems, so the inner solver is a direct sparse
-LU factorization after row equilibration (the boundary closure rows scale
-differently from the mass rows).  Newton is undamped by default and
-backtracks only to keep every iterate strictly positive.
+Every linear system is row-equilibrated first (the boundary closure rows
+scale differently from the mass rows).  The direct solve is a sparse LU
+factorization of the equilibrated matrix; its answer must have a backward
+error below ``DIRECT_BOUND``.
+
+Within one run the Jacobian keeps its sparsity pattern and its values drift
+slowly, so Newton solves through a ``LinearSolver`` that keeps the LU factor
+of the last matrix it factorized and uses it as the preconditioner of one
+GMRES cycle of at most ``GMRES_RESTART`` iterations on each new system (a
+lagged preconditioner, Knoll & Keyes, J. Comput. Phys. 193, 2004).  The
+reuse rule:
+
+- the Krylov answer is accepted only when its backward error is below
+  ``KRYLOV_BOUND``, 100 times tighter than the direct solve's bound;
+- otherwise the stale factor is dropped, the current matrix is factorized
+  and solved directly (with the direct solve's checks and errors), and that
+  factor becomes the preconditioner of the following systems.
+
+Newton is undamped by default and backtracks only to keep every iterate
+strictly positive.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .errors import (
     LinearSolveFailure,
@@ -19,6 +37,15 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
+
+# Bound on the backward error |A x - b| / (|A| |x| + |b|) (max norms) of a
+# direct solve; a larger one raises LinearSolveFailure.
+DIRECT_BOUND = 1e-10
+# Bound on the backward error of a Krylov answer; a miss is not an error but
+# triggers a refactorization.
+KRYLOV_BOUND = 1e-2 * DIRECT_BOUND
+# Largest Krylov basis of the single GMRES cycle tried before refactorizing.
+GMRES_RESTART = 20
 
 
 @dataclass
@@ -36,6 +63,11 @@ class NewtonConfig:
             raise ValidationError("max_iter must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError("damping factor must lie in (0, 1]")
+        if self.max_backtracks < 0:
+            raise ValidationError("max_backtracks must be >= 0")
+        if not (math.isfinite(self.positivity_floor)
+                and self.positivity_floor > 0.0):
+            raise ValidationError("positivity floor must be finite and > 0")
 
 
 @dataclass
@@ -44,50 +76,161 @@ class NewtonStats:
     residual_l1: float
     backtracks: int
     floor_activated: bool
+    factorizations: int = 0
     residual_history: list = field(default_factory=list)
 
 
-def linear_solve(matrix, rhs) -> np.ndarray:
-    """Direct sparse solve with row equilibration; deterministic.
+class LinearSolver:
+    """Lagged-LU state of one run: the factor of the last equilibrated
+    matrix it factorized (with that matrix's row scaling) and how many
+    factorizations it made."""
+
+    def __init__(self):
+        self.factor = None
+        self.row_max = None
+        self.factorizations = 0
+
+    def krylov(self, matrix, rhs, a_inf):
+        """One cycle of right-preconditioned GMRES from x = 0, with the
+        stored factor as the preconditioner.
+
+        The cycle stops once the residual 2-norm (a bound on its max norm)
+        meets ``KRYLOV_BOUND`` against the scale estimated from the first
+        preconditioned vector.  The preconditioned vectors are kept, so
+        forming the answer costs no extra solve.  Returns None when there is
+        no factor of this size, the cycle ends short of the bound, or the
+        least-squares problem turns singular (a singular matrix, which the
+        direct solve then reports).
+        """
+        if self.factor is None or self.factor.shape != matrix.shape:
+            return None
+        beta = np.linalg.norm(rhs)
+        if beta == 0.0:
+            return np.zeros_like(rhs)
+        eps = np.finfo(float).eps
+        m = min(GMRES_RESTART, rhs.shape[0])
+        basis = np.empty((m + 1, rhs.shape[0]))
+        precond = np.empty((m, rhs.shape[0]))
+        hess = np.zeros((m, m))
+        rotations = []
+        g = np.zeros(m + 1)
+        g[0] = beta
+        basis[0] = rhs / beta
+        for k in range(m):
+            precond[k] = self.factor.solve(basis[k] / self.row_max)
+            if k == 0:
+                target = KRYLOV_BOUND * (a_inf * beta * np.abs(precond[0]).max()
+                                         + np.abs(rhs).max())
+            w = matrix @ precond[k]
+            norm_aw = np.linalg.norm(w)
+            for _ in range(2):      # classical Gram-Schmidt, reorthogonalized
+                h = basis[:k + 1] @ w
+                w -= h @ basis[:k + 1]
+                hess[:k + 1, k] += h
+            norm_w = np.linalg.norm(w)
+            if norm_w <= eps * norm_aw:     # the Krylov space is invariant
+                norm_w = 0.0
+            col = hess[:, k]
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s * col[i])
+            rho = math.hypot(col[k], norm_w)
+            if rho <= eps * norm_aw:
+                return None
+            c, s = col[k] / rho, norm_w / rho
+            rotations.append((c, s))
+            col[k] = rho
+            g[k + 1] = -s * g[k]
+            g[k] *= c
+            if abs(g[k + 1]) <= target or norm_w == 0.0:
+                y = solve_triangular(hess[:k + 1, :k + 1], g[:k + 1])
+                return y @ precond[:k + 1]
+            basis[k + 1] = w / norm_w
+        return None
+
+    def refactor(self, scaled, row_max):
+        """Factorize the equilibrated matrix and keep the factor.  The stale
+        factor is released first so that only one is ever resident."""
+        self.factor = None
+        self.factor = spla.splu(scaled.tocsc())
+        self.row_max = row_max
+        self.factorizations += 1
+        return self.factor
+
+
+def linear_solve(matrix, rhs, solver: LinearSolver | None = None) -> np.ndarray:
+    """Sparse solve with row equilibration; deterministic.
+
+    Without ``solver`` this is the direct LU solve.  With one, a GMRES cycle
+    preconditioned by the solver's lagged factor runs first, and the direct
+    solve (which refreshes the factor) runs only when that answer misses
+    ``KRYLOV_BOUND``.
 
     Raises SingularMatrix for (numerically) singular systems and
-    LinearSolveFailure when the solution residual is unacceptably large.
+    LinearSolveFailure when the direct solution's residual is unacceptably
+    large.
     """
     matrix = sp.csr_matrix(matrix)
     rhs = np.asarray(rhs, dtype=float)
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.shape[0]:
         raise ValidationError("linear system shape mismatch")
 
-    row_max = np.abs(matrix).max(axis=1).toarray().ravel()
-    if (row_max == 0.0).any():
+    matrix.sum_duplicates()
+    row_nnz = np.diff(matrix.indptr)
+    abs_data = np.abs(matrix.data)
+    if not row_nnz.all():           # reduceat below needs nonempty rows
         raise SingularMatrix("matrix has an identically zero row")
-    scaling = sp.diags(1.0 / row_max)
-    scaled = (scaling @ matrix).tocsc()
+    row_max = np.maximum.reduceat(abs_data, matrix.indptr[:-1])
+    if not row_max.all():
+        raise SingularMatrix("matrix has an identically zero row")
+    a_inf = np.add.reduceat(abs_data, matrix.indptr[:-1]).max()
+
+    def backward_error(x):
+        resid = np.abs(matrix @ x - rhs).max()
+        return resid, a_inf * np.abs(x).max() + np.abs(rhs).max()
+
+    if solver is not None:
+        x = solver.krylov(matrix, rhs, a_inf)
+        if x is not None:
+            resid, scale = backward_error(x)
+            if resid <= KRYLOV_BOUND * max(scale, 1e-300):
+                return x
+
+    scaled = sp.csr_matrix(
+        (matrix.data * np.repeat(1.0 / row_max, row_nnz),
+         matrix.indices, matrix.indptr),
+        shape=matrix.shape,
+    )
     try:
-        lu = spla.splu(scaled)
+        lu = (solver.refactor(scaled, row_max) if solver is not None
+              else spla.splu(scaled.tocsc()))
         x = lu.solve(rhs / row_max)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from None
 
     if not np.isfinite(x).all():
         raise SingularMatrix("non-finite solution from factorization")
-    resid = np.abs(matrix @ x - rhs).max()
-    a_inf = np.abs(matrix).sum(axis=1).max()
-    scale = a_inf * np.abs(x).max() + np.abs(rhs).max()
-    if resid > 1e-10 * max(scale, 1e-300):
+    resid, scale = backward_error(x)
+    if resid > DIRECT_BOUND * max(scale, 1e-300):
         raise LinearSolveFailure(
             f"linear residual {resid:.3e} exceeds bound for scale {scale:.3e}"
         )
     return x
 
 
-def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig):
+def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
+                 linear_solver: LinearSolver | None = None):
     """Solve residual_fn(u) = 0 starting from max(u_init, floor).
 
     Every iterate is kept strictly positive by halving the update; the
     returned stats record whether the initialization floor changed any
-    component of u_init.
+    component of u_init and how many LU factorizations the solve made.  The
+    inner solves go through ``linear_solver`` (a fresh one when None), so a
+    caller that passes one solver to successive solves reuses its factor
+    across them.
     """
+    solver = linear_solver if linear_solver is not None else LinearSolver()
+    factorizations0 = solver.factorizations
     u_init = np.asarray(u_init, dtype=float)
     floor_activated = bool((u_init < config.positivity_floor).any())
     u = np.maximum(u_init, config.positivity_floor)
@@ -104,11 +247,12 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig):
                 residual_l1=l1,
                 backtracks=backtracks_total,
                 floor_activated=floor_activated,
+                factorizations=solver.factorizations - factorizations0,
                 residual_history=history,
             )
         if iteration == config.max_iter:
             break
-        step = linear_solve(jacobian_fn(u), -res)
+        step = linear_solve(jacobian_fn(u), -res, solver)
         alpha = config.damping
         bt = 0
         while (u + alpha * step).min() <= 0.0:

@@ -87,6 +87,16 @@ def test_run_reference_case_invariants(tmp_path, capsys):
     assert min(mins) > 0.0
     assert "floor activated  False" in out
 
+    def column(name):
+        return [int(r.split(",")[header.index(name)]) for r in rows[1:]]
+
+    # the first step factorizes; later steps mostly reuse its factor
+    iters, facts = column("newton_iters"), column("factorizations")
+    assert facts[1] >= 1
+    assert all(0 <= f <= i for f, i in zip(facts, iters))
+    assert sum(facts) < sum(iters)
+    assert column("newton_backtracks") == [0] * len(iters)
+
 
 def test_run_rejects_bad_beta(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--case", "uniform", "--family",

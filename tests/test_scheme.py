@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddfv.errors import BadBeta, NonPositiveState, ValidationError
 from ddfv.fields import DiscreteField, TensorSpec
@@ -205,6 +206,71 @@ def test_jacobian_matches_finite_differences(rng):
                     - asm.residual_vec(um, u_prev.values)) / (2 * step)
     denom = np.maximum(1.0, np.abs(jac))
     assert (np.abs(jac - fd) / denom).max() < 1e-6
+
+
+def _coo_system_jacobian(asm, u):
+    """Reference assembly of the mass-scaled Jacobian: every diamond block,
+    the time diagonal and the penalization blocks as COO triplets, summed by
+    scipy's COO -> CSR conversion."""
+    g, d1, d2, rd, f1, f2 = asm._flux_parts(u)
+    m = asm.mats
+    inv = 1.0 / u
+    quarter1 = 0.25 * (m.a_edge * d1 + m.a_cross * d2)
+    quarter2 = 0.25 * (m.a_cross * d1 + m.a_dual * d2)
+    nd = len(rd)
+    d_f1 = np.empty((nd, 4))
+    d_f2 = np.empty((nd, 4))
+    for j, (col, sign, a1, a2) in enumerate((
+        (asm.col_k, 1.0, m.a_edge, m.a_cross),
+        (asm.col_l, -1.0, m.a_edge, m.a_cross),
+        (asm.col_vk, 1.0, m.a_cross, m.a_dual),
+        (asm.col_vl, -1.0, m.a_cross, m.a_dual),
+    )):
+        d_f1[:, j] = quarter1 + sign * rd * a1 * inv[col]
+        d_f2[:, j] = quarter2 + sign * rd * a2 * inv[col]
+    values = np.empty((nd, 4, 4))
+    for i in range(4):
+        src = d_f1 if i < 2 else d_f2
+        values[:, i, :] = asm.row_coef[:, i, None] * src
+
+    cols = np.column_stack([asm.col_k, asm.col_l, asm.col_vk, asm.col_vl])
+    diag_idx = np.flatnonzero(asm.time_mask)
+    rows = [np.repeat(cols, 4, axis=1).ravel(), diag_idx]
+    cols_ = [np.tile(cols, (1, 4)).ravel(), diag_idx]
+    vals = [values.ravel(), asm.time_coef]
+    if asm.params.kappa > 0.0:
+        c, v, w = asm.ov_c, asm.ov_v, asm.pen_scale * asm.ov_w
+        rows.append(np.concatenate([c, c, v, v]))
+        cols_.append(np.concatenate([c, v, v, c]))
+        vals.append(np.concatenate(
+            [w * inv[c], -w * inv[v], w * inv[v], -w * inv[c]]))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols_))),
+        shape=(asm.n, asm.n),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
+    params = _params(dt=0.05, kappa=kappa, potential=lambda x: -x[1])
+    asm = Assembly(kershaw8, params)
+    for _ in range(2):
+        u = 0.5 + rng.random(kershaw8.n_values)
+        ref = _coo_system_jacobian(asm, u)
+        jac = asm.system_jacobian(u)
+        assert jac.has_canonical_format
+        # duplicate entries (at most a dozen terms each) may be summed in
+        # another order: allow 16 ulps of the largest entry in the row
+        tol = 16 * np.finfo(float).eps * abs(ref).max(axis=1).toarray()
+        assert (abs(jac - ref).toarray() <= tol).all()
+        div = asm.jacobian_vec(u)
+        ref_div = (sp.diags(asm.inv_weight) @ ref).toarray()
+        assert (np.abs(div.toarray() - ref_div)
+                <= tol * asm.inv_weight[:, None]).all()
+        # the cached pattern survives in-place edits of a returned matrix
+        jac.data[:] = 0.0
+        jac.eliminate_zeros()
+    assert (abs(asm.system_jacobian(u) - ref).toarray() <= tol).all()
 
 
 def test_jacobian_row_sums_at_constant_state(quad5):

@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import ddfv.solver as solver_mod
 from ddfv.errors import (
     NoConvergence,
     PositivityBacktrackExhausted,
     SingularMatrix,
+    ValidationError,
 )
+from ddfv.harness import exact_decay_case, nodal_initial, simulate
+from ddfv.mesh import build_ddfv, gen_kershaw, gen_quad_fvca
 from ddfv.scheme import Assembly, SchemeParams, stationary_state
-from ddfv.solver import NewtonConfig, linear_solve, newton_solve
+from ddfv.solver import (
+    KRYLOV_BOUND,
+    LinearSolver,
+    NewtonConfig,
+    linear_solve,
+    newton_solve,
+)
 
 
 # --- linear solve -------------------------------------------------------------
@@ -43,6 +53,60 @@ def test_linear_solve_singular():
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrix):
         linear_solve(a, np.array([1.0, 2.0]))
+
+
+def _backward_error(a, x, b):
+    a_inf = np.abs(a.toarray()).sum(axis=1).max()
+    return np.abs(a @ x - b).max() / (a_inf * np.abs(x).max() + np.abs(b).max())
+
+
+def _jacobians(mesh, rng, count, spread):
+    """Jacobians of one run's system at nearby positive states."""
+    params = SchemeParams(dt=1e-2, t_final=1e-2, kappa=0.1,
+                          potential=lambda x: -x[1])
+    asm = Assembly(mesh, params)
+    base = 0.5 + rng.random(mesh.n_values)
+    return [asm.system_jacobian(base * (1.0 + spread * rng.random(mesh.n_values)))
+            for _ in range(count)]
+
+
+def test_linear_solver_matches_direct_oracle(quad8, rng):
+    solver = LinearSolver()
+    for a in _jacobians(quad8, rng, 5, 0.05):
+        b = rng.standard_normal(a.shape[0])
+        x = linear_solve(a, b, solver)
+        ref = linear_solve(a, b)
+        assert _backward_error(a, x, b) <= KRYLOV_BOUND
+        assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+    # the first system is factorized, the nearby ones reuse its factor
+    assert solver.factorizations == 1
+
+
+def test_linear_solver_refactors_on_a_different_matrix(quad8, rng):
+    a = _jacobians(quad8, rng, 1, 0.0)[0]
+    b = rng.standard_normal(a.shape[0])
+    solver = LinearSolver()
+    linear_solve(a, b, solver)
+    stale = solver.factor
+    linear_solve(a, 2.0 * b, solver)
+    assert solver.factorizations == 1 and solver.factor is stale
+
+    other = (a + sp.diags(50.0 * rng.random(a.shape[0]) * abs(a).max(axis=1)
+                          .toarray().ravel())).tocsr()
+    x = linear_solve(other, b, solver)
+    assert solver.factorizations == 2 and solver.factor is not stale
+    assert np.array_equal(x, linear_solve(other, b))
+
+
+def test_linear_solver_singular_matrix():
+    solver = LinearSolver()
+    linear_solve(sp.identity(2, format="csr"), np.array([1.0, 1.0]), solver)
+    a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(SingularMatrix):
+        linear_solve(a, np.array([1.0, 0.0]), solver)
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularMatrix):
+        linear_solve(a, np.array([1.0, 2.0]), solver)
 
 
 # --- newton --------------------------------------------------------------------
@@ -151,11 +215,49 @@ def test_newton_deterministic(quad8, rng):
 
 
 def test_newton_config_validation():
-    from ddfv.errors import ValidationError
-
     with pytest.raises(ValidationError):
         NewtonConfig(tol_residual_l1=0.0)
     with pytest.raises(ValidationError):
         NewtonConfig(max_iter=0)
     with pytest.raises(ValidationError):
         NewtonConfig(damping=1.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_backtracks": -1},
+    {"positivity_floor": 0.0},
+    {"positivity_floor": -1e-12},
+    {"positivity_floor": float("nan")},
+    {"positivity_floor": float("inf")},
+])
+def test_newton_config_rejects_bad_backtracks_and_floor(kwargs):
+    with pytest.raises(ValidationError):
+        NewtonConfig(**kwargs)
+
+
+# --- factor reuse over a whole run ------------------------------------------------
+
+
+@pytest.mark.parametrize("family, kappa", [("quad", 0.1), ("kershaw", 0.0)])
+def test_simulate_reuse_matches_direct_path(family, kappa, monkeypatch):
+    mesh = build_ddfv(gen_quad_fvca(16, 0.15) if family == "quad"
+                      else gen_kershaw(16))
+    case = exact_decay_case()
+    params = SchemeParams(dt=2.5e-4, t_final=5e-3, kappa=kappa,
+                          potential=case.potential)
+    u0 = nodal_initial(mesh, case.u0)
+    reuse = simulate(mesh, params, u0)
+
+    direct = solver_mod.linear_solve
+    monkeypatch.setattr(solver_mod, "linear_solve",
+                        lambda matrix, rhs, solver=None: direct(matrix, rhs))
+    ref = simulate(mesh, params, u0)
+
+    assert ([r.newton_iterations for r in reuse.records]
+            == [r.newton_iterations for r in ref.records])
+    assert sum(r.factorizations for r in ref.records) == 0
+    assert 1 <= sum(r.factorizations for r in reuse.records) \
+        < sum(r.newton_iterations for r in reuse.records)
+    gap = max(np.abs(a - b).max()
+              for a, b in zip(reuse.trajectory, ref.trajectory))
+    assert gap <= 1e-13
