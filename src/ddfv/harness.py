@@ -21,6 +21,7 @@ from .scheme import (
     SchemeParams,
     StateRecord,
     energy,
+    evaluate,
     project_initial,
     relative_energy,
     stationary_state,
@@ -34,32 +35,39 @@ SATURATION_CUTOFF = 1e-12
 
 @dataclass
 class TestCase:
-    """Problem data for a run; exact solution and gradient are optional."""
+    """Problem data for a run; exact solution and gradient are optional.
+
+    The data are called on point arrays: ``x`` has shape (2, m), so
+    ``x[0]`` and ``x[1]`` are coordinate arrays (see ``scheme.evaluate``).
+    ``u0``, ``potential`` and ``u_exact`` return shape (m,) and
+    ``grad_u_exact`` shape (2, m); a scalar, or a constant (2,) gradient,
+    is broadcast.
+    """
 
     name: str
-    u0: object
-    potential: object = None
+    u0: object                      # callable(x) -> (m,)
+    potential: object = None        # callable(x) -> (m,)
     lam: TensorSpec = dataclass_field(default_factory=TensorSpec.identity)
     t_final: float = 0.25
-    u_exact: object = None          # callable(point, t) -> float
-    grad_u_exact: object = None     # callable(point, t) -> (2,) array
+    u_exact: object = None          # callable(x, t) -> (m,)
+    grad_u_exact: object = None     # callable(x, t) -> (2, m)
 
 
-_ALPHA = math.pi**2 + 0.25
+_ALPHA = np.pi**2 + 0.25
 
 
 def _exact_value(x, t):
     x2 = x[1]
-    mode = math.pi * math.cos(math.pi * x2) + 0.5 * math.sin(math.pi * x2)
-    return math.exp(-_ALPHA * t + 0.5 * x2) * mode + math.pi * math.exp(x2 - 0.5)
+    mode = np.pi * np.cos(np.pi * x2) + 0.5 * np.sin(np.pi * x2)
+    return np.exp(-_ALPHA * t + 0.5 * x2) * mode + np.pi * np.exp(x2 - 0.5)
 
 
 def _exact_gradient(x, t):
     x2 = x[1]
-    dmode = (math.pi * math.cos(math.pi * x2)
-             + (0.25 - math.pi**2) * math.sin(math.pi * x2))
-    d2 = math.exp(-_ALPHA * t + 0.5 * x2) * dmode + math.pi * math.exp(x2 - 0.5)
-    return np.array([0.0, d2])
+    dmode = (np.pi * np.cos(np.pi * x2)
+             + (0.25 - np.pi**2) * np.sin(np.pi * x2))
+    d2 = np.exp(-_ALPHA * t + 0.5 * x2) * dmode + np.pi * np.exp(x2 - 0.5)
+    return np.stack([np.zeros_like(d2), d2])
 
 
 def exact_decay_case() -> TestCase:
@@ -237,25 +245,33 @@ def _check_step(rec, mass0, en_prev, diss, pen, params):
 # --- error functionals ---------------------------------------------------
 
 
-def _sample_exact(mesh, u_exact, t):
-    interior = np.array([u_exact(x, t) for x in mesh.cell_centers])
-    dual = np.array([u_exact(x, t) for x in mesh.primal.vertices])
-    return interior, dual
-
-
 def error_u(mesh, trajectory, dt, u_exact) -> float:
     """Max over time of the mass-weighted L2 distance to the nodally
     sampled exact solution."""
     worst = 0.0
     nc, nb = mesh.n_cells, mesh.n_bnd
+    nodes = np.vstack([mesh.cell_centers, mesh.primal.vertices])
     for n, vec in enumerate(trajectory):
-        exact_int, exact_dual = _sample_exact(mesh, u_exact, n * dt)
-        di = vec[:nc] - exact_int
-        dd = vec[nc + nb:] - exact_dual
+        exact = evaluate(u_exact, nodes, n * dt)
+        di = vec[:nc] - exact[:nc]
+        dd = vec[nc + nb:] - exact[nc:]
         err2 = 0.5 * (np.dot(mesh.cell_areas, di * di)
                       + np.dot(mesh.dual_areas, dd * dd))
         worst = max(worst, float(err2))
     return worst**0.5
+
+
+def _exact_gradient_at(grad_u_exact, points, t):
+    """(m, 2) values of the exact gradient, called once on all points."""
+    values = np.asarray(grad_u_exact(points.T, t), dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    try:
+        return np.broadcast_to(values, (2, len(points))).T
+    except ValueError as exc:
+        raise ValidationError(
+            f"grad_u_exact must return shape (2, m) or (2,): {exc}"
+        ) from None
 
 
 def error_gradient(mesh, trajectory, dt, grad_u_exact) -> float:
@@ -267,8 +283,7 @@ def error_gradient(mesh, trajectory, dt, grad_u_exact) -> float:
     for n in range(1, len(trajectory)):
         t = n * dt
         g = grad_diamond(mesh, DiscreteField(mesh, trajectory[n]))
-        exact = np.array([grad_u_exact(x, t) for x in mesh.cross_point])
-        diff = g - exact
+        diff = g - _exact_gradient_at(grad_u_exact, mesh.cross_point, t)
         total += dt * float(np.dot(mesh.diamond_area,
                                    np.einsum("di,di->d", diff, diff)))
     return total**0.5
@@ -297,8 +312,8 @@ def nodal_initial(mesh, u0) -> DiscreteField:
     floors the nodally sampled solution error at O(h**1.5).
     """
     means = project_initial(mesh, u0)
-    interior = np.array([float(u0(x)) for x in mesh.cell_centers])
-    dual = np.array([float(u0(x)) for x in mesh.primal.vertices])
+    nodal = evaluate(u0, np.vstack([mesh.cell_centers, mesh.primal.vertices]))
+    interior, dual = nodal[:mesh.n_cells], nodal[mesh.n_cells:]
     interior = np.where(interior > 0.0, interior, means.interior)
     dual = np.where(dual > 0.0, dual, means.dual)
     return DiscreteField.from_components(mesh, interior, np.zeros(mesh.n_bnd), dual)
@@ -331,29 +346,25 @@ def _sci(x):
     return "" if x is None else f"{x:.5E}"
 
 
+def _row_cells(r):
+    """The CSV_HEADER columns of one row, formatted."""
+    return [
+        str(r.level), _sci(r.h), _sci(r.dt),
+        _sci(r.erru), _sci(r.ordu),
+        _sci(r.errgu), _sci(r.ordgu),
+        _sci(r.normU), _sci(r.ordU),
+        str(r.newton_max), _sci(r.newton_mean), _sci(r.min_u),
+    ]
+
+
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.level), _sci(r.h), _sci(r.dt),
-            _sci(r.erru), _sci(r.ordu),
-            _sci(r.errgu), _sci(r.ordgu),
-            _sci(r.normU), _sci(r.ordU),
-            str(r.newton_max), _sci(r.newton_mean), _sci(r.min_u),
-        ]))
+    lines = [CSV_HEADER] + [",".join(_row_cells(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_text(rows) -> str:
     header = CSV_HEADER.split(",")
-    table = [header]
-    for r in rows:
-        table.append([
-            str(r.level), _sci(r.h), _sci(r.dt), _sci(r.erru),
-            _sci(r.ordu), _sci(r.errgu), _sci(r.ordgu), _sci(r.normU),
-            _sci(r.ordU), str(r.newton_max), _sci(r.newton_mean),
-            _sci(r.min_u),
-        ])
+    table = [header] + [_row_cells(r) for r in rows]
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     return "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
@@ -448,10 +459,13 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
                    newton=None) -> LongtimeResult:
     """Relative-energy decay towards the discrete steady state.
 
-    The reference state is normalized separately on the primal and dual
-    meshes (both masses are conserved when kappa = 0), so the series decays
-    to rounding level instead of a quadrature floor.  The exponential rate
-    is fitted on the range above the saturation cutoff.
+    The reference state is u_inf = rho * exp(-V).  With kappa = 0 the
+    primal and dual masses are conserved separately, so rho is fixed on
+    each mesh by its own mass and the series decays to rounding level
+    instead of a quadrature floor.  With kappa > 0 the penalization moves
+    mass between the two meshes and only the total bracket(u, 1) is
+    conserved, so a single rho matches it.  The exponential rate is fitted
+    on the range above the saturation cutoff.
     """
     params = SchemeParams(
         dt=dt, t_final=t_final, kappa=kappa, beta=beta,
@@ -460,10 +474,15 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
     )
     assembly = Assembly(mesh, params)
     u0 = project_initial(mesh, case.u0)
-    mass_primal = float(np.dot(mesh.cell_areas, u0.interior))
-    mass_dual = float(np.dot(mesh.dual_areas, u0.dual))
-    u_inf = stationary_state(mesh, assembly.v_field, mass_primal,
-                             dual_mass=mass_dual)
+    if kappa > 0.0:
+        one = DiscreteField.full(mesh, 1.0)
+        shape = DiscreteField(mesh, np.exp(-assembly.v_field.values))
+        u_inf = shape * (bracket(mesh, u0, one) / bracket(mesh, shape, one))
+    else:
+        mass_primal = float(np.dot(mesh.cell_areas, u0.interior))
+        mass_dual = float(np.dot(mesh.dual_areas, u0.dual))
+        u_inf = stationary_state(mesh, assembly.v_field, mass_primal,
+                                 dual_mass=mass_dual)
 
     result = simulate(mesh, params, u0)
     series = []

@@ -33,24 +33,74 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .geometry import (
-    cross2,
-    polygon_area,
-    polygon_centroid,
-    segment_intersection,
-    triangle_area,
-)
+from .geometry import cross2, polygon_area, triangle_area
 
 _SIN_TOL = 1e-10
 _PARAM_TOL = 1e-12
 
 
+def _raise_first(checks):
+    """Raise for the first element that fails any of the checks.
+
+    ``checks`` is a list of (mask, error class, message of element i);
+    the element's checks are tried in list order, so the reported failure
+    is the one an element-by-element loop would have met first.
+    """
+    failing = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        for mask, error, message in checks:
+            if mask[i]:
+                raise error(message(i))
+
+
+def _loop_next(loop_vert, sizes):
+    """The vertex after each entry of back-to-back loops of the given
+    sizes, wrapping around at the end of each loop."""
+    ends = np.cumsum(sizes)
+    full = sizes > 0
+    nxt = np.arange(1, len(loop_vert) + 1)
+    nxt[ends[full] - 1] = (ends - sizes)[full]
+    return loop_vert[nxt]
+
+
+def _shoelace(vertices, loop_vert, loop_next):
+    """Loop entries, their successors and the shoelace terms
+    x_i y_(i+1) - x_(i+1) y_i."""
+    a, b = vertices[loop_vert], vertices[loop_next]
+    return a, b, a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+
+
+def _cell_sums(loop_cell, values, n_cells):
+    """Sum of per-entry values over each cell's loop.
+
+    ``np.bincount`` adds the entries in loop order starting from zero, as
+    a loop over the cell's vertices does, so short loops give the same
+    bits as that loop (``np.add.reduceat`` would not: it adds the first
+    entry to the sum of the others).
+    """
+    return np.bincount(loop_cell, weights=values, minlength=n_cells)
+
+
+def _signed_areas(vertices, loop_vert, loop_next, loop_cell, n_cells):
+    _, _, w = _shoelace(vertices, loop_vert, loop_next)
+    return 0.5 * _cell_sums(loop_cell, w, n_cells)
+
+
 class PrimalMesh:
     """Polygonal partition of a connected 2D domain.
 
-    Cells are vertex-index loops in counterclockwise order.  Boundary edges
-    (edges with a single incident cell) are derived on construction and kept
-    in discovery order, directed as traversed by their cell.
+    Cells are vertex-index loops in counterclockwise order.  Besides the
+    list ``cells``, the loops are stored back to back in ``loop_vert``;
+    ``loop_cell`` names the cell owning each entry and ``loop_next`` the
+    vertex after it, so entry i starts the directed edge
+    (loop_vert[i], loop_next[i]).
+
+    Edges are numbered in discovery order, the order in which a walk over
+    the cells' loops first meets them.  ``edges`` holds each edge's sorted
+    vertex pair and ``edge_cells`` its first and second incident cell (-1
+    for a boundary edge).  ``boundary_edges`` lists the boundary edges in
+    that order, directed as traversed by their cell.
     """
 
     def __init__(self, vertices, cells):
@@ -58,56 +108,93 @@ class PrimalMesh:
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValidationError("vertices must be an (n, 2) array")
         self.cells = [list(map(int, c)) for c in cells]
-        for ci, loop in enumerate(self.cells):
-            if len(loop) < 3:
-                raise ValidationError(f"cell {ci} has fewer than 3 vertices")
-            if len(set(loop)) != len(loop):
-                raise ValidationError(f"cell {ci} repeats a vertex")
-            if min(loop) < 0 or max(loop) >= len(self.vertices):
-                raise ValidationError(f"cell {ci} references a missing vertex")
-            if polygon_area(self.vertices[loop]) <= 0.0:
-                raise NegativeArea(f"cell {ci} is not positively oriented")
+        sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
+        self.loop_vert = np.array(
+            [v for loop in self.cells for v in loop], dtype=np.int64)
+        self.loop_cell = np.repeat(np.arange(len(sizes)), sizes)
+        self.loop_next = _loop_next(self.loop_vert, sizes)
+        self._check_cells(sizes)
         self._build_edges()
 
+    def _check_cells(self, sizes):
+        n_cells = len(sizes)
+        owner, flat = self.loop_cell, self.loop_vert
+        order = np.lexsort((flat, owner))
+        dup = ((owner[order][1:] == owner[order][:-1])
+               & (flat[order][1:] == flat[order][:-1]))
+        repeats = np.zeros(n_cells, dtype=bool)
+        repeats[owner[order][1:][dup]] = True
+        missing = np.zeros(n_cells, dtype=bool)
+        missing[owner[(flat < 0) | (flat >= len(self.vertices))]] = True
+        small = sizes < 3
+        # Orientation is checked on the cells that pass the checks above,
+        # the only ones whose loops index valid vertices.
+        ok = ~(small | repeats | missing)
+        entries = ok[owner]
+        flipped = np.zeros(n_cells, dtype=bool)
+        flipped[ok] = _signed_areas(
+            self.vertices, flat[entries], self.loop_next[entries],
+            owner[entries], n_cells)[ok] <= 0.0
+        _raise_first([
+            (small, ValidationError, lambda c: f"cell {c} has fewer than 3 vertices"),
+            (repeats, ValidationError, lambda c: f"cell {c} repeats a vertex"),
+            (missing, ValidationError,
+             lambda c: f"cell {c} references a missing vertex"),
+            (flipped, NegativeArea, lambda c: f"cell {c} is not positively oriented"),
+        ])
+
     def _build_edges(self):
-        # Edge table: key = sorted vertex pair, value = list of (cell, va, vb)
-        # with (va, vb) the directed edge as traversed by the cell.
-        edge_order = []
-        incidence = {}
-        for ci, loop in enumerate(self.cells):
-            for k in range(len(loop)):
-                va, vb = loop[k], loop[(k + 1) % len(loop)]
-                key = (va, vb) if va < vb else (vb, va)
-                if key not in incidence:
-                    incidence[key] = []
-                    edge_order.append(key)
-                incidence[key].append((ci, va, vb))
-                if len(incidence[key]) > 2:
-                    raise NonManifoldEdge(f"edge {key} shared by more than two cells")
-        self.edge_keys = edge_order
-        self.edge_cells = incidence
-        self.boundary_edges = [
-            incidence[key][0][1:] for key in edge_order if len(incidence[key]) == 1
-        ]
+        n_verts = len(self.vertices)
+        va, vb = self.loop_vert, self.loop_next
+        keys = np.minimum(va, vb) * n_verts + np.maximum(va, vb)
+        uniq, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        if len(counts) and counts.max() > 2:
+            # The loop version fails at the third incidence met first.
+            seen = np.empty(len(keys), dtype=np.int64)
+            grouped = np.argsort(inverse, kind="stable")
+            seen[grouped] = np.arange(len(keys)) - np.repeat(
+                np.cumsum(counts) - counts, counts)
+            key = int(keys[np.flatnonzero(seen == 2)[0]])
+            raise NonManifoldEdge(
+                f"edge {divmod(key, n_verts)} shared by more than two cells")
+        second = np.full(len(uniq), -1)
+        later = np.flatnonzero(first[inverse] != np.arange(len(keys)))
+        second[inverse[later]] = self.loop_cell[later]
+
+        order = np.argsort(first)
+        self.edges = np.column_stack(np.divmod(uniq[order], n_verts))
+        self.edge_cells = np.column_stack(
+            [self.loop_cell[first[order]], second[order]])
+        on_bnd = first[order][counts[order] == 1]
+        self.boundary_edges = np.column_stack([va[on_bnd], vb[on_bnd]])
         self._check_connected()
 
     def _check_connected(self):
-        n = len(self.cells)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for key in self.edge_keys:
-            inc = self.edge_cells[key]
-            if len(inc) == 2:
-                ra, rb = find(inc[0][0]), find(inc[1][0])
-                parent[ra] = rb
-        if n and len({find(i) for i in range(n)}) != 1:
+        # Label propagation: every cell takes the smallest label among its
+        # neighbours, then the label of the cell its label names (labels
+        # are cell ids of the same component, never above the own id).  At
+        # the fixed point each component carries its smallest cell id.
+        # (scipy.sparse.csgraph would add about 2.5 MB of resident memory
+        # to every process for this one check.)
+        inner = self.edge_cells[self.edge_cells[:, 1] >= 0]
+        a, b = inner[:, 0], inner[:, 1]
+        labels = np.arange(self.n_cells)
+        while True:
+            low = np.minimum(labels[a], labels[b])
+            new = labels.copy()
+            np.minimum.at(new, a, low)
+            np.minimum.at(new, b, low)
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        if labels.any():
             raise ValidationError("cells do not form a connected domain")
+
+    def cell_sums(self, values):
+        """Sum of per-entry values (aligned with ``loop_vert``) per cell."""
+        return _cell_sums(self.loop_cell, values, self.n_cells)
 
     @property
     def n_vertices(self):
@@ -233,170 +320,147 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     """Assemble the full DDFV structure from a valid primal mesh.
 
     Raises NonConvexDiamond when a primal edge and its dual edge fail to
-    cross (or cross at a nearly-degenerate angle), NonManifoldEdge /
-    NegativeArea on defective input.
+    cross (or cross at a nearly-degenerate angle), NegativeArea when a
+    diamond's quarter split is invalid; the first failing edge in edge
+    order is reported.  Diamonds follow the primal edge order.
     """
     verts = primal.vertices
     n_cells = primal.n_cells
-    cell_areas = np.array([polygon_area(verts[c]) for c in primal.cells])
-    cell_centers = np.array([polygon_centroid(verts[c]) for c in primal.cells])
+    a, b, w = _shoelace(verts, primal.loop_vert, primal.loop_next)
+    cell_areas = 0.5 * primal.cell_sums(w)
+    cell_centers = np.column_stack([
+        primal.cell_sums((a[:, 0] + b[:, 0]) * w),
+        primal.cell_sums((a[:, 1] + b[:, 1]) * w),
+    ]) / (6.0 * cell_areas)[:, None]
 
-    bnd_edges = np.array(primal.boundary_edges, dtype=int).reshape(-1, 2)
+    bnd_edges = primal.boundary_edges.copy()
     bnd_centers = 0.5 * (verts[bnd_edges[:, 0]] + verts[bnd_edges[:, 1]])
     bnd_lengths = np.hypot(*(verts[bnd_edges[:, 1]] - verts[bnd_edges[:, 0]]).T)
-    bnd_index = {
-        tuple(sorted(e)): i for i, e in enumerate(map(tuple, bnd_edges))
-    }
 
     vertex_is_boundary = np.zeros(primal.n_vertices, dtype=bool)
     vertex_is_boundary[bnd_edges.ravel()] = True
 
-    dia = {
-        name: []
-        for name in (
-            "cell_k", "cell_l", "vert_k", "vert_l", "is_boundary",
-            "cross_point", "edge_len", "dual_edge_len", "sin_angle", "area",
-            "edge_normal", "dual_edge_normal", "edge_tangent",
-            "dual_edge_tangent", "wck", "wcl", "wvk", "wvl", "diam",
-        )
-    }
-    dual_areas = np.zeros(primal.n_vertices)
-    overlaps = {}
+    # One diamond per primal edge; a boundary edge's second cell is the
+    # degenerate cell on it, numbered after the interior cells in
+    # boundary-edge order.
+    cell_k, cell_l = primal.edge_cells.T.copy()
+    is_bnd = cell_l < 0
+    cell_l = np.where(is_bnd, n_cells + np.cumsum(is_bnd) - 1, cell_l)
+    centers = np.vstack([cell_centers, bnd_centers])
+    xk, xl = centers[cell_k], centers[cell_l]
 
-    def add_overlap(cell, vert, area):
-        overlaps[(cell, vert)] = overlaps.get((cell, vert), 0.0) + area
+    # Label the edge endpoints so both local bases come out direct.
+    va, vb = primal.edges.T
+    direct = cross2((verts[vb] - verts[va]).T, (xl - xk).T) > 0.0
+    vert_k = np.where(direct, va, vb)
+    vert_l = np.where(direct, vb, va)
+    xvk, xvl = verts[vert_k], verts[vert_l]
 
-    for key in primal.edge_keys:
-        incident = primal.edge_cells[key]
-        ck = incident[0][0]
-        if len(incident) == 2:
-            cl_glob = incident[1][0]
-            is_bnd = False
-            xl = cell_centers[cl_glob]
-        else:
-            b = bnd_index[key]
-            cl_glob = n_cells + b
-            is_bnd = True
-            xl = bnd_centers[b]
-        xk = cell_centers[ck]
-
-        va, vb = key
-        # Label the edge endpoints so both local bases come out direct.
-        if cross2(verts[vb] - verts[va], xl - xk) > 0.0:
-            vk, vl = va, vb
-        else:
-            vk, vl = vb, va
-        xvk, xvl = verts[vk], verts[vl]
-
-        edge_vec = xvl - xvk
-        dual_vec = xl - xk
-        m_edge = float(np.hypot(*edge_vec))
-        m_dual = float(np.hypot(*dual_vec))
-        if m_edge == 0.0 or m_dual == 0.0:
-            raise NonConvexDiamond(f"edge {key}: degenerate diamond")
-        tau_e = edge_vec / m_edge
-        tau_d = dual_vec / m_dual
-        sin_a = float(cross2(tau_e, tau_d))
-        if sin_a <= _SIN_TOL:
-            raise NonConvexDiamond(
-                f"edge {key}: sin(angle) = {sin_a:.3e} below tolerance"
-            )
+    edge_vec = xvl - xvk
+    dual_vec = xl - xk
+    m_edge = np.hypot(*edge_vec.T)
+    m_dual = np.hypot(*dual_vec.T)
+    # Failing diamonds produce inf/nan here; the checks below report them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_e = edge_vec / m_edge[:, None]
+        tau_d = dual_vec / m_dual[:, None]
+        sin_a = cross2(tau_e.T, tau_d.T)
         area = 0.5 * m_edge * m_dual * sin_a
-        n_e = np.array([-tau_e[1], tau_e[0]])
-        n_d = np.array([tau_d[1], -tau_d[0]])
+        # Crossing of the dual edge xk + t (xl - xk) with the primal edge
+        # xvk + s (xvl - xvk); a boundary diamond's crossing is xl.
+        denom = cross2(dual_vec.T, edge_vec.T)
+        r = (xvk - xk).T
+        t = cross2(r, edge_vec.T) / denom
+        s = cross2(r, dual_vec.T) / denom
+        cross_point = np.where(is_bnd[:, None], xl, xk + t[:, None] * dual_vec)
 
-        if is_bnd:
-            xd = xl
-        else:
-            hit = segment_intersection(xk, xl, xvk, xvl)
-            if hit is None:
-                raise NonConvexDiamond(f"edge {key}: parallel primal/dual edges")
-            t, s, xd = hit
-            if not (-_PARAM_TOL <= t <= 1 + _PARAM_TOL
-                    and -_PARAM_TOL <= s <= 1 + _PARAM_TOL):
-                raise NonConvexDiamond(
-                    f"edge {key}: primal and dual edges do not cross"
-                )
+    wvk = triangle_area(xvk.T, xk.T, xl.T)
+    wvl = triangle_area(xvl.T, xk.T, xl.T)
+    wck = np.where(is_bnd, area, triangle_area(xk.T, xvk.T, xvl.T))
+    wcl = np.where(is_bnd, 0.0, triangle_area(xl.T, xvk.T, xvl.T))
 
-        wvk = triangle_area(xvk, xk, xl)
-        wvl = triangle_area(xvl, xk, xl)
-        if is_bnd:
-            wck, wcl = area, 0.0
-        else:
-            wck = triangle_area(xk, xvk, xvl)
-            wcl = triangle_area(xl, xvk, xvl)
-            if min(wck, wcl) <= 0.0 or abs(wck + wcl - area) > 1e-9 * area:
-                raise NegativeArea(f"edge {key}: invalid primal quarter split")
-        if min(wvk, wvl) <= 0.0 or abs(wvk + wvl - area) > 1e-9 * area:
-            raise NegativeArea(f"edge {key}: invalid dual quarter split")
+    inner = ~is_bnd
+    in_range = ((-_PARAM_TOL <= t) & (t <= 1 + _PARAM_TOL)
+                & (-_PARAM_TOL <= s) & (s <= 1 + _PARAM_TOL))
 
-        dual_areas[vk] += wvk
-        dual_areas[vl] += wvl
+    def bad_split(w1, w2):
+        return (np.minimum(w1, w2) <= 0.0) | (np.abs(w1 + w2 - area) > 1e-9 * area)
 
-        add_overlap(ck, vk, triangle_area(xk, xd, xvk))
-        add_overlap(ck, vl, triangle_area(xk, xd, xvl))
-        if not is_bnd:
-            add_overlap(cl_glob, vk, triangle_area(xl, xd, xvk))
-            add_overlap(cl_glob, vl, triangle_area(xl, xd, xvl))
+    def key(d):
+        return tuple(int(v) for v in primal.edges[d])
 
-        corners = np.array([xk, xvk, xl, xvl])
-        diam = max(
-            float(np.hypot(*(corners[i] - corners[j])))
-            for i in range(4) for j in range(i + 1, 4)
-        )
+    _raise_first([
+        ((m_edge == 0.0) | (m_dual == 0.0), NonConvexDiamond,
+         lambda d: f"edge {key(d)}: degenerate diamond"),
+        (sin_a <= _SIN_TOL, NonConvexDiamond,
+         lambda d: f"edge {key(d)}: sin(angle) = {sin_a[d]:.3e} below tolerance"),
+        (inner & (denom == 0.0), NonConvexDiamond,
+         lambda d: f"edge {key(d)}: parallel primal/dual edges"),
+        (inner & ~in_range, NonConvexDiamond,
+         lambda d: f"edge {key(d)}: primal and dual edges do not cross"),
+        (inner & bad_split(wck, wcl), NegativeArea,
+         lambda d: f"edge {key(d)}: invalid primal quarter split"),
+        (bad_split(wvk, wvl), NegativeArea,
+         lambda d: f"edge {key(d)}: invalid dual quarter split"),
+    ])
 
-        dia["cell_k"].append(ck)
-        dia["cell_l"].append(cl_glob)
-        dia["vert_k"].append(vk)
-        dia["vert_l"].append(vl)
-        dia["is_boundary"].append(is_bnd)
-        dia["cross_point"].append(xd)
-        dia["edge_len"].append(m_edge)
-        dia["dual_edge_len"].append(m_dual)
-        dia["sin_angle"].append(sin_a)
-        dia["area"].append(area)
-        dia["edge_normal"].append(n_e)
-        dia["dual_edge_normal"].append(n_d)
-        dia["edge_tangent"].append(tau_e)
-        dia["dual_edge_tangent"].append(tau_d)
-        dia["wck"].append(wck)
-        dia["wcl"].append(wcl)
-        dia["wvk"].append(wvk)
-        dia["wvl"].append(wvl)
-        dia["diam"].append(diam)
+    # Each diamond adds its two vertex quarters to the dual cells, in
+    # diamond order.
+    dual_areas = np.zeros(primal.n_vertices)
+    np.add.at(dual_areas, np.column_stack([vert_k, vert_l]).ravel(),
+              np.column_stack([wvk, wvl]).ravel())
 
-    ov_keys = sorted(overlaps)
+    # Cell/dual-cell overlaps: the triangles (center, crossing, vertex),
+    # summed per (cell, vertex) pair in diamond order and sorted by pair;
+    # degenerate cells carry none.
+    ov_cell = np.column_stack([cell_k, cell_k, cell_l, cell_l]).ravel()
+    ov_vert = np.column_stack([vert_k, vert_l, vert_k, vert_l]).ravel()
+    xd = cross_point.T
+    ov_area = np.column_stack([
+        triangle_area(xk.T, xd, xvk.T), triangle_area(xk.T, xd, xvl.T),
+        triangle_area(xl.T, xd, xvk.T), triangle_area(xl.T, xd, xvl.T),
+    ]).ravel()
+    keep = ov_cell < n_cells
+    pairs, slot = np.unique(ov_cell[keep] * primal.n_vertices + ov_vert[keep],
+                            return_inverse=True)
+
+    corners = (xk, xvk, xl, xvl)
+    diamond_diam = np.max([
+        np.hypot(*(corners[i] - corners[j]).T)
+        for i in range(4) for j in range(i + 1, 4)
+    ], axis=0)
+
     mesh = DDFVMesh(
         primal=primal,
         cell_centers=cell_centers,
         cell_areas=cell_areas,
         bnd_edges=bnd_edges,
         bnd_centers=bnd_centers,
-        bnd_lengths=np.asarray(bnd_lengths, dtype=float),
+        bnd_lengths=bnd_lengths,
         vertex_is_boundary=vertex_is_boundary,
         dual_areas=dual_areas,
-        dia_cell_k=np.array(dia["cell_k"], dtype=int),
-        dia_cell_l=np.array(dia["cell_l"], dtype=int),
-        dia_vert_k=np.array(dia["vert_k"], dtype=int),
-        dia_vert_l=np.array(dia["vert_l"], dtype=int),
-        dia_is_boundary=np.array(dia["is_boundary"], dtype=bool),
-        cross_point=np.array(dia["cross_point"]),
-        edge_len=np.array(dia["edge_len"]),
-        dual_edge_len=np.array(dia["dual_edge_len"]),
-        sin_angle=np.array(dia["sin_angle"]),
-        diamond_area=np.array(dia["area"]),
-        edge_normal=np.array(dia["edge_normal"]),
-        dual_edge_normal=np.array(dia["dual_edge_normal"]),
-        edge_tangent=np.array(dia["edge_tangent"]),
-        dual_edge_tangent=np.array(dia["dual_edge_tangent"]),
-        wedge_cell_k=np.array(dia["wck"]),
-        wedge_cell_l=np.array(dia["wcl"]),
-        wedge_vert_k=np.array(dia["wvk"]),
-        wedge_vert_l=np.array(dia["wvl"]),
-        diamond_diam=np.array(dia["diam"]),
-        overlap_cell=np.array([k[0] for k in ov_keys], dtype=int),
-        overlap_vert=np.array([k[1] for k in ov_keys], dtype=int),
-        overlap_area=np.array([overlaps[k] for k in ov_keys]),
+        dia_cell_k=cell_k,
+        dia_cell_l=cell_l,
+        dia_vert_k=vert_k,
+        dia_vert_l=vert_l,
+        dia_is_boundary=is_bnd,
+        cross_point=cross_point,
+        edge_len=m_edge,
+        dual_edge_len=m_dual,
+        sin_angle=sin_a,
+        diamond_area=area,
+        edge_normal=np.column_stack([-tau_e[:, 1], tau_e[:, 0]]),
+        dual_edge_normal=np.column_stack([tau_d[:, 1], -tau_d[:, 0]]),
+        edge_tangent=tau_e,
+        dual_edge_tangent=tau_d,
+        wedge_cell_k=wck,
+        wedge_cell_l=wcl,
+        wedge_vert_k=wvk,
+        wedge_vert_l=wvl,
+        diamond_diam=diamond_diam,
+        overlap_cell=pairs // primal.n_vertices,
+        overlap_vert=pairs % primal.n_vertices,
+        overlap_area=np.bincount(slot, weights=ov_area[keep]),
     )
     _validate_partitions(mesh)
     return mesh
@@ -512,32 +576,28 @@ def gen_uniform_quad(n: int) -> PrimalMesh:
     """Uniform n-by-n quadrilateral mesh of the unit square."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = [
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        for j in range(n)
-        for i in range(n)
-    ]
-    return PrimalMesh(vertices, cells)
+    return _distorted_quad(n, lambda i, j, p: p)
 
 
 def _distorted_quad(n, displace):
-    base = gen_uniform_quad(n)
-    vertices = base.vertices.copy()
-    for idx in range(len(vertices)):
-        i, j = idx % (n + 1), idx // (n + 1)
-        vertices[idx] = displace(i, j, vertices[idx])
-    cells = base.cells
-    for ci, loop in enumerate(cells):
-        if polygon_area(vertices[loop]) <= 0.0:
-            raise DegenerateCell(f"cell {ci} inverted under distortion")
-    return PrimalMesh(vertices, cells)
+    """The uniform n-by-n grid, cells numbered row by row from the bottom,
+    with every vertex moved by ``displace(i, j, p)``: it maps the column
+    and row indices and the (m, 2) positions of all vertices to their new
+    positions."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    idx = np.arange((n + 1) ** 2)
+    vertices = displace(idx % (n + 1), idx // (n + 1),
+                        np.column_stack([xx.ravel(), yy.ravel()]))
+    lower_left = (np.arange(n)[None, :] + (n + 1) * np.arange(n)[:, None]).ravel()
+    cells = lower_left[:, None] + np.array([0, 1, n + 2, n + 1])
+    areas = _signed_areas(vertices, cells.ravel(),
+                          np.roll(cells, -1, axis=1).ravel(),
+                          np.repeat(np.arange(len(cells)), 4), len(cells))
+    inverted = np.flatnonzero(areas <= 0.0)
+    if inverted.size:
+        raise DegenerateCell(f"cell {inverted[0]} inverted under distortion")
+    return PrimalMesh(vertices, cells.tolist())
 
 
 def gen_quad_fvca(n: int, amplitude: float = 0.1) -> PrimalMesh:
@@ -552,13 +612,13 @@ def gen_quad_fvca(n: int, amplitude: float = 0.1) -> PrimalMesh:
         raise ValidationError("amplitude must lie in [0, 0.25)")
 
     def displace(i, j, p):
-        d = amplitude * np.sin(2 * np.pi * p[0]) * np.sin(2 * np.pi * p[1])
-        return p + d
+        d = amplitude * np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])
+        return p + d[:, None]
 
     return _distorted_quad(n, displace)
 
 
-_ZIGZAG = (0.0, 1.0, 0.0, -1.0)
+_ZIGZAG = np.array([0.0, 1.0, 0.0, -1.0])
 
 
 def gen_kershaw(n: int, distortion: float = 0.8) -> PrimalMesh:
@@ -576,11 +636,10 @@ def gen_kershaw(n: int, distortion: float = 0.8) -> PrimalMesh:
     half = (n + 1) // 2
 
     def displace(i, j, p):
-        if i == 0 or i == n:
-            return p
-        zig = _ZIGZAG[i % 4]
-        prof = min(j, n - j) / half
-        return np.array([p[0], (j + distortion * zig * prof) / n])
+        prof = np.minimum(j, n - j) / half
+        y = (j + distortion * _ZIGZAG[i % 4] * prof) / n
+        pinned = (i == 0) | (i == n)
+        return np.column_stack([p[:, 0], np.where(pinned, p[:, 1], y)])
 
     return _distorted_quad(n, displace)
 

@@ -30,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .fields import DiscreteField, TensorSpec
-from .geometry import polygon_centroid
 from .operators import (
     bracket,
     delta_diamond,
@@ -52,7 +51,7 @@ class SchemeParams:
     kappa: float = 0.0
     beta: float = 1.0
     lam: TensorSpec = dataclass_field(default_factory=TensorSpec.identity)
-    potential: object = None          # callable(point) -> float, or None
+    potential: object = None          # callable(x) -> values, or None
     shift_potential: bool = False     # subtract min(V) so V >= 0
     newton: NewtonConfig = dataclass_field(default_factory=NewtonConfig)
 
@@ -91,50 +90,63 @@ class StateRecord:
 # --- projections -------------------------------------------------------
 
 
+def evaluate(fn, points, *args):
+    """Values of the data ``fn`` at an (m, 2) array of points.
+
+    ``fn`` is called once, with the coordinates as ``x`` of shape (2, m)
+    (``x[0]`` and ``x[1]`` are arrays) followed by ``args``, and returns m
+    values; a scalar is broadcast to all points.
+    """
+    result = fn(np.asarray(points, dtype=float).T, *args)
+    values = np.empty(len(points))
+    try:
+        values[...] = result
+    except ValueError as exc:
+        raise ValidationError(
+            f"data must return one value per point or a scalar: {exc}"
+        ) from None
+    return values
+
+
 def project_potential(mesh, potential) -> DiscreteField:
     """Nodal values of the potential at cell centers, boundary-edge
-    midpoints and vertices."""
+    midpoints and vertices, from one evaluation on all of them."""
     if potential is None:
         return DiscreteField.zeros(mesh)
-    interior = np.array([float(potential(x)) for x in mesh.cell_centers])
-    boundary = np.array([float(potential(x)) for x in mesh.bnd_centers])
-    dual = np.array([float(potential(x)) for x in mesh.primal.vertices])
-    return DiscreteField.from_components(mesh, interior, boundary, dual)
+    points = np.vstack([mesh.cell_centers, mesh.bnd_centers, mesh.primal.vertices])
+    return DiscreteField(mesh, evaluate(potential, points))
 
 
 def project_initial(mesh, u0) -> DiscreteField:
     """Cell means of the initial data on interior and dual cells.
 
     Quadrature fan-triangulates each cell from its centroid and applies the
-    centroid rule per triangle (exact for affine data); boundary cells are
-    set to zero.  Means below -1e-14 raise NegativeInitialData, tiny
-    negative means clamp to zero.
+    centroid rule per triangle (exact for affine data); each dual cell is
+    split into its diamond quarters (vertex, center k, center l), again
+    with the centroid rule.  ``u0`` is evaluated once, on the array of all
+    these centroids (see ``evaluate``).  Boundary cells are set to zero.
+    Means below -1e-14 raise NegativeInitialData, tiny negative means clamp
+    to zero.
     """
-    verts = mesh.primal.vertices
-    interior = np.empty(mesh.n_cells)
-    for ci, loop in enumerate(mesh.primal.cells):
-        pts = verts[loop]
-        c = polygon_centroid(pts)
-        acc = 0.0
-        area = 0.0
-        for k in range(len(loop)):
-            a, b = pts[k], pts[(k + 1) % len(loop)]
-            w = 0.5 * ((a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0]))
-            acc += w * float(u0((a + b + c) / 3.0))
-            area += w
-        interior[ci] = acc / area
+    primal = mesh.primal
+    verts = primal.vertices
+    a, b = verts[primal.loop_vert], verts[primal.loop_next]
+    c = mesh.cell_centers[primal.loop_cell]
+    w = 0.5 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+               - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0]))
 
     centers = mesh.primal_centers
+    wedge_vert = np.column_stack([mesh.dia_vert_k, mesh.dia_vert_l]).ravel()
+    wedge_area = np.column_stack([mesh.wedge_vert_k, mesh.wedge_vert_l]).ravel()
+    xk = np.repeat(centers[mesh.dia_cell_k], 2, axis=0)
+    xl = np.repeat(centers[mesh.dia_cell_l], 2, axis=0)
+
+    values = evaluate(u0, np.vstack([(a + b + c) / 3.0,
+                                     (verts[wedge_vert] + xk + xl) / 3.0]))
+    n_corners = len(w)
+    interior = primal.cell_sums(w * values[:n_corners]) / primal.cell_sums(w)
     acc = np.zeros(mesh.n_verts)
-    for d in range(mesh.n_diamonds):
-        xk = centers[mesh.dia_cell_k[d]]
-        xl = centers[mesh.dia_cell_l[d]]
-        for vert, wedge in (
-            (mesh.dia_vert_k[d], mesh.wedge_vert_k[d]),
-            (mesh.dia_vert_l[d], mesh.wedge_vert_l[d]),
-        ):
-            centroid = (verts[vert] + xk + xl) / 3.0
-            acc[vert] += wedge * float(u0(centroid))
+    np.add.at(acc, wedge_vert, wedge_area * values[n_corners:])
     dual = acc / mesh.dual_areas
 
     for arr, what in ((interior, "cell"), (dual, "dual cell")):

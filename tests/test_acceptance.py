@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The refinement studies are
-shared module-scoped fixtures; the whole module takes a few minutes.
+shared module-scoped fixtures; the whole module takes a few minutes.  The
+tests that use them, and the long-time study, are marked ``slow``:
+`pytest -m "not slow"` skips them for a quick loop.
 """
 
 import time
@@ -101,6 +103,7 @@ def test_criterion_3_conservation_and_decay():
                    f"{result.records[-1].n} steps in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_spatial_accuracy(quad_study_k0):
     ordus = [r.ordu for r in quad_study_k0 if r.ordu is not None]
     ordgus = [r.ordgu for r in quad_study_k0 if r.ordgu is not None]
@@ -113,6 +116,7 @@ def test_criterion_4_spatial_accuracy(quad_study_k0):
             + "/".join(f"{o:.2f}" for o in ordgus) + " (need in [1.2, 1.8])")
 
 
+@pytest.mark.slow
 def test_criterion_5_primal_dual_gap(quad_study_k0, quad_study_k01):
     orders = [r.ordU for r in quad_study_k0 + quad_study_k01
               if r.ordU is not None]
@@ -125,6 +129,7 @@ def test_criterion_5_primal_dual_gap(quad_study_k0, quad_study_k01):
             + ", kappa sensitivity " + "/".join(f"{r:.1%}" for r in rel))
 
 
+@pytest.mark.slow
 def test_criterion_6_newton_robustness(quad_study_k0, quad_study_k01):
     rows = quad_study_k0 + quad_study_k01
     n_max = max(r.newton_max for r in rows)
@@ -135,6 +140,7 @@ def test_criterion_6_newton_robustness(quad_study_k0, quad_study_k01):
                    f"min state value {min_u:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_7_longtime_decay():
     start = time.perf_counter()
     case = exact_decay_case()
@@ -151,6 +157,7 @@ def test_criterion_7_longtime_decay():
                    f" {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_kershaw_family(kershaw_study):
     # error magnitudes on this family are not comparable to the reference
     # tables (those meshes are unavailable); require the conservation/decay

@@ -47,7 +47,7 @@ def test_project_initial_affine_exact(quad5):
     # value at the area centroid
     a = np.array([0.8, -0.4])
     c = 1.5
-    u0 = project_initial(quad5, lambda x: float(a @ x + c))
+    u0 = project_initial(quad5, lambda x: a @ x + c)
     verts = quad5.primal.vertices
     for ci, loop in enumerate(quad5.primal.cells):
         exact = float(a @ polygon_centroid(verts[loop]) + c)
@@ -59,7 +59,7 @@ def test_project_initial_affine_exact(quad5):
 
 
 def test_project_initial_mass_converges_second_order():
-    u0 = lambda x: math.exp(x[0]) * (1.0 + 0.5 * math.sin(3 * x[1]))
+    u0 = lambda x: np.exp(x[0]) * (1.0 + 0.5 * np.sin(3 * x[1]))
     exact = (math.e - 1.0) * (1.0 + 0.5 * (1 - math.cos(3.0)) / 3.0)
     errs = []
     for n in (4, 8, 16):
@@ -86,7 +86,7 @@ def test_project_potential_values(uniform4, rng):
     )[0])
     assert v.interior[center] == pytest.approx(-0.375)
     # nodal values match direct evaluation everywhere
-    fn = lambda x: math.sin(x[0]) - 1.3 * x[1] ** 2
+    fn = lambda x: np.sin(x[0]) - 1.3 * x[1] ** 2
     proj = project_potential(uniform4, fn)
     pts = np.vstack([uniform4.primal_centers, uniform4.primal.vertices])
     idx = rng.integers(0, len(pts), size=100)
@@ -95,6 +95,14 @@ def test_project_potential_values(uniform4, rng):
         np.arange(uniform4.n_cells + uniform4.n_bnd),
         uniform4.n_cells + uniform4.n_bnd + np.arange(uniform4.n_verts),
     ])][idx], direct)
+
+
+def test_data_must_return_one_value_per_point(uniform4):
+    # data are called once on all points: x[0], x[1] are arrays
+    with pytest.raises(ValidationError):
+        project_potential(uniform4, lambda x: np.zeros(3))
+    with pytest.raises(ValidationError):
+        project_initial(uniform4, lambda x: np.ones((2, x.shape[1])))
 
 
 # --- residual ----------------------------------------------------------------
