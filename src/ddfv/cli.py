@@ -170,14 +170,15 @@ def cmd_mesh(args):
 
 def _trace_csv(records):
     lines = ["n,t,mass,energy,dissipation,dissipation_hat,penalty,min_u,"
-             "newton_iters,newton_residual,newton_backtracks,factorizations"]
+             "newton_iters,newton_residual,newton_backtracks,factorizations,"
+             "krylov_iterations"]
     for r in records:
         opt = [r.dissipation, r.dissipation_hat, r.penalty_bracket]
         opt = ["" if v is None else repr(v) for v in opt]
         lines.append(
             f"{r.n},{r.t!r},{r.mass!r},{r.energy!r},{opt[0]},{opt[1]},"
             f"{opt[2]},{r.min_u!r},{r.newton_iterations},{r.newton_residual!r},"
-            f"{r.newton_backtracks},{r.factorizations}"
+            f"{r.newton_backtracks},{r.factorizations},{r.krylov_iterations}"
         )
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,8 @@ Mesh construction, operator, scheme and solver failures all derive from
 DDFVError so callers (and the CLI) can map them to exit codes in one place.
 """
 
+import numpy as np
+
 
 class DDFVError(Exception):
     """Base class for all package-specific errors."""
@@ -81,3 +83,18 @@ class PositivityBacktrackExhausted(SolverError):
 
 class InvariantViolation(DDFVError):
     """A runtime conservation/dissipation assertion failed during a run."""
+
+
+def raise_first(checks):
+    """Raise for the first element that fails any of the checks.
+
+    ``checks`` is a list of (mask, error class, message of element i);
+    the element's checks are tried in list order, so the reported failure
+    is the one an element-by-element loop would have met first.
+    """
+    failing = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        for mask, error, message in checks:
+            if mask[i]:
+                raise error(message(i))

@@ -10,7 +10,7 @@ reconstructions) is kept as plain numpy arrays of shape (n_diamonds,) or
 
 import numpy as np
 
-from .errors import NotSPD, ValidationError
+from .errors import NotSPD, ValidationError, raise_first
 
 
 class DiscreteField:
@@ -84,16 +84,24 @@ def _vals(other):
     return other.values if isinstance(other, DiscreteField) else other
 
 
-def _check_spd(mat):
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2):
-        raise NotSPD("tensor must be a 2x2 matrix")
-    if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * (1.0 + abs(mat).max()):
-        raise NotSPD("tensor is not symmetric")
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() <= 0.0:
-        raise NotSPD(f"tensor has nonpositive eigenvalue {evals.min():.3e}")
-    return mat, float(evals.min()), float(evals.max())
+def _check_spd(mats):
+    """Stack a sequence of 2x2 tensors into an (n, 2, 2) array and return it
+    with the (n, 2) ascending eigenvalues.  NotSPD reports the first tensor
+    that is not a symmetric positive definite 2x2 matrix."""
+    mats = [np.asarray(mat, dtype=float) for mat in mats]
+    bad_shape = np.array([mat.shape != (2, 2) for mat in mats], dtype=bool)
+    stack = np.array([np.eye(2) if bad else mat
+                      for mat, bad in zip(mats, bad_shape)]).reshape(-1, 2, 2)
+    asym = (np.abs(stack[:, 0, 1] - stack[:, 1, 0])
+            > 1e-12 * (1.0 + np.abs(stack).max(axis=(1, 2))))
+    evals = np.linalg.eigvalsh(stack)
+    raise_first([
+        (bad_shape, NotSPD, lambda d: "tensor must be a 2x2 matrix"),
+        (asym, NotSPD, lambda d: "tensor is not symmetric"),
+        (evals[:, 0] <= 0.0, NotSPD,
+         lambda d: f"tensor has nonpositive eigenvalue {evals[d, 0]:.3e}"),
+    ])
+    return stack, evals
 
 
 class TensorSpec:
@@ -117,8 +125,9 @@ class TensorSpec:
 
     @classmethod
     def constant(cls, matrix):
-        mat, lo, hi = _check_spd(matrix)
-        return cls("constant", matrix=mat, bounds=(lo, hi))
+        stack, evals = _check_spd([matrix])
+        return cls("constant", matrix=stack[0],
+                   bounds=(float(evals[0, 0]), float(evals[0, 1])))
 
     @classmethod
     def rotated(cls, lam1, lam2, angle):
@@ -175,11 +184,8 @@ class TensorSpec:
         w = (mesh.wedge_cell_k + mesh.wedge_cell_l)
         bary = (ck * mesh.wedge_cell_k[:, None] + cl * mesh.wedge_cell_l[:, None])
         bary /= w[:, None]
-        out = np.empty((n, 2, 2))
-        for d in range(n):
-            mat, _, _ = _check_spd(self.func(bary[d]))
-            out[d] = mat
-        return out
+        # The tensor is called per point; the checks run on the stack.
+        return _check_spd([self.func(point) for point in bary])[0]
 
     def bounds(self, lam_d=None):
         """(lambda_min, lambda_max) ellipticity bounds."""

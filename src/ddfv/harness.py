@@ -155,15 +155,15 @@ def _seed_boundary_zeros(mesh, assembly, u_vec):
     local log-gradient starts balanced keeps the Newton iteration off the
     positivity floor.
     """
-    nc = mesh.n_cells
-    bdia = np.flatnonzero(mesh.dia_is_boundary)
+    bdia = mesh.dia_is_boundary
+    rows, ks = mesh.dia_cell_l[bdia], mesh.dia_cell_k[bdia]
+    # Each boundary cell has exactly one diamond, and only boundary rows
+    # are written, so the interior values read are the unseeded ones.
+    zero = u_vec[rows] <= 0.0
+    rows, ks = rows[zero], ks[zero]
     v = assembly.v_field.values
     out = u_vec.copy()
-    for d in bdia:
-        row = mesh.dia_cell_l[d]
-        if out[row] <= 0.0:
-            k = mesh.dia_cell_k[d]
-            out[row] = out[k] * math.exp(v[k] - v[row])
+    out[rows] = u_vec[ks] * np.exp(v[ks] - v[rows])
     return out
 
 
@@ -214,6 +214,7 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
             newton_residual=stats.residual_l1,
             newton_backtracks=stats.backtracks,
             factorizations=stats.factorizations,
+            krylov_iterations=stats.krylov_iterations,
             floor_activated=stats.floor_activated,
         )
         if check_invariants:

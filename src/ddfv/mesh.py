@@ -32,26 +32,12 @@ from .errors import (
     NonManifoldEdge,
     ParseError,
     ValidationError,
+    raise_first,
 )
-from .geometry import cross2, polygon_area, triangle_area
+from .geometry import cross2, triangle_area
 
 _SIN_TOL = 1e-10
 _PARAM_TOL = 1e-12
-
-
-def _raise_first(checks):
-    """Raise for the first element that fails any of the checks.
-
-    ``checks`` is a list of (mask, error class, message of element i);
-    the element's checks are tried in list order, so the reported failure
-    is the one an element-by-element loop would have met first.
-    """
-    failing = np.logical_or.reduce([mask for mask, _, _ in checks])
-    if failing.any():
-        i = int(np.argmax(failing))
-        for mask, error, message in checks:
-            if mask[i]:
-                raise error(message(i))
 
 
 def _loop_next(loop_vert, sizes):
@@ -135,7 +121,7 @@ class PrimalMesh:
         flipped[ok] = _signed_areas(
             self.vertices, flat[entries], self.loop_next[entries],
             owner[entries], n_cells)[ok] <= 0.0
-        _raise_first([
+        raise_first([
             (small, ValidationError, lambda c: f"cell {c} has fewer than 3 vertices"),
             (repeats, ValidationError, lambda c: f"cell {c} repeats a vertex"),
             (missing, ValidationError,
@@ -389,7 +375,7 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     def key(d):
         return tuple(int(v) for v in primal.edges[d])
 
-    _raise_first([
+    raise_first([
         ((m_edge == 0.0) | (m_dual == 0.0), NonConvexDiamond,
          lambda d: f"edge {key(d)}: degenerate diamond"),
         (sin_a <= _SIN_TOL, NonConvexDiamond,
@@ -678,8 +664,9 @@ def write_mesh(primal: PrimalMesh, path):
 def read_mesh(path) -> PrimalMesh:
     """Read a primal mesh written by ``write_mesh``.
 
-    Clockwise cells are reoriented with a warning; malformed content raises
-    ParseError carrying the offending line number.
+    Malformed content raises ParseError carrying the offending line number.
+    Once the whole file has parsed, clockwise cells are reoriented with a
+    warning each, in cell order.
     """
     with open(path, "r", encoding="ascii") as f:
         raw = f.readlines()
@@ -741,11 +728,16 @@ def read_mesh(path) -> PrimalMesh:
         if min(loop) < 0 or max(loop) >= n_verts:
             raise ParseError(f"cell {i} references a missing vertex",
                              line=lineno)
-        if polygon_area(vertices[loop]) < 0.0:
-            warnings.warn(f"cell {i} was clockwise; reoriented", stacklevel=2)
-            loop = loop[::-1]
         cells.append(loop)
 
     if pos < len(lines):
         raise ParseError("trailing content after last cell", line=lines[pos][0])
+
+    sizes = np.array([len(loop) for loop in cells], dtype=np.int64)
+    loop_vert = np.array([v for loop in cells for v in loop], dtype=np.int64)
+    areas = _signed_areas(vertices, loop_vert, _loop_next(loop_vert, sizes),
+                          np.repeat(np.arange(len(cells)), sizes), len(cells))
+    for i in np.flatnonzero(areas < 0.0):
+        warnings.warn(f"cell {i} was clockwise; reoriented", stacklevel=2)
+        cells[i] = cells[i][::-1]
     return PrimalMesh(vertices, cells)

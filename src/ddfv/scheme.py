@@ -84,6 +84,7 @@ class StateRecord:
     newton_residual: float = 0.0
     newton_backtracks: int = 0
     factorizations: int = 0
+    krylov_iterations: int = 0
     floor_activated: bool = False
 
 

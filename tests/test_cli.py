@@ -96,6 +96,10 @@ def test_run_reference_case_invariants(tmp_path, capsys):
     assert all(0 <= f <= i for f, i in zip(facts, iters))
     assert sum(facts) < sum(iters)
     assert column("newton_backtracks") == [0] * len(iters)
+    # GMRES iterations, appended as the last column; none before step 1
+    assert header[-1] == "krylov_iterations"
+    krylov = column("krylov_iterations")
+    assert krylov[0] == 0 and min(krylov) >= 0
 
 
 def test_run_rejects_bad_beta(tmp_path, capsys):

@@ -88,3 +88,42 @@ def test_tensor_callable_spatially_varying(quad5, rng):
     norm2 = float(np.dot(quad5.diamond_area,
                          np.einsum("ij,ij->i", xi, xi)))
     assert lo * norm2 <= val <= hi * norm2 * (1 + 1e-12)
+
+
+def _loop_check_spd(mats):
+    """The per-diamond check the batched one replaced: the (class, message)
+    of the first failing tensor, or None."""
+    for mat in mats:
+        mat = np.asarray(mat, dtype=float)
+        if mat.shape != (2, 2):
+            return NotSPD, "tensor must be a 2x2 matrix"
+        if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * (1.0 + abs(mat).max()):
+            return NotSPD, "tensor is not symmetric"
+        evals = np.linalg.eigvalsh(mat)
+        if evals.min() <= 0.0:
+            return NotSPD, f"tensor has nonpositive eigenvalue {evals.min():.3e}"
+    return None
+
+
+@pytest.mark.parametrize("bad", [
+    np.eye(3),                                  # shape
+    np.array([[1.0, 0.3], [0.0, 1.0]]),         # symmetry
+    np.array([[1.0, 2.0], [2.0, 1.0]]),         # eigenvalue -1
+    np.array([[1.0, 2.0], [0.0, -1.0]]),        # symmetry and eigenvalue
+])
+def test_tensor_callable_reports_first_failing_diamond(kershaw8, rng, bad):
+    # The tensor fails at the middle diamond, and with another kind of
+    # failure at the next one: the batched check must report the middle
+    # one, as the per-diamond loop did.
+    n = kershaw8.n_diamonds
+    mats = [np.diag(1.0 + rng.random(2)) for _ in range(n)]
+    mats[n // 2] = bad
+    mats[n // 2 + 1] = np.array([[1.0, 0.0], [0.0, -5.0]])
+    old = _loop_check_spd(mats)
+    assert old is not None
+
+    calls = iter(mats)
+    spec = TensorSpec.from_callable(lambda x: next(calls))
+    with pytest.raises(NotSPD) as err:
+        spec.on_diamonds(kershaw8)
+    assert (type(err.value), str(err.value)) == old

@@ -20,8 +20,9 @@ from ddfv.harness import (
     rows_to_csv,
     rows_to_text,
     simulate,
+    _seed_boundary_zeros,
 )
-from ddfv.scheme import SchemeParams, project_initial
+from ddfv.scheme import Assembly, SchemeParams, project_initial
 
 
 # --- reference case -----------------------------------------------------------
@@ -190,6 +191,29 @@ def test_simulate_records_and_invariants(quad8):
     assert all(b <= a + 1e-9 * (1 + abs(a))
                for a, b in zip(energies, energies[1:]))
     assert result.dt_over_h == pytest.approx(params.dt / quad8.h)
+
+
+def test_seed_boundary_zeros_matches_loop_version(mesh_zoo, rng):
+    case = exact_decay_case()
+    for name, mesh in mesh_zoo:
+        asm = Assembly(mesh, SchemeParams(dt=1e-3, t_final=1e-3,
+                                          potential=case.potential))
+        u = project_initial(mesh, case.u0).values
+        bnd = slice(mesh.n_cells, mesh.n_cells + mesh.n_bnd)
+        # zero boundary values are seeded, the others kept
+        u[bnd] = np.where(rng.random(mesh.n_bnd) < 0.5, 0.0,
+                          1.0 + rng.random(mesh.n_bnd))
+        # the per-diamond loop the array update replaced
+        v = asm.v_field.values
+        expected = u.copy()
+        for d in np.flatnonzero(mesh.dia_is_boundary):
+            row, k = mesh.dia_cell_l[d], mesh.dia_cell_k[d]
+            if expected[row] <= 0.0:
+                expected[row] = expected[k] * math.exp(v[k] - v[row])
+        seeded = _seed_boundary_zeros(mesh, asm, u)
+        assert (seeded[bnd] > 0.0).all(), name
+        # numpy's exp may differ from math.exp by one ulp
+        assert np.allclose(seeded, expected, rtol=4e-16, atol=0.0), name
 
 
 def test_simulate_flags_invariant_violation(quad5, monkeypatch):

@@ -2,7 +2,8 @@
 
 The loop versions below are the element-by-element implementations the
 array code replaced: edge building and validation of ``PrimalMesh``,
-``build_ddfv``, the distorted-grid generators and the two projections.
+``build_ddfv``, the distorted-grid generators, the two projections and the
+orientation pass of ``read_mesh``.
 Integer arrays must match exactly.  Float arrays must agree to 1e-15
 (relative for values above 1).  Most come out bit-identical; cell areas do
 not, because the loop version took the shoelace area as a difference of
@@ -12,6 +13,7 @@ both versions must raise the same error with the same message.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ddfv.errors import (
     NegativeArea,
     NonConvexDiamond,
     NonManifoldEdge,
+    ParseError,
     ValidationError,
 )
 from ddfv.geometry import (
@@ -294,6 +297,18 @@ def loop_project_initial(mesh, u0):
     return np.concatenate([interior, np.zeros(mesh.n_bnd), acc / mesh.dual_areas])
 
 
+def loop_orient(vertices, cells):
+    """Orientation pass of ``read_mesh``, cell by cell: the reoriented cells
+    and the warning messages."""
+    out, messages = [], []
+    for i, loop in enumerate(cells):
+        if polygon_area(vertices[loop]) < 0.0:
+            messages.append(f"cell {i} was clockwise; reoriented")
+            loop = loop[::-1]
+        out.append(loop)
+    return out, messages
+
+
 # --- meshes ------------------------------------------------------------------
 
 
@@ -473,3 +488,53 @@ def test_random_meshes_match_loop_version(rng):
         assert new == old
         seen.add(old if old == "ok" else old[0])
     assert seen == {"ok", NegativeArea, NonConvexDiamond, ValidationError}
+
+
+# --- mesh files --------------------------------------------------------------
+
+
+def mesh_text(vertices, cells):
+    lines = [f"vertices {len(vertices)}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in vertices]
+    lines.append(f"cells {len(cells)}")
+    lines += [" ".join(map(str, [len(c)] + list(c))) for c in cells]
+    return "\n".join(lines) + "\n"
+
+
+def read_with_warnings(path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mesh = read_mesh(path)
+    return mesh, [str(w.message) for w in caught]
+
+
+def test_read_mesh_orientation_matches_loop_version(tmp_path, rng, mixed_primal,
+                                                    kershaw8):
+    # Files with a random set of clockwise cells (at least one), each loop
+    # started at a random vertex.
+    for name, primal in (("mixed", mixed_primal), ("kershaw8", kershaw8.primal)):
+        for trial in range(10):
+            flip = rng.random(primal.n_cells) < 0.3
+            flip[trial % primal.n_cells] = True
+            cells = []
+            for loop, f in zip(primal.cells, flip):
+                loop = list(np.roll(loop, rng.integers(len(loop))))
+                cells.append(loop[::-1] if f else loop)
+            path = tmp_path / f"{name}_{trial}.mesh"
+            path.write_text(mesh_text(primal.vertices, cells))
+            mesh, messages = read_with_warnings(path)
+            expected, expected_messages = loop_orient(primal.vertices, cells)
+            assert mesh.cells == expected, name
+            assert messages == expected_messages, name
+
+
+def test_read_mesh_parse_error_after_clockwise_cell(tmp_path, mixed_primal):
+    # The whole file is parsed before the orientation pass: the error
+    # still names the line of the bad cell.
+    cells = [c[::-1] for c in mixed_primal.cells]
+    cells[3] = [0, 1, 99]
+    path = tmp_path / "bad.mesh"
+    path.write_text(mesh_text(mixed_primal.vertices, cells))
+    with pytest.raises(ParseError, match="cell 3 references a missing vertex") as err:
+        read_mesh(path)
+    assert err.value.line == 1 + len(mixed_primal.vertices) + 1 + 4

@@ -261,3 +261,28 @@ def test_simulate_reuse_matches_direct_path(family, kappa, monkeypatch):
     gap = max(np.abs(a - b).max()
               for a, b in zip(reuse.trajectory, ref.trajectory))
     assert gap <= 1e-13
+
+
+def test_simulate_refactors_an_aged_factor(monkeypatch):
+    # Quad n=16, dt=1e-3, kappa=0 for 100 steps.  A factor kept until a
+    # 20-iteration cycle misses serves the whole run at about 15 GMRES
+    # iterations per Newton iteration; refactoring once a cycle needs more
+    # than 8 keeps the mean below 7.
+    mesh = build_ddfv(gen_quad_fvca(16, 0.1))
+    case = exact_decay_case()
+    params = SchemeParams(dt=1e-3, t_final=0.1, potential=case.potential)
+    u0 = nodal_initial(mesh, case.u0)
+    reuse = simulate(mesh, params, u0)
+    newton = sum(r.newton_iterations for r in reuse.records)
+    krylov = sum(r.krylov_iterations for r in reuse.records)
+    assert len(reuse.records) == 101
+    assert 0 < krylov <= 8 * newton
+    assert 1 < sum(r.factorizations for r in reuse.records) < newton
+
+    direct = solver_mod.linear_solve
+    monkeypatch.setattr(solver_mod, "linear_solve",
+                        lambda matrix, rhs, solver=None: direct(matrix, rhs))
+    ref = simulate(mesh, params, u0)
+    assert ([r.newton_iterations for r in reuse.records]
+            == [r.newton_iterations for r in ref.records])
+    assert sum(r.krylov_iterations for r in ref.records) == 0
