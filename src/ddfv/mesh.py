@@ -93,7 +93,13 @@ class PrimalMesh:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValidationError("vertices must be an (n, 2) array")
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            raise ValidationError(
+                f"vertex {int(np.argmax(bad))} has a non-finite coordinate")
         self.cells = [list(map(int, c)) for c in cells]
+        if not self.cells:
+            raise ValidationError("mesh has no cells")
         sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
         self.loop_vert = np.array(
             [v for loop in self.cells for v in loop], dtype=np.int64)
@@ -693,6 +699,8 @@ def read_mesh(path) -> PrimalMesh:
         n_verts = int(tok[1])
     except ValueError:
         raise ParseError("vertex count is not an integer", line=lineno) from None
+    if n_verts < 0:
+        raise ParseError("vertex count is negative", line=lineno)
 
     vertices = np.empty((n_verts, 2))
     for i in range(n_verts):
@@ -712,6 +720,8 @@ def read_mesh(path) -> PrimalMesh:
         n_cells = int(tok[1])
     except ValueError:
         raise ParseError("cell count is not an integer", line=lineno) from None
+    if n_cells < 1:
+        raise ParseError("cell count must be positive", line=lineno)
 
     cells = []
     for i in range(n_cells):
@@ -724,6 +734,8 @@ def read_mesh(path) -> PrimalMesh:
         if not nums or len(nums) != nums[0] + 1:
             raise ParseError("cell line length does not match its count",
                              line=lineno)
+        if nums[0] == 0:
+            raise ParseError(f"cell {i} has no vertices", line=lineno)
         loop = nums[1:]
         if min(loop) < 0 or max(loop) >= n_verts:
             raise ParseError(f"cell {i} references a missing vertex",

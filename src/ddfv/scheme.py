@@ -274,7 +274,7 @@ class Assembly:
         # order, the 4x4 diamond blocks, the time diagonal and, for
         # kappa > 0, the 2x2 overlap blocks of the penalization;
         # jac_scatter maps each COO entry to its CSR slot, so assembly
-        # only sums values.
+        # only writes values into the fixed COO buffer and sums them.
         cols = np.column_stack([self.col_k, self.col_l, self.col_vk, self.col_vl])
         coo_rows = [np.repeat(cols, 4, axis=1).ravel()]
         coo_cols = [np.tile(cols, (1, 4)).ravel()]
@@ -295,6 +295,29 @@ class Assembly:
             [0], np.cumsum(np.bincount(pattern_rows, minlength=self.n)),
         ]).astype(np.int32)
         self.jac_row_weight = self.inv_weight[pattern_rows]
+
+        # Value tables of the COO entries.  Entry (i, j) of a diamond block
+        # is row_coef[i] * (q_i + s_j * rd * a_ij / u[cols[j]]), with q the
+        # quarter flux (row 0-1: primal, 2-3: dual), s = (+1, -1, +1, -1)
+        # the column sign and a_ij the local matrix entry of the row's and
+        # the column's kind; jac_coef holds row_coef[i] * s_j * a_ij.
+        self.jac_cols = cols
+        a_edge, a_cross, a_dual = (self.mats.a_edge, self.mats.a_cross,
+                                   self.mats.a_dual)
+        local = np.stack([a_edge, -a_edge, a_cross, -a_cross,
+                          a_cross, -a_cross, a_dual, -a_dual], axis=1)
+        self.jac_coef = np.repeat(local.reshape(-1, 2, 4), 2, axis=1)
+        self.jac_coef *= self.row_coef[:, :, None]
+        self.jac_values = np.empty(len(self.jac_scatter))
+        nblock = 16 * mesh.n_diamonds
+        self.jac_block = self.jac_values[:nblock].reshape(-1, 4, 4)
+        self.jac_values[nblock:nblock + len(diag_idx)] = self.time_coef
+        if params.kappa > 0.0:
+            # rows c, c, v, v and columns c, v, v, c of the overlap blocks
+            w = self.pen_scale * self.ov_w
+            self.pen_weight = np.stack([w, -w, w, -w])
+            self.pen_cols = coo_cols[-1].reshape(4, -1)
+            self.jac_pen = self.jac_values[nblock + len(diag_idx):].reshape(4, -1)
 
     # -- value helpers --
 
@@ -338,34 +361,15 @@ class Assembly:
         inv = 1.0 / u
         quarter1 = 0.25 * (m.a_edge * d1 + m.a_cross * d2)
         quarter2 = 0.25 * (m.a_cross * d1 + m.a_dual * d2)
+        quarter = np.column_stack([quarter1, quarter1, quarter2, quarter2])
 
-        nd = len(rd)
-        d_f1 = np.empty((nd, 4))
-        d_f2 = np.empty((nd, 4))
-        for j, (col, sign, a1, a2) in enumerate((
-            (self.col_k, 1.0, m.a_edge, m.a_cross),
-            (self.col_l, -1.0, m.a_edge, m.a_cross),
-            (self.col_vk, 1.0, m.a_cross, m.a_dual),
-            (self.col_vl, -1.0, m.a_cross, m.a_dual),
-        )):
-            d_f1[:, j] = quarter1 + sign * rd * a1 * inv[col]
-            d_f2[:, j] = quarter2 + sign * rd * a2 * inv[col]
-
-        values = np.empty((nd, 4, 4))
-        for i in range(4):
-            src = d_f1 if i < 2 else d_f2
-            values[:, i, :] = self.row_coef[:, i, None] * src
-        vals = [values.ravel(), self.time_coef]
+        block = self.jac_block
+        np.multiply(self.jac_coef, rd[:, None, None], out=block)
+        block *= inv[self.jac_cols][:, None, :]
+        block += (self.row_coef * quarter)[:, :, None]
         if self.params.kappa > 0.0:
-            w = self.pen_scale * self.ov_w
-            vals.append(np.concatenate([
-                w * inv[self.ov_c],       # row c, col c
-                -w * inv[self.ov_v],      # row c, col v
-                w * inv[self.ov_v],       # row v, col v
-                -w * inv[self.ov_c],      # row v, col c
-            ]))
-        return self._csr(np.bincount(self.jac_scatter,
-                                     weights=np.concatenate(vals),
+            np.multiply(self.pen_weight, inv[self.pen_cols], out=self.jac_pen)
+        return self._csr(np.bincount(self.jac_scatter, weights=self.jac_values,
                                      minlength=len(self.jac_indices)))
 
     def _csr(self, data):

@@ -5,6 +5,17 @@ scale differently from the mass rows).  The direct solve is a sparse LU
 factorization of the equilibrated matrix; its answer must have a backward
 error below ``DIRECT_BOUND``.
 
+Every factorization uses ``LU_OPTIONS``: a minimum-degree ordering of the
+pattern of A + A^T, applied to rows and columns alike, and a diagonal pivot
+whenever it is at least 0.1 times the largest entry of its column.  The
+scheme's Jacobian is structurally symmetric (4x4 diamond blocks, the time
+diagonal and the 2x2 penalization blocks), so an ordering of A + A^T fits
+it, but only while the pivots stay on the diagonal: with SuperLU's default
+partial pivoting the off-diagonal pivots undo much of it (0.92M entries in
+L + U on quad n=64, against 0.72M with the threshold and 1.04M with the
+default COLAMD ordering; 5.7M -> 4.0M at kershaw n=128).  A column whose
+diagonal entry is below the threshold still takes an off-diagonal pivot.
+
 Within one run the Jacobian keeps its sparsity pattern and its values drift
 slowly, so Newton solves through a ``LinearSolver`` that keeps the LU factor
 of the last matrix it factorized and uses it as the preconditioner of one
@@ -19,7 +30,7 @@ reuse rule:
   factor becomes the preconditioner of the following systems.
 
 The cycle is capped at 8 iterations.  A fresh factor answers in 2-6, and a
-factorization costs about 30-50 of its triangular solves at every mesh size
+factorization costs about 20-40 of its triangular solves at every mesh size
 measured (N = 177 to 33,537), so a cycle that needs more than 8 means the
 factor has aged past what it saves and is refreshed.  The solver counts its
 factorizations and its GMRES iterations (those of cycles that missed
@@ -54,6 +65,9 @@ KRYLOV_BOUND = 1e-2 * DIRECT_BOUND
 # Largest Krylov basis of the single GMRES cycle tried before refactorizing
 # (see the module docstring for why 8).
 GMRES_RESTART = 8
+# SuperLU settings of every factorization (see the module docstring).
+LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                  options={"SymmetricMode": True})
 
 
 @dataclass
@@ -164,7 +178,7 @@ class LinearSolver:
         """Factorize the equilibrated matrix and keep the factor.  The stale
         factor is released first so that only one is ever resident."""
         self.factor = None
-        self.factor = spla.splu(scaled.tocsc())
+        self.factor = spla.splu(scaled.tocsc(), **LU_OPTIONS)
         self.row_max = row_max
         self.factorizations += 1
         return self.factor
@@ -216,7 +230,7 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None) -> np.ndarray:
     )
     try:
         lu = (solver.refactor(scaled, row_max) if solver is not None
-              else spla.splu(scaled.tocsc()))
+              else spla.splu(scaled.tocsc(), **LU_OPTIONS))
         x = lu.solve(rhs / row_max)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddfv.cli import main
+from ddfv.cli import EXIT_CONFIG, main
 from ddfv.harness import CSV_HEADER
 from ddfv.mesh import read_mesh
 
@@ -58,6 +58,14 @@ def test_mesh_inspect_missing_file(capsys):
     code, _, err = run_cli(capsys, "mesh", "inspect", "--mesh", "/nope.mesh")
     assert code == 2
     assert "error" in err
+
+
+def test_mesh_inspect_bad_count(tmp_path, capsys):
+    path = tmp_path / "bad.mesh"
+    path.write_text("vertices 3\n0 0\n1 0\n0 1\ncells 2\n3 0 1 2\n0\n")
+    code, _, err = run_cli(capsys, "mesh", "inspect", "--mesh", str(path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: line 7:") and "Traceback" not in err
 
 
 # --- run command ----------------------------------------------------------------

@@ -263,6 +263,41 @@ def test_read_missing_vertex_reference(tmp_path):
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize("text, line", [
+    ("vertices 3\n0 0\n1 0\n0 1\ncells 2\n3 0 1 2\n0\n", 7),
+    ("vertices -3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 2\n", 1),
+    ("vertices 3\n0 0\n1 0\n0 1\ncells -1\n", 5),
+    ("vertices 3\n0 0\n1 0\n0 1\ncells 0\n", 5),
+], ids=["empty-cell", "negative-vertices", "negative-cells", "zero-cells"])
+def test_read_bad_counts(tmp_path, text, line):
+    path = tmp_path / "counts.mesh"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_mesh(path)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_vertex_rejected(tmp_path, value):
+    primal = gen_quad_fvca(4, 0.1)
+    vertices = primal.vertices.copy()
+    vertices[7, 1] = value
+    with pytest.raises(ValidationError, match="vertex 7 "):
+        PrimalMesh(vertices, primal.cells)
+    path = tmp_path / "nan.mesh"
+    write_mesh(primal, path)
+    lines = path.read_text().splitlines()
+    lines[8] = f"{float(vertices[7, 0])!r} {value!r}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="vertex 7 "):
+        read_mesh(path)
+
+
+def test_mesh_without_cells_rejected():
+    with pytest.raises(ValidationError, match="no cells"):
+        PrimalMesh(np.zeros((3, 2)), [])
+
+
 def test_read_reorients_clockwise_cell(tmp_path):
     path = tmp_path / "cw.mesh"
     path.write_text("vertices 4\n0 0\n1 0\n1 1\n0 1\ncells 1\n4 0 3 2 1\n")

@@ -281,6 +281,21 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
     assert (abs(asm.system_jacobian(u) - ref).toarray() <= tol).all()
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_jacobian_does_not_alias_assembly_buffers(kappa, quad5, rng):
+    asm = Assembly(quad5, _params(dt=0.05, kappa=kappa, potential=lambda x: x[0]))
+    u1, u2 = (0.5 + rng.random(quad5.n_values) for _ in range(2))
+    j1 = asm.system_jacobian(u1)
+    kept1 = j1.copy()
+    j2 = asm.system_jacobian(u2)
+    kept2 = j2.copy()
+    assert (j1 != j2).nnz > 0
+    assert (j1 != kept1).nnz == 0
+    j2.data[:] = -1.0
+    assert (j1 != kept1).nnz == 0
+    assert (asm.system_jacobian(u2) != kept2).nnz == 0
+
+
 def test_jacobian_row_sums_at_constant_state(quad5):
     # at a constant state with no potential all log-differences vanish, so
     # the flux block has zero row sums and only the time diagonal remains

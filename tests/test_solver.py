@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import ddfv.solver as solver_mod
 from ddfv.errors import (
@@ -9,10 +10,16 @@ from ddfv.errors import (
     SingularMatrix,
     ValidationError,
 )
-from ddfv.harness import exact_decay_case, nodal_initial, simulate
+from ddfv.harness import (
+    _seed_boundary_zeros,
+    exact_decay_case,
+    nodal_initial,
+    simulate,
+)
 from ddfv.mesh import build_ddfv, gen_kershaw, gen_quad_fvca
-from ddfv.scheme import Assembly, SchemeParams, stationary_state
+from ddfv.scheme import Assembly, SchemeParams, project_initial, stationary_state
 from ddfv.solver import (
+    DIRECT_BOUND,
     KRYLOV_BOUND,
     LinearSolver,
     NewtonConfig,
@@ -107,6 +114,40 @@ def test_linear_solver_singular_matrix():
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrix):
         linear_solve(a, np.array([1.0, 2.0]), solver)
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-14])
+def test_linear_solve_takes_off_diagonal_pivots(pivot, rng):
+    # 2x2 swap blocks [[pivot, 4], [4, pivot]] inside a diagonally dominant
+    # tridiagonal system: the diagonal pivot fails the 0.1 threshold there,
+    # so the factorization must pivot off the diagonal
+    n = 40
+    a = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    for i in range(0, n, 8):
+        a[i, i] = a[i + 1, i + 1] = pivot
+        a[i, i + 1] = a[i + 1, i] = 4.0
+    a = sp.csr_matrix(a)
+    b = rng.standard_normal(n)
+    solver = LinearSolver()
+    for x in (linear_solve(a, b), linear_solve(a, b, solver)):
+        assert _backward_error(a, x, b) <= DIRECT_BOUND
+    assert solver.factorizations == 1
+
+
+def test_factor_fill_below_partial_pivoting():
+    # the symmetric ordering keeps L + U at most 0.8 times the fill of
+    # SuperLU's defaults (COLAMD with partial pivoting) on kershaw n=32
+    mesh = build_ddfv(gen_kershaw(32))
+    case = exact_decay_case()
+    params = SchemeParams(dt=1e-3, t_final=1e-3, potential=case.potential)
+    asm = Assembly(mesh, params)
+    u = _seed_boundary_zeros(mesh, asm, project_initial(mesh, case.u0).values)
+    jac = asm.system_jacobian(u)
+    row_max = abs(jac).max(axis=1).toarray().ravel()
+    scaled = (sp.diags(1.0 / row_max) @ jac).tocsr()
+    factor = LinearSolver().refactor(scaled, row_max)
+    default = spla.splu(scaled.tocsc())
+    assert factor.L.nnz + factor.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
 
 
 # --- newton --------------------------------------------------------------------
