@@ -1,4 +1,4 @@
-"""Discrete differential operators, bilinear forms and norms.
+"""Discrete differential operators, bilinear forms and the penalization.
 
 The gradient lives on diamonds, the divergence maps diamond vector fields
 back to cell/dual values, and the two are adjoint up to boundary terms (the
@@ -129,10 +129,6 @@ class LocalMatrices:
         """Quadratic form w . A w per diamond."""
         return self.a_edge * w1 * w1 + 2.0 * self.a_cross * w1 * w2 + self.a_dual * w2 * w2
 
-    def bilin_a(self, u1, u2, v1, v2):
-        return (self.a_edge * u1 * v1 + self.a_dual * u2 * v2
-                + self.a_cross * (u1 * v2 + u2 * v1))
-
     def quad_b(self, w1, w2):
         return self.b_edge * w1 * w1 + self.b_dual * w2 * w2
 
@@ -168,94 +164,12 @@ def reconstruct_diamond(mesh, u: DiscreteField) -> np.ndarray:
 # --- penalization ------------------------------------------------------
 
 
-def _check_beta(beta):
-    if not 0.0 < beta < 2.0:
-        raise BadBeta(f"penalization exponent {beta!r} outside (0, 2)")
-
-
-def penalize(mesh, u: DiscreteField, beta: float) -> DiscreteField:
-    """Primal/dual gap operator scaled by h**(-beta); zero on boundary cells."""
-    _check_beta(beta)
-    gap = u.interior[mesh.overlap_cell] - u.dual[mesh.overlap_vert]
-    weighted = mesh.overlap_area * gap
-    interior = np.zeros(mesh.n_cells)
-    np.add.at(interior, mesh.overlap_cell, weighted)
-    interior /= mesh.cell_areas
-    dual = np.zeros(mesh.n_verts)
-    np.subtract.at(dual, mesh.overlap_vert, weighted)
-    dual /= mesh.dual_areas
-    scale = 1.0 / mesh.h**beta
-    return DiscreteField.from_components(
-        mesh, scale * interior, np.zeros(mesh.n_bnd), scale * dual
-    )
-
-
 def penalization_bracket(mesh, u: DiscreteField, v: DiscreteField,
                          beta: float) -> float:
     """Symmetric positive form: overlap-weighted primal/dual gap product."""
-    _check_beta(beta)
+    if not 0.0 < beta < 2.0:
+        raise BadBeta(f"penalization exponent {beta!r} outside (0, 2)")
     gap_u = u.interior[mesh.overlap_cell] - u.dual[mesh.overlap_vert]
     gap_v = v.interior[mesh.overlap_cell] - v.dual[mesh.overlap_vert]
     return float(np.dot(mesh.overlap_area, gap_u * gap_v)) / (2.0 * mesh.h**beta)
 
-
-# --- norms -------------------------------------------------------------
-
-
-def lp_norm(mesh, u: DiscreteField, p) -> float:
-    """Mass-weighted l^p norm over interior and dual values."""
-    if p == np.inf:
-        return float(max(np.abs(u.interior).max(), np.abs(u.dual).max()))
-    if p < 1:
-        raise ValidationError("p must be >= 1")
-    total = 0.5 * (
-        float(np.dot(mesh.cell_areas, np.abs(u.interior) ** p))
-        + float(np.dot(mesh.dual_areas, np.abs(u.dual) ** p))
-    )
-    return total ** (1.0 / p)
-
-
-def grad_lp_norm(mesh, u: DiscreteField, p) -> float:
-    g = np.hypot(*grad_diamond(mesh, u).T)
-    if p == np.inf:
-        return float(g.max())
-    return float(np.dot(mesh.diamond_area, g**p)) ** (1.0 / p)
-
-
-def w1p_norm(mesh, u: DiscreteField, p) -> float:
-    if p == np.inf:
-        return lp_norm(mesh, u, p) + grad_lp_norm(mesh, u, p)
-    return (lp_norm(mesh, u, p) ** p + grad_lp_norm(mesh, u, p) ** p) ** (1.0 / p)
-
-
-def w1inf_star_norm(mesh, u: DiscreteField, beta: float = 1.0) -> float:
-    """W^{1,inf}-type norm plus the square root of the penalization form."""
-    return w1p_norm(mesh, u, np.inf) + penalization_bracket(mesh, u, u, beta) ** 0.5
-
-
-def time_lq_norm(values, dt: float, q) -> float:
-    """l^q-in-time composite of per-step norms (step n covers (t_{n-1}, t_n])."""
-    values = np.asarray(values, dtype=float)
-    if q == np.inf:
-        return float(values.max())
-    return float(dt * np.sum(values**q)) ** (1.0 / q)
-
-
-def norm_family(mesh, u: DiscreteField, p, beta: float = 1.0) -> dict:
-    """The standard norms of one field, keyed by name."""
-    return {
-        "lp": lp_norm(mesh, u, p),
-        "w1p": w1p_norm(mesh, u, p),
-        "w1inf_star": w1inf_star_norm(mesh, u, beta),
-    }
-
-
-def trace_boundary(mesh, u: DiscreteField):
-    """Boundary-cell values as the trace on the domain boundary.
-
-    Returns (values, norm) where norm**2 sums edge_length * value**2 over
-    the boundary edges.
-    """
-    vals = u.boundary
-    norm = float(np.dot(mesh.bnd_lengths, vals**2)) ** 0.5
-    return vals, norm

@@ -17,6 +17,7 @@ per-mesh index arrays and local matrices so time stepping only pays for
 value updates.
 """
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,12 +33,10 @@ from .errors import (
 from .fields import DiscreteField, TensorSpec
 from .operators import (
     bracket,
-    delta_diamond,
     grad_diamond,
     inner_lambda,
     local_matrices,
     penalization_bracket,
-    reconstruct_diamond,
 )
 from .solver import NewtonConfig
 
@@ -56,10 +55,12 @@ class SchemeParams:
     newton: NewtonConfig = dataclass_field(default_factory=NewtonConfig)
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
-        if self.kappa < 0.0:
-            raise ValidationError("kappa must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError("dt must be finite and positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
+            raise ValidationError("t_final must be finite and positive")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValidationError("kappa must be finite and nonnegative")
         if not 0.0 < self.beta < 2.0:
             raise BadBeta(f"penalization exponent {self.beta!r} outside (0, 2)")
 
@@ -294,7 +295,6 @@ class Assembly:
         self.jac_indptr = np.concatenate([
             [0], np.cumsum(np.bincount(pattern_rows, minlength=self.n)),
         ]).astype(np.int32)
-        self.jac_row_weight = self.inv_weight[pattern_rows]
 
         # Value tables of the COO entries.  Entry (i, j) of a diamond block
         # is row_coef[i] * (q_i + s_j * rd * a_ij / u[cols[j]]), with q the
@@ -369,26 +369,14 @@ class Assembly:
         block += (self.row_coef * quarter)[:, :, None]
         if self.params.kappa > 0.0:
             np.multiply(self.pen_weight, inv[self.pen_cols], out=self.jac_pen)
-        return self._csr(np.bincount(self.jac_scatter, weights=self.jac_values,
-                                     minlength=len(self.jac_indices)))
-
-    def _csr(self, data):
+        data = np.bincount(self.jac_scatter, weights=self.jac_values,
+                           minlength=len(self.jac_indices))
         # The pattern arrays are copied so that in-place edits of a returned
         # matrix cannot corrupt the cached pattern.
         return sp.csr_matrix(
             (data, self.jac_indices.copy(), self.jac_indptr.copy()),
             shape=(self.n, self.n),
         )
-
-    def residual_vec(self, u, u_prev):
-        """Divergence-form residual: d/dt + div(flux) + kappa * penalization
-        on interior and dual rows, the full edge-flux closure on boundary
-        rows."""
-        return self.inv_weight * self.system_vec(u, u_prev)
-
-    def jacobian_vec(self, u):
-        """Analytic Jacobian of the divergence-form residual (CSR)."""
-        return self._csr(self.jac_row_weight * self.system_jacobian(u).data)
 
     def dissipation_vec(self, u):
         """Entropy production and its diagonal-form counterpart."""
@@ -401,13 +389,8 @@ class Assembly:
         return diss, diss_hat
 
     def penalty_bracket_vec(self, u):
-        if self.params.kappa == 0.0:
-            g = self._g(u)
-            gf = DiscreteField(self.mesh, g)
-            return penalization_bracket(self.mesh, gf, gf, self.params.beta)
-        g = self._g(u)
-        gap = g[self.ov_c] - g[self.ov_v]
-        return float(np.dot(self.ov_w, gap * gap)) / (2.0 * self.mesh.h**self.params.beta)
+        g = DiscreteField(self.mesh, self._g(u))
+        return penalization_bracket(self.mesh, g, g, self.params.beta)
 
 
 # --- public wrappers ----------------------------------------------------
@@ -415,16 +398,22 @@ class Assembly:
 
 def residual(mesh, params: SchemeParams, u_prev: DiscreteField,
              u: DiscreteField, assembly: Assembly | None = None) -> DiscreteField:
-    """Scheme residual; boundary components hold the edge-flux closure rows."""
+    """Divergence-form residual: d/dt + div(flux) + kappa * penalization on
+    interior and dual rows, the full edge-flux closure on boundary rows
+    (Newton's mass-scaled rows times ``Assembly.inv_weight``)."""
     assembly = assembly or Assembly(mesh, params)
-    return DiscreteField(mesh, assembly.residual_vec(u.values, u_prev.values))
+    return DiscreteField(
+        mesh, assembly.inv_weight * assembly.system_vec(u.values, u_prev.values))
 
 
 def jacobian(mesh, params: SchemeParams, u_prev: DiscreteField,
              u: DiscreteField, assembly: Assembly | None = None):
     """Analytic Jacobian of the residual as a CSR matrix."""
     assembly = assembly or Assembly(mesh, params)
-    return assembly.jacobian_vec(u.values)
+    jac = assembly.system_jacobian(u.values)
+    # scaling the values in place keeps the pattern, explicit zeros included
+    jac.data *= np.repeat(assembly.inv_weight, np.diff(jac.indptr))
+    return jac
 
 
 def dissipation(mesh, params: SchemeParams, u: DiscreteField,
@@ -433,25 +422,3 @@ def dissipation(mesh, params: SchemeParams, u: DiscreteField,
     assembly = assembly or Assembly(mesh, params)
     return assembly.dissipation_vec(u.values)
 
-
-def variational_form(mesh, params: SchemeParams, u_prev: DiscreteField,
-                     u: DiscreteField, psi: DiscreteField,
-                     assembly: Assembly | None = None) -> float:
-    """The scheme tested against psi (reference formulation for tests).
-
-    Equals bracket(residual, psi) minus half the boundary closure rows
-    weighted by the boundary test values.
-    """
-    assembly = assembly or Assembly(mesh, params)
-    du = u - u_prev
-    g = DiscreteField(mesh, assembly._g(u.values))
-    rd = reconstruct_diamond(mesh, u)
-    dg = delta_diamond(mesh, g)
-    dpsi = delta_diamond(mesh, psi)
-    t_form = float(np.dot(
-        rd, assembly.mats.bilin_a(dg[:, 0], dg[:, 1], dpsi[:, 0], dpsi[:, 1])
-    ))
-    total = bracket(mesh, du, psi) / params.dt + t_form
-    if params.kappa > 0.0:
-        total += params.kappa * penalization_bracket(mesh, g, psi, params.beta)
-    return total

@@ -79,8 +79,9 @@ class NewtonConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.tol_residual_l1 <= 0.0:
-            raise ValidationError("Newton tolerance must be positive")
+        if not (math.isfinite(self.tol_residual_l1)
+                and self.tol_residual_l1 > 0.0):
+            raise ValidationError("Newton tolerance must be finite and > 0")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
         if not 0.0 < self.damping <= 1.0:
@@ -187,15 +188,18 @@ class LinearSolver:
 def linear_solve(matrix, rhs, solver: LinearSolver | None = None) -> np.ndarray:
     """Sparse solve with row equilibration; deterministic.
 
-    Without ``solver`` this is the direct LU solve.  With one, a GMRES cycle
-    preconditioned by the solver's lagged factor runs first, and the direct
-    solve (which refreshes the factor) runs only when that answer misses
-    ``KRYLOV_BOUND``.
+    A GMRES cycle preconditioned by the solver's lagged factor runs first,
+    and the direct solve (which refreshes the factor) runs only when that
+    answer misses ``KRYLOV_BOUND``.  Without ``solver`` the call goes through
+    a fresh ``LinearSolver``, which has no factor yet, so it is the direct
+    LU solve.
 
     Raises SingularMatrix for (numerically) singular systems and
     LinearSolveFailure when the direct solution's residual is unacceptably
     large.
     """
+    if solver is None:
+        solver = LinearSolver()
     if not (isinstance(matrix, sp.csr_matrix) and matrix.has_canonical_format):
         matrix = sp.csr_matrix(matrix)
         matrix.sum_duplicates()
@@ -216,12 +220,11 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None) -> np.ndarray:
         resid = np.abs(matrix @ x - rhs).max()
         return resid, a_inf * np.abs(x).max() + np.abs(rhs).max()
 
-    if solver is not None:
-        x = solver.krylov(matrix, rhs, a_inf)
-        if x is not None:
-            resid, scale = backward_error(x)
-            if resid <= KRYLOV_BOUND * max(scale, 1e-300):
-                return x
+    x = solver.krylov(matrix, rhs, a_inf)
+    if x is not None:
+        resid, scale = backward_error(x)
+        if resid <= KRYLOV_BOUND * max(scale, 1e-300):
+            return x
 
     scaled = sp.csr_matrix(
         (matrix.data * np.repeat(1.0 / row_max, row_nnz),
@@ -229,9 +232,7 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None) -> np.ndarray:
         shape=matrix.shape,
     )
     try:
-        lu = (solver.refactor(scaled, row_max) if solver is not None
-              else spla.splu(scaled.tocsc(), **LU_OPTIONS))
-        x = lu.solve(rhs / row_max)
+        x = solver.refactor(scaled, row_max).solve(rhs / row_max)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from None
 

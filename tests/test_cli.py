@@ -116,6 +116,18 @@ def test_run_rejects_bad_beta(tmp_path, capsys):
                            "--out", str(tmp_path))
     assert code == 2
     assert "(0, 2)" in err
+    # non-finite or nonpositive run parameters are config errors as well
+    for bad in (
+        ["run", "--dt", "nan"], ["run", "--dt", "inf"],
+        ["run", "--tfinal", "nan"], ["run", "--tfinal", "-1"],
+        ["run", "--kappa", "nan"], ["run", "--kappa", "inf"],
+        ["run", "--newton-tol", "nan"],
+        ["converge", "--dt0", "nan", "--levels", "1"],
+    ):
+        code, _, err = run_cli(capsys, *bad, "--case", "uniform", "--family",
+                               "uniform", "--n", "3", "--out", str(tmp_path))
+        assert code == 2, bad
+        assert err.startswith("error: ") and "Traceback" not in err, bad
 
 
 def test_run_solver_failure_exit_code(tmp_path, capsys):

@@ -270,6 +270,9 @@ def test_newton_config_validation():
     {"positivity_floor": -1e-12},
     {"positivity_floor": float("nan")},
     {"positivity_floor": float("inf")},
+    {"tol_residual_l1": float("nan")},
+    {"tol_residual_l1": float("inf")},
+    {"tol_residual_l1": -1e-10},
 ])
 def test_newton_config_rejects_bad_backtracks_and_floor(kwargs):
     with pytest.raises(ValidationError):
