@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 config/mesh error, 3 solver failure, 4 property failure.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -119,17 +120,20 @@ def _load_mesh(cfg):
     )
 
 
-def _case_and_params(cfg, dt):
+def _case(cfg):
+    """The named test case with the lam and tfinal overrides applied."""
     case = harness.get_case(cfg["case"])
-    lam = TensorSpec.parse(cfg["lam"]) if cfg["lam"] else case.lam
-    t_final = cfg["tfinal"] if cfg["tfinal"] is not None else case.t_final
-    params = SchemeParams(
-        dt=dt, t_final=t_final, kappa=cfg["kappa"], beta=cfg["beta"],
-        lam=lam, potential=case.potential,
-        newton=NewtonConfig(tol_residual_l1=cfg["newton_tol"],
-                            max_iter=cfg["newton_max_iter"]),
-    )
-    return case, params
+    overrides = {}
+    if cfg["lam"]:
+        overrides["lam"] = TensorSpec.parse(cfg["lam"])
+    if cfg["tfinal"] is not None:
+        overrides["t_final"] = cfg["tfinal"]
+    return dataclasses.replace(case, **overrides)
+
+
+def _newton(cfg):
+    return NewtonConfig(tol_residual_l1=cfg["newton_tol"],
+                        max_iter=cfg["newton_max_iter"])
 
 
 def _out_dir(cfg):
@@ -188,7 +192,12 @@ def cmd_run(args):
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
     mesh = _load_mesh(cfg)
-    case, params = _case_and_params(cfg, cfg["dt"])
+    case = _case(cfg)
+    params = SchemeParams(
+        dt=cfg["dt"], t_final=case.t_final, kappa=cfg["kappa"],
+        beta=cfg["beta"], lam=case.lam, potential=case.potential,
+        newton=_newton(cfg),
+    )
     u0 = project_initial(mesh, case.u0)
     result = harness.simulate(mesh, params, u0)
     (out / "trace.csv").write_text(_trace_csv(result.records))
@@ -206,12 +215,14 @@ def cmd_run(args):
 
 def cmd_converge(args):
     cfg = effective_config(args)
+    if cfg["mesh"]:
+        raise ValidationError("converge refines a mesh family, not a mesh file")
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
-    case, params = _case_and_params(cfg, cfg["dt0"])
     rows = harness.convergence_study(
-        case, cfg["family"], cfg["levels"], n0=cfg["n0"], dt0=cfg["dt0"],
-        kappa=cfg["kappa"], beta=cfg["beta"], newton=params.newton,
+        _case(cfg), cfg["family"], cfg["levels"], n0=cfg["n0"],
+        dt0=cfg["dt0"], kappa=cfg["kappa"], beta=cfg["beta"],
+        newton=_newton(cfg),
         family_kwargs=_family_kwargs(cfg),
     )
     (out / "convergence.csv").write_text(harness.rows_to_csv(rows))
@@ -224,11 +235,10 @@ def cmd_longtime(args):
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
     mesh = _load_mesh(cfg)
-    case, params = _case_and_params(cfg, cfg["dt"])
     t_final = cfg["tfinal"] if cfg["tfinal"] is not None else 2.0
     result = harness.longtime_study(
-        case, mesh, cfg["dt"], t_final, kappa=cfg["kappa"], beta=cfg["beta"],
-        newton=params.newton,
+        _case(cfg), mesh, cfg["dt"], t_final, kappa=cfg["kappa"],
+        beta=cfg["beta"], newton=_newton(cfg),
     )
     (out / "energy_decay.csv").write_text(result.to_csv())
     if args.plot_script:

@@ -1,10 +1,11 @@
 """Reference cases, the time-stepping driver, error norms and studies.
 
 ``simulate`` advances one configuration in time, checking mass
-conservation, free-energy decay and positivity at every accepted step and
-returning per-step diagnostics plus the full trajectory.  On top of it sit
-the mesh-convergence study (errors, observed orders, Newton statistics per
-refinement level) and the long-time energy-decay study.
+conservation, free-energy decay and positivity at every accepted step,
+handing each state to an optional observer (it stores none) and returning
+per-step diagnostics.  On top of it sit the mesh-convergence study (errors,
+observed orders, Newton statistics per refinement level) and the long-time
+energy-decay study, both reduced while stepping.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import InvariantViolation, ValidationError
 from .fields import DiscreteField, TensorSpec
 from .mesh import build_ddfv, gen_family
-from .operators import bracket
+from .operators import bracket, grad_diamond
 from .scheme import (
     Assembly,
     SchemeParams,
@@ -119,7 +120,6 @@ def get_case(name: str) -> TestCase:
 @dataclass
 class RunResult:
     records: list
-    trajectory: list           # packed vectors, entry n is the state at t_n
     mass0: float
     dt: float
     h: float
@@ -168,12 +168,17 @@ def _seed_boundary_zeros(mesh, assembly, u_vec):
 
 
 def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
-             check_invariants: bool = True) -> RunResult:
+             observe=None) -> RunResult:
     """Advance the scheme params.n_steps steps from the projected data.
 
     Mass conservation, free-energy decay (including the penalization term)
     and positivity are asserted at every step; violations raise
     InvariantViolation.
+
+    ``observe(record, u_vec)``, when given, is called once for step 0 and
+    once after each accepted step, in order, with that step's StateRecord
+    and packed state.  The loop never writes to ``u_vec`` after the call,
+    so an observer may keep the array itself.  No state is stored here.
     """
     assembly = Assembly(mesh, params)
     linear_solver = LinearSolver()
@@ -190,7 +195,8 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
         dissipation=None, dissipation_hat=None, penalty_bracket=None,
         min_u=float(inner_dual.min()),
     )]
-    trajectory = [u_vec.copy()]
+    if observe is not None:
+        observe(records[0], u_vec)
 
     for n in range(1, params.n_steps + 1):
         start = _seed_boundary_zeros(mesh, assembly, u_vec)
@@ -217,15 +223,14 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
             krylov_iterations=stats.krylov_iterations,
             floor_activated=stats.floor_activated,
         )
-        if check_invariants:
-            _check_step(rec, mass0, en_prev, diss, pen, params)
+        _check_step(rec, mass0, en_prev, diss, pen, params)
         records.append(rec)
-        trajectory.append(u_next.copy())
+        if observe is not None:
+            observe(rec, u_next)
         u_vec = u_next
         en_prev = en
 
-    return RunResult(records=records, trajectory=trajectory, mass0=mass0,
-                     dt=params.dt, h=mesh.h)
+    return RunResult(records=records, mass0=mass0, dt=params.dt, h=mesh.h)
 
 
 def _check_step(rec, mass0, en_prev, diss, pen, params):
@@ -246,20 +251,16 @@ def _check_step(rec, mass0, en_prev, diss, pen, params):
 # --- error functionals ---------------------------------------------------
 
 
-def error_u(mesh, trajectory, dt, u_exact) -> float:
-    """Max over time of the mass-weighted L2 distance to the nodally
-    sampled exact solution."""
-    worst = 0.0
+def error_u(mesh, u_vec, t, u_exact) -> float:
+    """Squared mass-weighted L2 distance at time t to the nodally sampled
+    exact solution."""
     nc, nb = mesh.n_cells, mesh.n_bnd
     nodes = np.vstack([mesh.cell_centers, mesh.primal.vertices])
-    for n, vec in enumerate(trajectory):
-        exact = evaluate(u_exact, nodes, n * dt)
-        di = vec[:nc] - exact[:nc]
-        dd = vec[nc + nb:] - exact[nc:]
-        err2 = 0.5 * (np.dot(mesh.cell_areas, di * di)
-                      + np.dot(mesh.dual_areas, dd * dd))
-        worst = max(worst, float(err2))
-    return worst**0.5
+    exact = evaluate(u_exact, nodes, t)
+    di = u_vec[:nc] - exact[:nc]
+    dd = u_vec[nc + nb:] - exact[nc:]
+    return float(0.5 * (np.dot(mesh.cell_areas, di * di)
+                        + np.dot(mesh.dual_areas, dd * dd)))
 
 
 def _exact_gradient_at(grad_u_exact, points, t):
@@ -275,31 +276,20 @@ def _exact_gradient_at(grad_u_exact, points, t):
         ) from None
 
 
-def error_gradient(mesh, trajectory, dt, grad_u_exact) -> float:
-    """Space-time L2 distance of the discrete gradient to the exact one
-    evaluated at the diamond crossing points."""
-    from .operators import grad_diamond
-
-    total = 0.0
-    for n in range(1, len(trajectory)):
-        t = n * dt
-        g = grad_diamond(mesh, DiscreteField(mesh, trajectory[n]))
-        diff = g - _exact_gradient_at(grad_u_exact, mesh.cross_point, t)
-        total += dt * float(np.dot(mesh.diamond_area,
-                                   np.einsum("di,di->d", diff, diff)))
-    return total**0.5
+def error_gradient(mesh, u_vec, t, grad_u_exact) -> float:
+    """Squared L2 distance at time t of the discrete gradient to the exact
+    one evaluated at the diamond crossing points."""
+    g = grad_diamond(mesh, DiscreteField(mesh, u_vec))
+    diff = g - _exact_gradient_at(grad_u_exact, mesh.cross_point, t)
+    return float(np.dot(mesh.diamond_area, np.einsum("di,di->d", diff, diff)))
 
 
-def norm_primal_dual_gap(mesh, trajectory, dt) -> float:
-    """Space-time L2 norm of the gap between the primal and dual
+def norm_primal_dual_gap(mesh, u_vec) -> float:
+    """Squared L2 norm of the gap between the primal and dual
     reconstructions, integrated exactly through the overlap areas."""
-    nc, nb = mesh.n_cells, mesh.n_bnd
-    total = 0.0
-    for n in range(1, len(trajectory)):
-        vec = trajectory[n]
-        gap = vec[mesh.overlap_cell] - vec[nc + nb + mesh.overlap_vert]
-        total += dt * float(np.dot(mesh.overlap_area, gap * gap))
-    return total**0.5
+    gap = (u_vec[mesh.overlap_cell]
+           - u_vec[mesh.n_cells + mesh.n_bnd + mesh.overlap_vert])
+    return float(np.dot(mesh.overlap_area, gap * gap))
 
 
 def nodal_initial(mesh, u0) -> DiscreteField:
@@ -381,10 +371,6 @@ def observed_order(prev_err, err, prev_h, h):
     return math.log(prev_err / err) / math.log(prev_h / h)
 
 
-def build_level_mesh(family: str, n: int, **kwargs):
-    return build_ddfv(gen_family(family, n, **kwargs))
-
-
 def convergence_study(case: TestCase, family: str, levels: int,
                       n0: int = 8, dt0: float = 4e-3,
                       kappa: float = 0.0, beta: float = 1.0,
@@ -401,21 +387,26 @@ def convergence_study(case: TestCase, family: str, levels: int,
     rows = []
     prev = None
     for lev in range(levels):
-        n = n0 * 2**lev
         dt = dt0 / 4**lev
-        mesh = build_level_mesh(family, n, **family_kwargs)
+        mesh = build_ddfv(gen_family(family, n0 * 2**lev, **family_kwargs))
         params = SchemeParams(
             dt=dt, t_final=case.t_final, kappa=kappa, beta=beta,
             lam=case.lam, potential=case.potential,
             **({"newton": newton} if newton else {}),
         )
-        u0 = nodal_initial(mesh, case.u0)
-        result = simulate(mesh, params, u0)
-        errs = (
-            error_u(mesh, result.trajectory, dt, case.u_exact),
-            error_gradient(mesh, result.trajectory, dt, case.grad_u_exact),
-            norm_primal_dual_gap(mesh, result.trajectory, dt),
-        )
+        # Max over n >= 0 of the squared erru; sums over n >= 1 of dt times
+        # the squared errgu and normU.
+        acc = [0.0, 0.0, 0.0]
+
+        def observe(rec, u_vec):
+            acc[0] = max(acc[0], error_u(mesh, u_vec, rec.t, case.u_exact))
+            if rec.n > 0:
+                acc[1] += dt * error_gradient(mesh, u_vec, rec.t,
+                                              case.grad_u_exact)
+                acc[2] += dt * norm_primal_dual_gap(mesh, u_vec)
+
+        result = simulate(mesh, params, nodal_initial(mesh, case.u0), observe)
+        errs = tuple(a**0.5 for a in acc)
         if prev is None:
             orders = (None, None, None)
         else:
@@ -485,11 +476,13 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
         u_inf = stationary_state(mesh, assembly.v_field, mass_primal,
                                  dual_mass=mass_dual)
 
-    result = simulate(mesh, params, u0)
     series = []
-    for rec, vec in zip(result.records, result.trajectory):
-        erel = relative_energy(mesh, DiscreteField(mesh, vec), u_inf)
+
+    def observe(rec, u_vec):
+        erel = relative_energy(mesh, DiscreteField(mesh, u_vec), u_inf)
         series.append((rec.n, rec.t, erel))
+
+    simulate(mesh, params, u0, observe)
 
     usable = [(t, e) for _, t, e in series if e > SATURATION_CUTOFF]
     if len(usable) < 3:

@@ -51,7 +51,6 @@ class SchemeParams:
     beta: float = 1.0
     lam: TensorSpec = dataclass_field(default_factory=TensorSpec.identity)
     potential: object = None          # callable(x) -> values, or None
-    shift_potential: bool = False     # subtract min(V) so V >= 0
     newton: NewtonConfig = dataclass_field(default_factory=NewtonConfig)
 
     def __post_init__(self):
@@ -235,10 +234,7 @@ class Assembly:
         self.mesh = mesh
         self.params = params
         self.mats = local_matrices(mesh, params.lam)
-        v = project_potential(mesh, params.potential)
-        if params.shift_potential:
-            v = DiscreteField(mesh, v.values - v.values.min())
-        self.v_field = v
+        self.v_field = project_potential(mesh, params.potential)
 
         nc, nb, nv = mesh.n_cells, mesh.n_bnd, mesh.n_verts
         off = nc + nb

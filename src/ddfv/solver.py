@@ -75,7 +75,6 @@ class NewtonConfig:
     tol_residual_l1: float = 1e-10
     max_iter: int = 50
     positivity_floor: float = 1e-12
-    damping: float = 1.0
     max_backtracks: int = 40
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class NewtonConfig:
             raise ValidationError("Newton tolerance must be finite and > 0")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValidationError("damping factor must lie in (0, 1]")
         if self.max_backtracks < 0:
             raise ValidationError("max_backtracks must be >= 0")
         if not (math.isfinite(self.positivity_floor)
@@ -283,7 +280,7 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
         if iteration == config.max_iter:
             break
         step = linear_solve(jacobian_fn(u), -res, solver)
-        alpha = config.damping
+        alpha = 1.0
         bt = 0
         while (u + alpha * step).min() <= 0.0:
             bt += 1

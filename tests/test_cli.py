@@ -178,7 +178,46 @@ def test_converge_constant_case_zero_errors(tmp_path, capsys):
         assert float(row.split(",")[3]) == 0.0
 
 
+@pytest.mark.parametrize("flags", [["--lam", "diag:1,0.01"],
+                                   ["--tfinal", "0.008"]])
+def test_converge_applies_case_overrides(tmp_path, capsys, flags):
+    def csv(out, *extra):
+        code, _, _ = run_cli(capsys, "converge", "--levels", "1", "--n0", "4",
+                             *extra, "--out", str(tmp_path / out))
+        assert code == 0
+        return (tmp_path / out / "convergence.csv").read_bytes()
+
+    assert csv("plain") != csv("override", *flags)
+
+
+def test_converge_rejects_mesh_file(tmp_path, capsys):
+    run_cli(capsys, "mesh", "gen", "--family", "quad", "--n", "4",
+            "--out", str(tmp_path))
+    mesh_path = str(tmp_path / "quad_4.mesh")
+    code, _, err = run_cli(capsys, "converge", "--levels", "1", "--n0", "4",
+                           "--mesh", mesh_path, "--out", str(tmp_path / "c"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "Traceback" not in err
+    # the same from a config file
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(f"mesh = {mesh_path}\nlevels = 1\nn0 = 4\n")
+    code, _, err = run_cli(capsys, "converge", "--config", str(cfg),
+                           "--out", str(tmp_path / "d"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ")
+
+
 # --- longtime and check -------------------------------------------------------------
+
+
+def test_longtime_applies_lam_override(tmp_path, capsys):
+    def csv(out, *extra):
+        code, _, _ = run_cli(capsys, "longtime", "--n", "4", "--tfinal", "0.1",
+                             *extra, "--out", str(tmp_path / out))
+        assert code == 0
+        return (tmp_path / out / "energy_decay.csv").read_bytes()
+
+    assert csv("plain") != csv("lam", "--lam", "diag:1,0.01")
 
 
 def test_longtime_stationary_saturates(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ddfv.fields import DiscreteField
 from ddfv.geometry import triangle_area
 from ddfv.harness import (
     CSV_HEADER,
+    ConvergenceRow,
     exact_decay_case,
     uniform_case,
     get_case,
@@ -17,12 +19,15 @@ from ddfv.harness import (
     longtime_study,
     nodal_initial,
     norm_primal_dual_gap,
+    observed_order,
     rows_to_csv,
     rows_to_text,
     simulate,
     _seed_boundary_zeros,
 )
-from ddfv.scheme import Assembly, SchemeParams, project_initial
+from ddfv.mesh import build_ddfv, gen_family
+from ddfv.operators import grad_diamond
+from ddfv.scheme import Assembly, SchemeParams, evaluate, project_initial
 
 
 # --- reference case -----------------------------------------------------------
@@ -57,17 +62,17 @@ def test_get_case_unknown():
 def test_error_u_zero_for_sampled_exact(quad5):
     case = exact_decay_case()
     dt = 0.01
-    traj = []
     for n in range(3):
         interior = np.array([case.u_exact(x, n * dt) for x in quad5.cell_centers])
         dual = np.array([case.u_exact(x, n * dt) for x in quad5.primal.vertices])
-        traj.append(np.concatenate([interior, np.zeros(quad5.n_bnd), dual]))
-    assert error_u(quad5, traj, dt, case.u_exact) == 0.0
+        vec = np.concatenate([interior, np.zeros(quad5.n_bnd), dual])
+        assert error_u(quad5, vec, n * dt, case.u_exact) == 0.0
 
 
 def test_error_u_constant_solution(quad5):
-    traj = [np.full(quad5.n_values, 2.0) for _ in range(4)]
-    assert error_u(quad5, traj, 0.1, lambda x, t: 2.0) == 0.0
+    vec = np.full(quad5.n_values, 2.0)
+    for n in range(4):
+        assert error_u(quad5, vec, n * 0.1, lambda x, t: 2.0) == 0.0
 
 
 def test_error_u_single_cell_perturbation(quad5):
@@ -76,7 +81,8 @@ def test_error_u_single_cell_perturbation(quad5):
     eps = 0.37
     vec = base.copy()
     vec[5] += eps
-    err = error_u(quad5, [base, vec], 0.1, exact)
+    assert error_u(quad5, base, 0.0, exact) == 0.0
+    err = error_u(quad5, vec, 0.1, exact) ** 0.5
     assert err == pytest.approx(eps * (quad5.cell_areas[5] / 2.0) ** 0.5,
                                 rel=1e-13)
 
@@ -88,8 +94,10 @@ def test_error_gradient_affine_exact(quad5):
     vals = np.concatenate([
         quad5.primal_centers @ a, quad5.primal.vertices @ a,
     ])
-    traj = [vals, vals, vals]
-    assert error_gradient(quad5, traj, 0.05, grad_exact) < 1e-12
+    dt = 0.05
+    total = sum(dt * error_gradient(quad5, vals, n * dt, grad_exact)
+                for n in (1, 2))
+    assert total**0.5 < 1e-12
 
 
 def test_error_gradient_constant_gradient(quad5):
@@ -97,8 +105,8 @@ def test_error_gradient_constant_gradient(quad5):
     grad_exact = lambda x, t: c
     zero = np.zeros(quad5.n_values)
     n_steps, dt = 5, 0.03
-    traj = [zero] * (n_steps + 1)
-    err = error_gradient(quad5, traj, dt, grad_exact)
+    err = sum(dt * error_gradient(quad5, zero, n * dt, grad_exact)
+              for n in range(1, n_steps + 1)) ** 0.5
     expected = float(np.hypot(*c)) * (n_steps * dt * quad5.domain_area) ** 0.5
     assert err == pytest.approx(expected, rel=1e-12)
 
@@ -108,15 +116,13 @@ def test_error_gradient_brute_force_oracle(uniform2, rng):
     vec = rng.standard_normal(uniform2.n_values)
     grad_exact = lambda x, t: np.array([x[0], -x[1]])
     dt = 0.2
-    from ddfv.operators import grad_diamond
-
     g = grad_diamond(uniform2, DiscreteField(uniform2, vec))
     total = 0.0
     for d in range(uniform2.n_diamonds):
         diff = g[d] - grad_exact(uniform2.cross_point[d], dt)
         total += dt * uniform2.diamond_area[d] * float(diff @ diff)
     oracle = total**0.5
-    err = error_gradient(uniform2, [np.zeros_like(vec), vec], dt, grad_exact)
+    err = (dt * error_gradient(uniform2, vec, dt, grad_exact)) ** 0.5
     assert err == pytest.approx(oracle, rel=1e-13)
 
 
@@ -125,14 +131,14 @@ def test_norm_gap_zero_when_equal(quad5, rng):
     vec = np.zeros(quad5.n_values)
     vec[:quad5.n_cells] = 1.5
     vec[quad5.n_cells + quad5.n_bnd:] = 1.5
-    assert norm_primal_dual_gap(quad5, [vec, vec], 0.1) == 0.0
+    assert norm_primal_dual_gap(quad5, vec) == 0.0
 
 
 def test_norm_gap_indicator_value(quad5):
     vec = np.zeros(quad5.n_values)
     vec[:quad5.n_cells] = 1.0
     dt = 0.07
-    err = norm_primal_dual_gap(quad5, [vec, vec], dt)
+    err = (dt * norm_primal_dual_gap(quad5, vec)) ** 0.5
     assert err == pytest.approx((dt * quad5.domain_area) ** 0.5, rel=1e-12)
 
 
@@ -155,7 +161,7 @@ def test_norm_gap_brute_force_integration(uniform2, rng):
                 area = triangle_area(centers[cell], xd, verts[vert])
                 gap = vec[cell] - vec[nc + nb + vert]
                 total += dt * area * gap * gap
-    got = norm_primal_dual_gap(mesh, [np.zeros_like(vec), vec], dt)
+    got = (dt * norm_primal_dual_gap(mesh, vec)) ** 0.5
     assert got == pytest.approx(total**0.5, rel=1e-12)
 
 
@@ -262,8 +268,6 @@ def test_csv_and_text_formatting():
 
 
 def test_order_scaling_invariance():
-    from ddfv.harness import observed_order
-
     errs = [1.0, 0.24, 0.061]
     hs = [0.5, 0.25, 0.125]
     orders = [observed_order(errs[i], errs[i + 1], hs[i], hs[i + 1])
@@ -314,3 +318,127 @@ def test_longtime_series_monotone(quad8):
     csv = res.to_csv()
     assert csv.splitlines()[0] == "n,t,relative_energy"
     assert len(csv.splitlines()) == len(es) + 1
+
+
+# --- streaming time loop -------------------------------------------------------
+
+
+def test_simulate_observer_sees_every_state_in_order(quad8):
+    case = exact_decay_case()
+    params = SchemeParams(dt=4e-3, t_final=0.04, potential=case.potential)
+    u0 = project_initial(quad8, case.u0)
+    seen = []
+
+    def observe(rec, u_vec):
+        # the array is kept as handed over, next to a copy taken now
+        seen.append((rec, u_vec, u_vec.copy()))
+
+    result = simulate(quad8, params, u0, observe)
+    assert len(seen) == params.n_steps + 1 == len(result.records)
+    assert [rec.n for rec, _, _ in seen] == list(range(params.n_steps + 1))
+    assert all(a is b for a, (b, _, _) in zip(result.records, seen))
+    assert np.array_equal(seen[0][1], u0.values)
+    assert seen[0][1] is not u0.values
+    # the loop never wrote to a state after handing it over
+    assert all(np.array_equal(kept, copy) for _, kept, copy in seen)
+    assert len({id(kept) for _, kept, _ in seen}) == len(seen)
+
+
+# Reference for the streamed reductions: every state is collected, then the
+# space-time norms are reduced over the list as the studies did before the
+# time loop streamed its states.
+
+
+def _list_error_u(mesh, trajectory, dt, u_exact):
+    worst = 0.0
+    nc, nb = mesh.n_cells, mesh.n_bnd
+    nodes = np.vstack([mesh.cell_centers, mesh.primal.vertices])
+    for n, vec in enumerate(trajectory):
+        exact = evaluate(u_exact, nodes, n * dt)
+        di = vec[:nc] - exact[:nc]
+        dd = vec[nc + nb:] - exact[nc:]
+        err2 = 0.5 * (np.dot(mesh.cell_areas, di * di)
+                      + np.dot(mesh.dual_areas, dd * dd))
+        worst = max(worst, float(err2))
+    return worst**0.5
+
+
+def _list_error_gradient(mesh, trajectory, dt, grad_u_exact):
+    total = 0.0
+    for n in range(1, len(trajectory)):
+        t = n * dt
+        g = grad_diamond(mesh, DiscreteField(mesh, trajectory[n]))
+        exact = np.asarray(grad_u_exact(mesh.cross_point.T, t), dtype=float)
+        if exact.ndim == 1:
+            exact = exact[:, None]
+        diff = g - np.broadcast_to(exact, (2, mesh.n_diamonds)).T
+        total += dt * float(np.dot(mesh.diamond_area,
+                                   np.einsum("di,di->d", diff, diff)))
+    return total**0.5
+
+
+def _list_gap(mesh, trajectory, dt):
+    nc, nb = mesh.n_cells, mesh.n_bnd
+    total = 0.0
+    for n in range(1, len(trajectory)):
+        vec = trajectory[n]
+        gap = vec[mesh.overlap_cell] - vec[nc + nb + mesh.overlap_vert]
+        total += dt * float(np.dot(mesh.overlap_area, gap * gap))
+    return total**0.5
+
+
+def _list_convergence_study(case, family, levels, n0, dt0, kappa,
+                            family_kwargs):
+    rows, prev = [], None
+    for lev in range(levels):
+        dt = dt0 / 4**lev
+        mesh = build_ddfv(gen_family(family, n0 * 2**lev, **family_kwargs))
+        params = SchemeParams(dt=dt, t_final=case.t_final, kappa=kappa,
+                              lam=case.lam, potential=case.potential)
+        trajectory = []
+        result = simulate(mesh, params, nodal_initial(mesh, case.u0),
+                          lambda rec, u_vec: trajectory.append(u_vec.copy()))
+        errs = (_list_error_u(mesh, trajectory, dt, case.u_exact),
+                _list_error_gradient(mesh, trajectory, dt, case.grad_u_exact),
+                _list_gap(mesh, trajectory, dt))
+        orders = ((None,) * 3 if prev is None else
+                  tuple(observed_order(pe, e, prev[1], mesh.h)
+                        for pe, e in zip(prev[0], errs)))
+        rows.append(ConvergenceRow(
+            level=lev, h=mesh.h, dt=dt,
+            erru=errs[0], ordu=orders[0], errgu=errs[1], ordgu=orders[1],
+            normU=errs[2], ordU=orders[2],
+            newton_max=result.newton_max, newton_mean=result.newton_mean,
+            min_u=result.min_u, floor_activated=result.floor_ever_activated,
+        ))
+        prev = (errs, mesh.h)
+    return rows
+
+
+def test_convergence_study_matches_list_reductions():
+    case = exact_decay_case()
+    kwargs = dict(n0=4, dt0=4e-3, kappa=0.1,
+                  family_kwargs={"amplitude": 0.15})
+    rows = convergence_study(case, "quad", 2, **kwargs)
+    oracle = _list_convergence_study(case, "quad", 2, **kwargs)
+    # dataclass equality: every float bit-identical
+    assert rows == oracle
+    assert rows_to_csv(rows) == rows_to_csv(oracle)
+
+
+def test_longtime_study_memory_does_not_grow_with_steps(quad8):
+    # 1001 states of N=177 values take 1.42 MB.  Measured tracemalloc
+    # peaks of this study: 2.17 MB while the time loop kept every state,
+    # 0.72 MB streaming them (records and series are still kept).  The
+    # stationary case keeps each step cheap; the loop's storage does not
+    # depend on the data.
+    case = uniform_case()
+    longtime_study(case, quad8, dt=1e-3, t_final=2e-3)   # first-call costs
+    tracemalloc.start()
+    try:
+        res = longtime_study(case, quad8, dt=1e-3, t_final=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.series) == 1001
+    assert peak < 1.5e6

@@ -441,10 +441,3 @@ def test_params_validation():
                    {"kappa": nan}, {"kappa": inf}):
         with pytest.raises(ValidationError):
             SchemeParams(**{"dt": 0.1, "t_final": 1.0, **kwargs})
-
-
-def test_shift_potential_makes_v_nonnegative(quad5):
-    params = SchemeParams(dt=0.1, t_final=0.1, potential=lambda x: -x[1],
-                          shift_potential=True)
-    asm = Assembly(quad5, params)
-    assert asm.v_field.values.min() >= 0.0
