@@ -17,9 +17,7 @@ from .scheme import (
     Assembly,
     SchemeParams,
     StateRecord,
-    dissipation,
     energy,
-    fisher_norm,
     jacobian,
     project_initial,
     project_potential,
@@ -37,7 +35,7 @@ __all__ = [
     "build_ddfv", "gen_kershaw", "gen_quad_fvca", "gen_uniform_quad",
     "quality", "read_mesh", "write_mesh",
     "Assembly", "SchemeParams", "StateRecord",
-    "dissipation", "energy", "fisher_norm", "jacobian",
+    "energy", "jacobian",
     "project_initial", "project_potential", "relative_energy", "residual",
     "stationary_state",
     "NewtonConfig", "NewtonStats", "linear_solve", "newton_solve",

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Commands: mesh (gen | inspect | convert), run, converge, longtime, check.
-Flags override values from an optional flat ``key = value`` config file;
-the effective configuration is echoed to the output directory so a run can
-be reproduced bit-identically from it.
+``SETTINGS`` holds every setting once (type, default, help) and ``COMMANDS``
+names the settings each command reads.  A command accepts exactly these, as
+``--flag`` or as a key of an optional flat ``key = value`` config file
+(``--config``; flags override the file); any other flag or key is a config
+error.  run, converge and longtime echo their settings to
+``effective_config`` in the output directory, so a run can be reproduced
+bit-identically from it.
 
 Exit codes: 0 ok, 2 config/mesh error, 3 solver failure, 4 property failure.
 """
@@ -24,50 +28,45 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PROPERTY = 4
 
-CONFIG_KEYS = {
-    "case": str,
-    "family": str,
-    "n": int,
-    "mesh": str,
-    "levels": int,
-    "n0": int,
-    "dt": float,
-    "dt0": float,
-    "tfinal": float,
-    "kappa": float,
-    "beta": float,
-    "lam": str,
-    "amplitude": float,
-    "distortion": float,
-    "newton_tol": float,
-    "newton_max_iter": int,
-    "seed": int,
-    "out": str,
-}
-
-DEFAULTS = {
-    "case": "decay",
-    "family": "quad",
-    "n": 8,
-    "mesh": None,
-    "levels": 3,
-    "n0": 8,
-    "dt": 4e-3,
-    "dt0": 4e-3,
-    "tfinal": None,
-    "kappa": 0.0,
-    "beta": 1.0,
-    "lam": None,
-    "amplitude": None,
-    "distortion": None,
-    "newton_tol": 1e-10,
-    "newton_max_iter": 50,
-    "seed": 0,
-    "out": ".",
+# name: (type, default, help).  The flag is --name with dashes for
+# underscores; a config file uses the name itself.
+SETTINGS = {
+    "out": (str, ".", "output directory"),
+    "case": (str, "decay", "test case name"),
+    "family": (str, "quad", "mesh family: uniform | quad | kershaw"),
+    "n": (int, 8, "cells per side"),
+    "mesh": (str, None, "mesh file path"),
+    "levels": (int, 3, "number of refinement levels"),
+    "n0": (int, 8, "cells per side at level 0"),
+    "dt": (float, 4e-3, "time step"),
+    "dt0": (float, 4e-3, "time step at level 0"),
+    "tfinal": (float, None, "final time"),
+    "kappa": (float, 0.0, "stabilization parameter"),
+    "beta": (float, 1.0, "penalization exponent"),
+    "lam": (str, None, "tensor spec, e.g. identity or diag:1,1e-2"),
+    "amplitude": (float, None, "quad family distortion"),
+    "distortion": (float, None, "kershaw distortion"),
+    "newton_tol": (float, 1e-10, "Newton tolerance on the residual l1 norm"),
+    "newton_max_iter": (int, 50, "Newton iterations per step at most"),
+    "seed": (int, 0, "seed for randomized checks"),
 }
 
 
-def load_config(path):
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports a bad command line as a config error
+    (``main`` prints ``error: ...`` and returns 2) instead of exiting, and
+    takes no abbreviated flags, so a flag a command does not read is never
+    taken for a longer one it does (``--dt`` for ``--dt0``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def load_config(path, command):
+    _, _, keys = COMMANDS[command]
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -76,10 +75,12 @@ def load_config(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (t.strip() for t in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ValidationError(
+                f"{path}:{lineno}: {command} has no setting {key!r}")
+        typ, _, _ = SETTINGS[key]
         try:
-            values[key] = CONFIG_KEYS[key](raw)
+            values[key] = typ(raw)
         except ValueError:
             raise ValidationError(
                 f"{path}:{lineno}: cannot parse value for {key!r}"
@@ -88,11 +89,13 @@ def load_config(path):
 
 
 def effective_config(args):
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(load_config(args.config))
-    for key in CONFIG_KEYS:
-        val = getattr(args, key, None)
+    """The command's settings: defaults, then the config file, then flags."""
+    _, _, keys = COMMANDS[args.command]
+    cfg = {key: SETTINGS[key][1] for key in keys}
+    if args.config:
+        cfg.update(load_config(args.config, args.command))
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -215,8 +218,6 @@ def cmd_run(args):
 
 def cmd_converge(args):
     cfg = effective_config(args)
-    if cfg["mesh"]:
-        raise ValidationError("converge refines a mesh family, not a mesh file")
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
     rows = harness.convergence_study(
@@ -279,65 +280,51 @@ def cmd_check(args):
     return EXIT_PROPERTY
 
 
+# The settings of a time loop on one mesh (run, longtime).
+_ONE_MESH = ("out", "case", "family", "n", "mesh", "dt", "tfinal", "kappa",
+             "beta", "lam", "amplitude", "distortion", "newton_tol",
+             "newton_max_iter")
+
+# name: (function, help, settings it reads)
+COMMANDS = {
+    "mesh": (cmd_mesh, "generate, inspect or convert meshes",
+             ("out", "family", "n", "mesh", "lam", "amplitude", "distortion")),
+    "run": (cmd_run, "single transient run with trace.csv", _ONE_MESH),
+    "converge": (cmd_converge, "mesh convergence study",
+                 ("out", "case", "family", "levels", "n0", "dt0", "tfinal",
+                  "kappa", "beta", "lam", "amplitude", "distortion",
+                  "newton_tol", "newton_max_iter")),
+    "longtime": (cmd_longtime, "relative-energy decay study", _ONE_MESH),
+    "check": (cmd_check, "structural property suite", ("seed",)),
+}
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddfv",
         description="Free-energy diminishing finite-volume solver for "
                     "drift-diffusion on distorted 2D meshes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (func, help_, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if name == "mesh":
+            p.add_argument("action", choices=["gen", "inspect", "convert"])
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--case", help="test case name")
-        p.add_argument("--family", help="mesh family: uniform | quad | kershaw")
-        p.add_argument("--n", type=int, help="cells per side")
-        p.add_argument("--mesh", help="mesh file path")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--tfinal", type=float, help="final time")
-        p.add_argument("--kappa", type=float, help="stabilization parameter")
-        p.add_argument("--beta", type=float, help="penalization exponent")
-        p.add_argument("--lam", help="tensor spec, e.g. identity or diag:1,1e-2")
-        p.add_argument("--amplitude", type=float, help="quad family distortion")
-        p.add_argument("--distortion", type=float, help="kershaw distortion")
-        p.add_argument("--newton-tol", dest="newton_tol", type=float)
-        p.add_argument("--newton-max-iter", dest="newton_max_iter", type=int)
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
-
-    p_mesh = sub.add_parser("mesh", help="generate, inspect or convert meshes")
-    p_mesh.add_argument("action", choices=["gen", "inspect", "convert"])
-    add_common(p_mesh)
-    p_mesh.set_defaults(func=cmd_mesh)
-
-    p_run = sub.add_parser("run", help="single transient run with trace.csv")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_conv = sub.add_parser("converge", help="mesh convergence study")
-    add_common(p_conv)
-    p_conv.add_argument("--levels", type=int, help="number of refinement levels")
-    p_conv.add_argument("--n0", type=int, help="cells per side at level 0")
-    p_conv.add_argument("--dt0", type=float, help="time step at level 0")
-    p_conv.set_defaults(func=cmd_converge)
-
-    p_long = sub.add_parser("longtime", help="relative-energy decay study")
-    add_common(p_long)
-    p_long.add_argument("--plot-script", action="store_true",
-                        help="also emit a matplotlib plotting script")
-    p_long.set_defaults(func=cmd_longtime)
-
-    p_check = sub.add_parser("check", help="structural property suite")
-    add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
+        for key in keys:
+            typ, _, key_help = SETTINGS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                           help=key_help)
+        if name == "longtime":
+            p.add_argument("--plot-script", action="store_true",
+                           help="also emit a matplotlib plotting script")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (MeshError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

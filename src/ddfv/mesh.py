@@ -274,10 +274,6 @@ class DDFVMesh:
         """Interior cell centroids stacked with boundary-edge midpoints."""
         return np.vstack([self.cell_centers, self.bnd_centers])
 
-    @property
-    def perimeter(self):
-        return float(self.bnd_lengths.sum())
-
     def dual_polygon(self, v):
         """Vertex loop of dual cell ``v``: surrounding centers sorted by angle
         around the vertex, plus the vertex itself and the adjacent

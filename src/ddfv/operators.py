@@ -11,33 +11,17 @@ corresponding matrices from the anisotropy tensor.
 import numpy as np
 
 from .errors import BadBeta, ValidationError
-from .fields import DiscreteField, TensorSpec
-
-
-def _diamond_values(mesh, u: DiscreteField):
-    """Corner values (k-cell, l-cell, k-vertex, l-vertex) per diamond."""
-    primal = u.primal_all
-    dual = u.dual
-    return (
-        primal[mesh.dia_cell_k],
-        primal[mesh.dia_cell_l],
-        dual[mesh.dia_vert_k],
-        dual[mesh.dia_vert_l],
-    )
-
-
-def delta_diamond(mesh, u: DiscreteField):
-    """Diagonal differences (nd, 2): (u_cell_k - u_cell_l, u_vert_k - u_vert_l)."""
-    uk, ul, uvk, uvl = _diamond_values(mesh, u)
-    return np.column_stack([uk - ul, uvk - uvl])
+from .fields import DiscreteField
 
 
 def grad_diamond(mesh, u: DiscreteField) -> np.ndarray:
     """Diamond-constant gradient, exact for fields sampled from affine data."""
-    uk, ul, uvk, uvl = _diamond_values(mesh, u)
+    primal, dual = u.primal_all, u.dual
+    du_edge = primal[mesh.dia_cell_l] - primal[mesh.dia_cell_k]
+    du_dual = dual[mesh.dia_vert_l] - dual[mesh.dia_vert_k]
     num = (
-        (mesh.edge_len * (ul - uk))[:, None] * mesh.edge_normal
-        + (mesh.dual_edge_len * (uvl - uvk))[:, None] * mesh.dual_edge_normal
+        (mesh.edge_len * du_edge)[:, None] * mesh.edge_normal
+        + (mesh.dual_edge_len * du_dual)[:, None] * mesh.dual_edge_normal
     )
     return num / (2.0 * mesh.diamond_area)[:, None]
 
@@ -82,25 +66,6 @@ def bracket(mesh, u: DiscreteField, v: DiscreteField) -> float:
     )
 
 
-def _lam_on_diamonds(mesh, lam):
-    if isinstance(lam, TensorSpec):
-        return lam.on_diamonds(mesh)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape == (2, 2):
-        return np.broadcast_to(lam, (mesh.n_diamonds, 2, 2))
-    if lam.shape != (mesh.n_diamonds, 2, 2):
-        raise ValidationError("tensor field must have shape (n_diamonds, 2, 2)")
-    return lam
-
-
-def inner_lambda(mesh, lam, xi: np.ndarray, phi: np.ndarray) -> float:
-    """Tensor-weighted inner product of two diamond vector fields."""
-    lam_d = _lam_on_diamonds(mesh, lam)
-    lam_phi = np.einsum("dij,dj->di", lam_d, np.asarray(phi, dtype=float))
-    return float(np.dot(mesh.diamond_area,
-                        np.einsum("di,di->d", np.asarray(xi, dtype=float), lam_phi)))
-
-
 class LocalMatrices:
     """Per-diamond 2x2 matrices of the gradient quadratic form.
 
@@ -141,8 +106,8 @@ class LocalMatrices:
 
 
 def local_matrices(mesh, lam) -> LocalMatrices:
-    """Assemble the per-diamond gradient-form matrices for a tensor."""
-    lam_d = _lam_on_diamonds(mesh, lam)
+    """Assemble the per-diamond gradient-form matrices for a ``TensorSpec``."""
+    lam_d = lam.on_diamonds(mesh)
     ne, nd = mesh.edge_normal, mesh.dual_edge_normal
     lam_ne = np.einsum("dij,dj->di", lam_d, ne)
     lam_nd = np.einsum("dij,dj->di", lam_d, nd)
@@ -153,12 +118,6 @@ def local_matrices(mesh, lam) -> LocalMatrices:
     )
     a_dual = scale * mesh.dual_edge_len**2 * np.einsum("di,di->d", lam_nd, nd)
     return LocalMatrices(a_edge, a_cross, a_dual)
-
-
-def reconstruct_diamond(mesh, u: DiscreteField) -> np.ndarray:
-    """Arithmetic mean of the four corner values per diamond."""
-    uk, ul, uvk, uvl = _diamond_values(mesh, u)
-    return 0.25 * (uk + ul + uvk + uvl)
 
 
 # --- penalization ------------------------------------------------------

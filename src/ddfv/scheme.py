@@ -31,13 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import DiscreteField, TensorSpec
-from .operators import (
-    bracket,
-    grad_diamond,
-    inner_lambda,
-    local_matrices,
-    penalization_bracket,
-)
+from .operators import bracket, local_matrices, penalization_bracket
 from .solver import NewtonConfig
 
 
@@ -205,15 +199,6 @@ def stationary_state(mesh, v_field: DiscreteField, mass: float,
     return DiscreteField.from_components(
         mesh, rho * exp_int, rho * exp_bnd, rho_star * exp_dual
     )
-
-
-def fisher_norm(mesh, lam, u: DiscreteField) -> float:
-    """Tensor-weighted squared gradient norm of sqrt(u)."""
-    if u.values.min() < 0.0:
-        raise ValidationError("fisher_norm needs a nonnegative state")
-    root = DiscreteField(mesh, np.sqrt(u.values))
-    g = grad_diamond(mesh, root)
-    return inner_lambda(mesh, lam, g, g)
 
 
 # --- assembly ----------------------------------------------------------
@@ -410,11 +395,4 @@ def jacobian(mesh, params: SchemeParams, u_prev: DiscreteField,
     # scaling the values in place keeps the pattern, explicit zeros included
     jac.data *= np.repeat(assembly.inv_weight, np.diff(jac.indptr))
     return jac
-
-
-def dissipation(mesh, params: SchemeParams, u: DiscreteField,
-                assembly: Assembly | None = None):
-    """(entropy production, diagonal-form bound) at the given state."""
-    assembly = assembly or Assembly(mesh, params)
-    return assembly.dissipation_vec(u.values)
 

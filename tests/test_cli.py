@@ -68,6 +68,71 @@ def test_mesh_inspect_bad_count(tmp_path, capsys):
     assert err.startswith("error: line 7:") and "Traceback" not in err
 
 
+# --- settings a command does not read ------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--levels", "1", "--n0", "4", "--n", "16"],
+    ["converge", "--levels", "1", "--n0", "4", "--dt", "1e-4"],
+    ["run", "--n", "4", "--tfinal", "0.004", "--seed", "1"],
+    ["check", "--kappa", "5"],
+    ["mesh", "gen", "--n", "2", "--dt", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_rejects_flag_the_command_does_not_read(tmp_path, capsys, monkeypatch,
+                                                argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert argv[-2] in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, message", [
+    ("levels 1", "expected 'key = value'"),
+    ("n = 16", "converge has no setting 'n'"),
+    ("seed = 3", "converge has no setting 'seed'"),
+    ("levels = one", "cannot parse value for 'levels'"),
+])
+def test_config_file_errors_name_the_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"# one small level\nlevels = 1\nn0 = 4\n{line}\n")
+    code, _, err = run_cli(capsys, "converge", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err == f"error: {cfg}:4: {message}\n"
+
+
+@pytest.mark.parametrize("argv, csv, keys", [
+    pytest.param(
+        ["converge", "--levels", "2", "--n0", "3", "--dt0", "0.01",
+         "--tfinal", "0.02", "--kappa", "0.1", "--lam", "diag:1,0.5",
+         "--amplitude", "0.1"],
+        "convergence.csv",
+        {"out", "case", "family", "levels", "n0", "dt0", "tfinal", "kappa",
+         "beta", "lam", "amplitude", "newton_tol", "newton_max_iter"},
+        id="converge"),
+    pytest.param(
+        ["longtime", "--n", "4", "--dt", "0.01", "--tfinal", "0.1",
+         "--kappa", "0.1", "--beta", "1.5"],
+        "energy_decay.csv",
+        {"out", "case", "family", "n", "dt", "tfinal", "kappa", "beta",
+         "newton_tol", "newton_max_iter"},
+        id="longtime"),
+])
+def test_effective_config_replays(tmp_path, capsys, argv, csv, keys):
+    first, second = tmp_path / "a", tmp_path / "b"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(first))
+    assert code == 0
+    cfg = first / "effective_config"
+    # only the settings the command reads (unset optional ones are omitted)
+    assert {ln.split(" = ")[0] for ln in cfg.read_text().splitlines()} == keys
+    code, _, _ = run_cli(capsys, argv[0], "--config", str(cfg),
+                         "--out", str(second))
+    assert code == 0
+    assert (first / csv).read_bytes() == (second / csv).read_bytes()
+
+
 # --- run command ----------------------------------------------------------------
 
 
@@ -124,10 +189,12 @@ def test_run_rejects_bad_beta(tmp_path, capsys):
         ["run", "--newton-tol", "nan"],
         ["converge", "--dt0", "nan", "--levels", "1"],
     ):
+        size = "--n0" if bad[0] == "converge" else "--n"
         code, _, err = run_cli(capsys, *bad, "--case", "uniform", "--family",
-                               "uniform", "--n", "3", "--out", str(tmp_path))
+                               "uniform", size, "3", "--out", str(tmp_path))
         assert code == 2, bad
         assert err.startswith("error: ") and "Traceback" not in err, bad
+    assert err.startswith("error: dt "), err
 
 
 def test_run_solver_failure_exit_code(tmp_path, capsys):

@@ -5,16 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from ddfv.errors import BadBeta, NonPositiveState, ValidationError
-from ddfv.fields import DiscreteField, TensorSpec
+from ddfv.fields import DiscreteField
 from ddfv.geometry import polygon_centroid
 from ddfv.mesh import build_ddfv, gen_quad_fvca
-from ddfv.operators import bracket, delta_diamond, local_matrices, reconstruct_diamond
+from ddfv.operators import bracket, local_matrices
 from ddfv.scheme import (
     Assembly,
     SchemeParams,
-    dissipation,
     energy,
-    fisher_norm,
     jacobian,
     project_initial,
     project_potential,
@@ -144,8 +142,11 @@ def test_residual_matches_variational_form_brute_force(rng):
     u = _positive_field(mesh, rng)
     res = residual(mesh, params, u_prev, u, assembly=asm)
     g = np.log(u.values) + asm.v_field.values
-    rd = reconstruct_diamond(mesh, u)
+    uv = u.values
     nc, nb = mesh.n_cells, mesh.n_bnd
+    # arithmetic mean of the four corner values per diamond
+    rd = 0.25 * (uv[mesh.dia_cell_k] + uv[mesh.dia_cell_l]
+                 + uv[nc + nb + mesh.dia_vert_k] + uv[nc + nb + mesh.dia_vert_l])
 
     for _ in range(10):
         psi = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
@@ -189,29 +190,6 @@ def test_mass_conservation_via_constant_test_field(quad5, rng):
 
 
 # --- jacobian -----------------------------------------------------------------
-
-
-def test_jacobian_matches_finite_differences(rng):
-    mesh = build_ddfv(gen_quad_fvca(3, 0.1))
-    params = _params(dt=0.1, kappa=0.2, potential=lambda x: -x[1])
-    asm = Assembly(mesh, params)
-    u_prev = _positive_field(mesh, rng)
-    u = _positive_field(mesh, rng)
-    jac = jacobian(mesh, params, u_prev, u, assembly=asm).toarray()
-
-    def res(vals):
-        return residual(mesh, params, u_prev, DiscreteField(mesh, vals),
-                        assembly=asm).values
-
-    fd = np.zeros_like(jac)
-    for j in range(mesh.n_values):
-        step = 1e-6 * u.values[j]
-        up, um = u.values.copy(), u.values.copy()
-        up[j] += step
-        um[j] -= step
-        fd[:, j] = (res(up) - res(um)) / (2 * step)
-    denom = np.maximum(1.0, np.abs(jac))
-    assert (np.abs(jac - fd) / denom).max() < 1e-6
 
 
 def _coo_system_jacobian(asm, u):
@@ -347,7 +325,7 @@ def test_dissipation_zero_at_stationary_state(quad8):
     params = _params(dt=1e-2, potential=lambda x: -x[1])
     asm = Assembly(quad8, params)
     u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
-    diss, diss_hat = dissipation(quad8, params, u_inf, assembly=asm)
+    diss, diss_hat = asm.dissipation_vec(u_inf.values)
     assert abs(diss) < 1e-24
     assert diss_hat > 0.0  # log u alone is not piecewise constant here
 
@@ -355,7 +333,7 @@ def test_dissipation_zero_at_stationary_state(quad8):
 def test_dissipation_hat_zero_at_constant(quad5):
     params = _params(dt=1e-2)
     u = DiscreteField.full(quad5, 2.5)
-    diss, diss_hat = dissipation(quad5, params, u)
+    diss, diss_hat = Assembly(quad5, params).dissipation_vec(u.values)
     assert abs(diss) < 1e-28 and abs(diss_hat) < 1e-28
 
 
@@ -370,18 +348,24 @@ def test_dissipation_sandwich(quad8, rng):
         a = mats.matrix(d)
         b = np.diag([mats.b_edge[d], mats.b_dual[d]])
         c1 = max(c1, np.linalg.eigvalsh(np.linalg.solve(a, b)).max())
+    # corner indices per diamond in the packed vector
+    off = quad8.n_cells + quad8.n_bnd
+    ck, cl = quad8.dia_cell_k, quad8.dia_cell_l
+    vk, vl = off + quad8.dia_vert_k, off + quad8.dia_vert_l
     for _ in range(20):
         u = _positive_field(quad8, rng)
-        diss, _ = dissipation(quad8, params, u, assembly=asm)
-        g = DiscreteField(quad8, np.log(u.values) + asm.v_field.values)
-        dg = delta_diamond(quad8, g)
-        rd = reconstruct_diamond(quad8, u)
-        mid = float(np.dot(rd, mats.quad_b(dg[:, 0], dg[:, 1])))
+        diss, _ = asm.dissipation_vec(u.values)
+        g = np.log(u.values) + asm.v_field.values
+        # diagonal differences of g and the corner mean of u per diamond
+        dg1, dg2 = g[ck] - g[cl], g[vk] - g[vl]
+        uv = u.values
+        rd = 0.25 * (uv[ck] + uv[cl] + uv[vk] + uv[vl])
+        mid = float(np.dot(rd, mats.quad_b(dg1, dg2)))
         assert diss <= mid * (1 + 1e-12)
         assert mid <= c1 * diss * (1 + 1e-12)
 
 
-# --- stationary state and fisher information --------------------------------------
+# --- stationary state ----------------------------------------------------------
 
 
 def test_stationary_state_flat_without_potential(quad5):
@@ -404,25 +388,6 @@ def test_stationary_state_normalization(quad8):
     )
     assert u_inf.interior[0] == pytest.approx(
         rho * math.exp(quad8.cell_centers[0, 1]), rel=1e-12)
-
-
-def test_fisher_norm_properties(quad8, rng):
-    lam = TensorSpec.identity()
-    const = DiscreteField.full(quad8, 2.0)
-    assert fisher_norm(quad8, lam, const) == pytest.approx(0.0, abs=1e-24)
-    v = project_potential(quad8, lambda x: -x[1])
-    u_inf = stationary_state(quad8, v, mass=2.0)
-    assert fisher_norm(quad8, lam, u_inf) > 0.0
-
-
-def test_fisher_bounded_by_dissipation_hat(rng):
-    mesh = build_ddfv(gen_quad_fvca(4, 0.1))
-    params = _params(dt=1e-2)
-    asm = Assembly(mesh, params)
-    for _ in range(100):
-        u = _positive_field(mesh, rng)
-        _, diss_hat = dissipation(mesh, params, u, assembly=asm)
-        assert fisher_norm(mesh, params.lam, u) <= diss_hat * (1 + 1e-12)
 
 
 # --- parameter validation -----------------------------------------------------------
