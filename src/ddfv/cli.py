@@ -2,12 +2,12 @@
 
 Commands: mesh (gen | inspect | convert), run, converge, longtime, check.
 ``SETTINGS`` holds every setting once (type, default, help) and ``COMMANDS``
-names the settings each command reads.  A command accepts exactly these, as
-``--flag`` or as a key of an optional flat ``key = value`` config file
-(``--config``; flags override the file); any other flag or key is a config
-error.  run, converge and longtime echo their settings to
-``effective_config`` in the output directory, so a run can be reproduced
-bit-identically from it.
+names the settings each command (each mesh action on its own) reads.  A
+command accepts exactly these, as ``--flag`` or as a key of an optional
+flat ``key = value`` config file (``--config``; flags override the file);
+any other flag or key is a config error.  run, converge and longtime echo
+their settings to ``effective_config`` in the output directory, so a run
+can be reproduced bit-identically from it.
 
 Exit codes: 0 ok, 2 config/mesh error, 3 solver failure, 4 property failure.
 """
@@ -148,31 +148,37 @@ def _out_dir(cfg):
 # --- commands -----------------------------------------------------------
 
 
-def cmd_mesh(args):
-    cfg = effective_config(args)
-    if args.action == "gen":
-        primal = meshmod.gen_family(cfg["family"], cfg["n"], **_family_kwargs(cfg))
-        out = _out_dir(cfg)
-        path = out / f"{cfg['family']}_{cfg['n']}.mesh"
-        meshmod.write_mesh(primal, path)
-        ddfv = meshmod.build_ddfv(primal)
-        print(f"wrote {path}")
-    elif args.action == "inspect":
-        if not cfg["mesh"]:
-            raise ValidationError("mesh inspect needs --mesh PATH")
-        ddfv = meshmod.build_ddfv(meshmod.read_mesh(cfg["mesh"]))
-    else:  # convert
-        if not cfg["mesh"]:
-            raise ValidationError("mesh convert needs --mesh PATH")
-        primal = meshmod.read_mesh(cfg["mesh"])
-        out = _out_dir(cfg)
-        path = out / (Path(cfg["mesh"]).stem + "_converted.mesh")
-        meshmod.write_mesh(primal, path)
-        ddfv = meshmod.build_ddfv(primal)
-        print(f"wrote {path}")
+def _mesh_report(ddfv, cfg):
     lam = TensorSpec.parse(cfg["lam"]) if cfg["lam"] else None
     print(meshmod.quality(ddfv, lam).summary())
     return EXIT_OK
+
+
+def cmd_mesh_gen(args):
+    cfg = effective_config(args)
+    primal = meshmod.gen_family(cfg["family"], cfg["n"], **_family_kwargs(cfg))
+    path = _out_dir(cfg) / f"{cfg['family']}_{cfg['n']}.mesh"
+    meshmod.write_mesh(primal, path)
+    print(f"wrote {path}")
+    return _mesh_report(meshmod.build_ddfv(primal), cfg)
+
+
+def cmd_mesh_inspect(args):
+    cfg = effective_config(args)
+    if not cfg["mesh"]:
+        raise ValidationError("mesh inspect needs --mesh PATH")
+    return _mesh_report(meshmod.build_ddfv(meshmod.read_mesh(cfg["mesh"])), cfg)
+
+
+def cmd_mesh_convert(args):
+    cfg = effective_config(args)
+    if not cfg["mesh"]:
+        raise ValidationError("mesh convert needs --mesh PATH")
+    primal = meshmod.read_mesh(cfg["mesh"])
+    path = _out_dir(cfg) / (Path(cfg["mesh"]).stem + "_converted.mesh")
+    meshmod.write_mesh(primal, path)
+    print(f"wrote {path}")
+    return _mesh_report(meshmod.build_ddfv(primal), cfg)
 
 
 def _trace_csv(records):
@@ -285,10 +291,16 @@ _ONE_MESH = ("out", "case", "family", "n", "mesh", "dt", "tfinal", "kappa",
              "beta", "lam", "amplitude", "distortion", "newton_tol",
              "newton_max_iter")
 
-# name: (function, help, settings it reads)
+# name: (function, help, settings it reads).  A two-word name is an action
+# of a command group (``ddfv mesh gen``); GROUPS holds the group's help.
+GROUPS = {"mesh": "generate, inspect or convert meshes"}
 COMMANDS = {
-    "mesh": (cmd_mesh, "generate, inspect or convert meshes",
-             ("out", "family", "n", "mesh", "lam", "amplitude", "distortion")),
+    "mesh gen": (cmd_mesh_gen, "generate a mesh, write it and report it",
+                 ("out", "family", "n", "lam", "amplitude", "distortion")),
+    "mesh inspect": (cmd_mesh_inspect, "report a mesh file",
+                     ("mesh", "lam")),
+    "mesh convert": (cmd_mesh_convert, "rewrite a mesh file and report it",
+                     ("mesh", "out", "lam")),
     "run": (cmd_run, "single transient run with trace.csv", _ONE_MESH),
     "converge": (cmd_converge, "mesh convergence study",
                  ("out", "case", "family", "levels", "n0", "dt0", "tfinal",
@@ -306,10 +318,18 @@ def build_parser():
                     "drift-diffusion on distorted 2D meshes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
     for name, (func, help_, keys) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        if name == "mesh":
-            p.add_argument("action", choices=["gen", "inspect", "convert"])
+        group, _, action = name.rpartition(" ")
+        parent = sub
+        if group:
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=GROUPS[group]).add_subparsers(
+                        dest="action", required=True)
+            parent = groups[group]
+        p = parent.add_parser(action, help=help_)
+        p.set_defaults(command=name)
         p.add_argument("--config", help="flat key = value config file")
         for key in keys:
             typ, _, key_help = SETTINGS[key]

@@ -148,10 +148,10 @@ class RunResult:
 
 
 def _seed_boundary_zeros(mesh, assembly, u_vec):
-    """Start values for boundary cells whose previous value is zero.
+    """Newton's start value of the first step: u_vec with each zero
+    boundary value seeded from the adjacent interior cell.
 
-    Only the initial data can contain exact zeros there (boundary cells are
-    projected to zero); seeding them from the adjacent interior cell so the
+    Projected initial data are zero on boundary cells; seeding them so the
     local log-gradient starts balanced keeps the Newton iteration off the
     positivity floor.
     """
@@ -167,6 +167,17 @@ def _seed_boundary_zeros(mesh, assembly, u_vec):
     return out
 
 
+def _extrapolate(u_vec, older):
+    """Extrapolation in log u from the current state and one or two
+    positive states before it (``older``, newest first): linear from one,
+    quadratic from two.  Positive by construction."""
+    ratio = u_vec / older[0]
+    if len(older) == 1:
+        return u_vec * ratio
+    # u^n (u^n / u^{n-1})^2 (u^{n-2} / u^{n-1})
+    return u_vec * ratio * ratio * (older[1] / older[0])
+
+
 def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
              observe=None) -> RunResult:
     """Advance the scheme params.n_steps steps from the projected data.
@@ -174,6 +185,20 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     Mass conservation, free-energy decay (including the penalization term)
     and positivity are asserted at every step; violations raise
     InvariantViolation.
+
+    Newton's start value for step n+1 extrapolates log u, in which the
+    scheme is written (g = log u + V), from the last accepted states:
+
+    - step 1 starts from u0 with its zero boundary values seeded
+      (``_seed_boundary_zeros``);
+    - when u^{n-1} > 0, from u* = u^n (u^n / u^{n-1}), i.e.
+      log u* = 2 log u^n - log u^{n-1};
+    - when u^{n-2} > 0 as well, from
+      u* = exp(3 log u^n - 3 log u^{n-1} + log u^{n-2});
+    - otherwise (step 2 after initial data with zeros) from u^n.
+
+    u* is positive by construction; Newton starts from u^n instead
+    whenever u^n has the smaller l1 residual.
 
     ``observe(record, u_vec)``, when given, is called once for step 0 and
     once after each accepted step, in order, with that step's StateRecord
@@ -198,14 +223,21 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     if observe is not None:
         observe(records[0], u_vec)
 
+    older = []      # up to two positive states before u_vec, newest first
     for n in range(1, params.n_steps + 1):
-        start = _seed_boundary_zeros(mesh, assembly, u_vec)
+        if n == 1:
+            start, fallback = _seed_boundary_zeros(mesh, assembly, u_vec), None
+        elif older:
+            start, fallback = _extrapolate(u_vec, older), u_vec
+        else:
+            start, fallback = u_vec, None
         u_next, stats = newton_solve(
             lambda x: assembly.system_vec(x, u_vec),
             assembly.system_jacobian,
             start,
             params.newton,
             linear_solver,
+            fallback,
         )
         field = DiscreteField(mesh, u_next)
         mass = bracket(mesh, field, one)
@@ -227,6 +259,7 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
         records.append(rec)
         if observe is not None:
             observe(rec, u_next)
+        older = [u_vec] + older[:1] if u_vec.min() > 0.0 else []
         u_vec = u_next
         en_prev = en
 

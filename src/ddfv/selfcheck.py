@@ -1,11 +1,12 @@
 """Structural property suite behind the ``check`` command.
 
 Each check recomputes one identity of the discretization with an
-independent brute-force evaluation (plain Python loops, finite differences)
-and compares against the vectorized operators.  Deterministic for a fixed
-seed.
+independent brute-force evaluation (plain Python loops, finite differences,
+exact identities) and compares against the vectorized operators.
+Deterministic for a fixed seed.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,19 +168,36 @@ def check_quadratic_sandwich(rng):
 
 
 def check_jacobian_fd(rng):
-    """Analytic Jacobian against central finite differences on a 3x3 mesh."""
+    """Analytic Jacobian against central finite differences on a 3x3 mesh,
+    and against the exact identity of the scheme's homogeneity.
+
+    The flux is degree-1 homogeneous in u (the reconstruction is linear and
+    log-differences are scale-free) and the penalization rows P(u) are
+    degree 0, so J(u) u = R(u; u_prev = 0) - P(u) holds up to rounding;
+    P(u) is the kappa residual minus the kappa = 0 residual at u_prev = u.
+    The difference quotients cannot see a relative error in J below their
+    1e-6 tolerance; the identity sees one of 1e-9.
+    """
     mesh = build_ddfv(gen_quad_fvca(3, 0.08))
     params = SchemeParams(dt=0.1, t_final=0.1, kappa=0.05, beta=1.0,
                           potential=lambda x: -x[1])
     assembly = Assembly(mesh, params)
     u_prev = DiscreteField(mesh, 0.5 + rng.random(mesh.n_values))
     u = 0.5 + rng.random(mesh.n_values)
-    jac = jacobian(mesh, params, u_prev, DiscreteField(mesh, u),
-                   assembly).toarray()
+    u_field = DiscreteField(mesh, u)
+    jac = jacobian(mesh, params, u_prev, u_field, assembly).toarray()
 
     def res(vals):
         return residual(mesh, params, u_prev, DiscreteField(mesh, vals),
                         assembly).values
+
+    no_penalty = dataclasses.replace(params, kappa=0.0)
+    penalty = (residual(mesh, params, u_field, u_field, assembly).values
+               - residual(mesh, no_penalty, u_field, u_field).values)
+    homogeneous = (residual(mesh, params, DiscreteField.zeros(mesh), u_field,
+                            assembly).values - penalty)
+    identity = float(np.abs(jac @ u - homogeneous).max()
+                     / (np.abs(jac) @ u).max())
 
     fd = np.zeros_like(jac)
     for j in range(mesh.n_values):
@@ -190,7 +208,8 @@ def check_jacobian_fd(rng):
         fd[:, j] = (res(up) - res(um)) / (2 * step)
     denom = np.maximum(1.0, np.abs(jac))
     worst = float((np.abs(jac - fd) / denom).max())
-    return CheckResult("jacobian vs finite differences", worst < 1e-6,
+    return CheckResult("jacobian vs finite differences",
+                       worst < 1e-6 and identity < 1e-12,
                        f"worst entrywise defect {worst:.2e}")
 
 

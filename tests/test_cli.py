@@ -68,6 +68,31 @@ def test_mesh_inspect_bad_count(tmp_path, capsys):
     assert err.startswith("error: line 7:") and "Traceback" not in err
 
 
+def test_mesh_actions_read_only_their_own_settings(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "mesh", "gen", "--family", "quad", "--n", "3")
+    # generator flags are not settings of inspect, nor --out
+    code, out, err = run_cli(capsys, "mesh", "inspect", "--mesh",
+                             "quad_3.mesh", "--family", "kershaw", "--n",
+                             "99", "--amplitude", "5", "--out", "DIR")
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: ") and "--family kershaw" in err
+    assert not (tmp_path / "DIR").exists()
+    for argv in (["mesh", "convert", "--mesh", "quad_3.mesh", "--n", "4"],
+                 ["mesh", "gen", "--mesh", "quad_3.mesh"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == "", argv
+        assert argv[-2] in err, argv
+    cfg = tmp_path / "inspect.cfg"
+    cfg.write_text("mesh = quad_3.mesh\nn = 99\n")
+    code, _, err = run_cli(capsys, "mesh", "inspect", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert err == f"error: {cfg}:2: mesh inspect has no setting 'n'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inspect.cfg",
+                                                          "quad_3.mesh"]
+
+
 # --- settings a command does not read ------------------------------------------
 
 

@@ -12,3 +12,21 @@ from ddfv import selfcheck
 def test_property_check(check, seed):
     result = check(np.random.default_rng(seed))
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_jacobian_check_sees_a_tiny_scaling(seed, monkeypatch):
+    # J * (1 + 1e-9) is far inside the difference quotients' 1e-6
+    # tolerance; the homogeneity identity J(u) u = R(u; 0) - P(u) sees it
+    from ddfv.scheme import Assembly
+
+    exact = Assembly.system_jacobian
+
+    def scaled(self, u):
+        jac = exact(self, u)
+        jac.data *= 1.0 + 1e-9
+        return jac
+
+    monkeypatch.setattr(Assembly, "system_jacobian", scaled)
+    result = selfcheck.check_jacobian_fd(np.random.default_rng(seed))
+    assert not result.passed, result.line()

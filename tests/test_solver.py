@@ -20,6 +20,7 @@ from ddfv.mesh import build_ddfv, gen_kershaw, gen_quad_fvca
 from ddfv.scheme import Assembly, SchemeParams, project_initial, stationary_state
 from ddfv.solver import (
     DIRECT_BOUND,
+    INNER_ETA,
     KRYLOV_BOUND,
     LinearSolver,
     NewtonConfig,
@@ -103,6 +104,27 @@ def test_linear_solver_refactors_on_a_different_matrix(quad8, rng):
     x = linear_solve(other, b, solver)
     assert solver.factorizations == 2 and solver.factor is not stale
     assert np.array_equal(x, linear_solve(other, b))
+
+
+def test_linear_solver_accepts_answers_within_the_inner_tolerance(quad8, rng):
+    # A factor of one Jacobian preconditions a Jacobian at a state moved by
+    # up to 50%.  On a right-hand side of 1e-8 (a late Newton correction)
+    # the Krylov answer meets INNER_ETA times the Newton tolerance in l1
+    # long before it meets KRYLOV_BOUND, and is kept; on one of 1e-6 it
+    # meets neither within the cycle, and the matrix is refactorized.
+    a0, a1 = _jacobians(quad8, rng, 2, 0.5)
+    b = rng.standard_normal(a0.shape[0])
+    tol_l1 = INNER_ETA * NewtonConfig().tol_residual_l1
+    for scale, factorizations in ((1e-8, 1), (1e-6, 2)):
+        solver = LinearSolver()
+        linear_solve(a0, b, solver)
+        x = linear_solve(a1, scale * b, solver, tol_l1=tol_l1)
+        assert solver.factorizations == factorizations
+        if factorizations == 1:
+            assert _backward_error(a1, x, scale * b) > KRYLOV_BOUND
+            assert np.abs(a1 @ x - scale * b).sum() <= tol_l1
+        else:
+            assert np.array_equal(x, linear_solve(a1, scale * b))
 
 
 def test_linear_solver_singular_matrix():
@@ -206,6 +228,21 @@ def test_newton_floor_and_positivity_backtracking():
                      NewtonConfig(max_backtracks=5))
 
 
+def test_newton_starts_from_the_fallback_with_smaller_residual():
+    root = np.array([1.0, 2.0, 0.5])
+    res, jac = _scalar_system(root)
+    far = np.full(3, 3.0)
+    u, stats = newton_solve(res, jac, far, NewtonConfig(), fallback=root)
+    assert stats.iterations == 0 and np.array_equal(u, root)
+    # the start value wins ties and keeps its own iterates
+    u, stats = newton_solve(res, jac, root, NewtonConfig(), fallback=root)
+    assert stats.iterations == 0
+    ref = newton_solve(res, jac, 1.1 * root, NewtonConfig())
+    u, stats = newton_solve(res, jac, 1.1 * root, NewtonConfig(), fallback=far)
+    assert np.array_equal(u, ref[0])
+    assert stats.residual_history == ref[1].residual_history
+
+
 def test_newton_no_convergence():
     root = np.full(3, 5.0)
     res, jac = _scalar_system(root)
@@ -294,7 +331,8 @@ def test_simulate_reuse_matches_direct_path(family, kappa, monkeypatch):
 
     direct = solver_mod.linear_solve
     monkeypatch.setattr(solver_mod, "linear_solve",
-                        lambda matrix, rhs, solver=None: direct(matrix, rhs))
+                        lambda matrix, rhs, solver=None, tol_l1=0.0:
+                        direct(matrix, rhs))
     ref = simulate(mesh, params, u0,
                    lambda rec, u_vec: ref_states.append(u_vec))
 
@@ -327,7 +365,8 @@ def test_simulate_refactors_an_aged_factor(monkeypatch):
 
     direct = solver_mod.linear_solve
     monkeypatch.setattr(solver_mod, "linear_solve",
-                        lambda matrix, rhs, solver=None: direct(matrix, rhs))
+                        lambda matrix, rhs, solver=None, tol_l1=0.0:
+                        direct(matrix, rhs))
     ref = simulate(mesh, params, u0)
     assert ([r.newton_iterations for r in reuse.records]
             == [r.newton_iterations for r in ref.records])
