@@ -19,11 +19,13 @@ from .mesh import build_ddfv, gen_family
 from .operators import bracket, grad_diamond
 from .scheme import (
     Assembly,
+    Iterate,
     SchemeParams,
     StateRecord,
     energy,
     evaluate,
     project_initial,
+    project_potential,
     relative_energy,
     stationary_state,
 )
@@ -198,7 +200,15 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     - otherwise (step 2 after initial data with zeros) from u^n.
 
     u* is positive by construction; Newton starts from u^n instead
-    whenever u^n has the smaller l1 residual.
+    whenever u^n has the smaller l1 residual.  That residual, F(u^n; u^n),
+    is derived from the previous step's final residual F(u^n; u^{n-1}) by
+    changing its time rows (``Assembly.next_step_vec``), so the comparison
+    evaluates nothing; u^n is evaluated only when it is picked.
+
+    Each Newton iterate is evaluated once (``scheme.Iterate``): its
+    residual computes the parts of the scheme at it, and its Jacobian and,
+    for the accepted state, the dissipation and the penalization bracket
+    read the same parts.
 
     ``observe(record, u_vec)``, when given, is called once for step 0 and
     once after each accepted step, in order, with that step's StateRecord
@@ -207,12 +217,12 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     """
     assembly = Assembly(mesh, params)
     linear_solver = LinearSolver()
-    v_field = assembly.v_field
+    v_vec = assembly.v_field.values
     one = DiscreteField.full(mesh, 1.0)
 
     u_vec = u0_field.values.copy()
     mass0 = bracket(mesh, u0_field, one)
-    en_prev = energy(mesh, u0_field, v_field)
+    en_prev = energy(mesh, u_vec, v_vec)
     inner_dual = np.concatenate([u_vec[:mesh.n_cells],
                                  u_vec[mesh.n_cells + mesh.n_bnd:]])
     records = [StateRecord(
@@ -224,26 +234,35 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
         observe(records[0], u_vec)
 
     older = []      # up to two positive states before u_vec, newest first
+    res = None      # F(u_vec; the state before it), from step 1 on
     for n in range(1, params.n_steps + 1):
+        fallback = fallback_l1 = None
         if n == 1:
-            start, fallback = _seed_boundary_zeros(mesh, assembly, u_vec), None
+            start = _seed_boundary_zeros(mesh, assembly, u_vec)
         elif older:
             start, fallback = _extrapolate(u_vec, older), u_vec
+            fallback_l1 = float(np.abs(
+                assembly.next_step_vec(res, u_vec, older[0])).sum())
         else:
-            start, fallback = u_vec, None
+            start = u_vec
+
+        def residual_fn(x):
+            it = Iterate(x)
+            return assembly.system_vec(it, u_vec), it
+
         u_next, stats = newton_solve(
-            lambda x: assembly.system_vec(x, u_vec),
+            residual_fn,
             assembly.system_jacobian,
             start,
             params.newton,
             linear_solver,
             fallback,
+            fallback_l1,
         )
-        field = DiscreteField(mesh, u_next)
-        mass = bracket(mesh, field, one)
-        en = energy(mesh, field, v_field)
-        diss, diss_hat = assembly.dissipation_vec(u_next)
-        pen = assembly.penalty_bracket_vec(u_next)
+        mass = bracket(mesh, DiscreteField(mesh, u_next), one)
+        en = energy(mesh, u_next, v_vec)
+        diss, diss_hat = assembly.dissipation_vec(stats.state)
+        pen = assembly.penalty_bracket_vec(stats.state)
         rec = StateRecord(
             n=n, t=n * params.dt, mass=mass, energy=en,
             dissipation=diss, dissipation_hat=diss_hat, penalty_bracket=pen,
@@ -261,7 +280,9 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
             observe(rec, u_next)
         older = [u_vec] + older[:1] if u_vec.min() > 0.0 else []
         u_vec = u_next
+        res = stats.residual
         en_prev = en
+        del stats   # frees the accepted Iterate before the next solve
 
     return RunResult(records=records, mass0=mass0, dt=params.dt, h=mesh.h)
 
@@ -497,22 +518,23 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
         lam=case.lam, potential=case.potential,
         **({"newton": newton} if newton else {}),
     )
-    assembly = Assembly(mesh, params)
+    v_field = project_potential(mesh, case.potential)
     u0 = project_initial(mesh, case.u0)
     if kappa > 0.0:
         one = DiscreteField.full(mesh, 1.0)
-        shape = DiscreteField(mesh, np.exp(-assembly.v_field.values))
+        shape = DiscreteField(mesh, np.exp(-v_field.values))
         u_inf = shape * (bracket(mesh, u0, one) / bracket(mesh, shape, one))
     else:
         mass_primal = float(np.dot(mesh.cell_areas, u0.interior))
         mass_dual = float(np.dot(mesh.dual_areas, u0.dual))
-        u_inf = stationary_state(mesh, assembly.v_field, mass_primal,
+        u_inf = stationary_state(mesh, v_field, mass_primal,
                                  dual_mass=mass_dual)
+    log_u_inf = np.log(u_inf.values)
 
     series = []
 
     def observe(rec, u_vec):
-        erel = relative_energy(mesh, DiscreteField(mesh, u_vec), u_inf)
+        erel = relative_energy(mesh, u_vec, u_inf.values, log_u_inf)
         series.append((rec.n, rec.t, erel))
 
     simulate(mesh, params, u0, observe)

@@ -14,7 +14,10 @@ form of the scheme exactly; mass conservation and free-energy decay follow.
 
 All hot-path routines work on packed vectors; ``Assembly`` caches the
 per-mesh index arrays and local matrices so time stepping only pays for
-value updates.
+value updates.  Each Newton iterate is evaluated once: an ``Iterate``
+carries log u, g, the per-diamond differences and the fluxes from the
+residual to the Jacobian at the same state and, for the accepted state, to
+the dissipation and the penalization bracket.
 """
 
 import math
@@ -31,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import DiscreteField, TensorSpec
-from .operators import bracket, local_matrices, penalization_bracket
+from .operators import local_matrices, penalization_bracket
 from .solver import NewtonConfig
 
 
@@ -159,27 +162,45 @@ def project_initial(mesh, u0) -> DiscreteField:
 # --- energy, dissipation, stationary state -----------------------------
 
 
+def _packed(u):
+    """The packed vector of a DiscreteField, or the vector itself."""
+    return u.values if isinstance(u, DiscreteField) else u
+
+
 def _entropy(values):
-    values = np.asarray(values, dtype=float)
     if values.min() < -1e-12:
         raise ValidationError(f"negative value {values.min():.3e} in entropy")
     values = np.maximum(values, 0.0)
     return xlogy(values, values) - values + 1.0
 
 
-def energy(mesh, u: DiscreteField, v_field: DiscreteField) -> float:
-    """Free energy: entropy plus potential energy (0*log 0 taken as 0)."""
-    hu = DiscreteField(mesh, _entropy(u.values))
-    one = DiscreteField.full(mesh, 1.0)
-    return bracket(mesh, hu, one) + bracket(mesh, v_field, u)
+def _half_mass_dot(mesh, values):
+    """bracket(f, 1) of the packed vector of f: half the primal plus half
+    the dual mass-weighted sum (boundary cells carry no measure)."""
+    return 0.5 * (float(mesh.cell_areas.dot(values[:mesh.n_cells]))
+                  + float(mesh.dual_areas.dot(
+                      values[mesh.n_cells + mesh.n_bnd:])))
 
 
-def relative_energy(mesh, u: DiscreteField, u_inf: DiscreteField) -> float:
-    """Energy gap to a positive reference state with matching mass."""
-    uu = np.maximum(u.values, 0.0)
-    integrand = xlogy(uu, uu) - uu * np.log(u_inf.values) - uu + u_inf.values
-    f = DiscreteField(mesh, integrand)
-    return bracket(mesh, f, DiscreteField.full(mesh, 1.0))
+def energy(mesh, u, v_field) -> float:
+    """Free energy: entropy plus potential energy (0*log 0 taken as 0).
+
+    ``u`` and ``v_field`` are DiscreteFields or their packed vectors."""
+    u = _packed(u)
+    return _half_mass_dot(mesh, _entropy(u) + _packed(v_field) * u)
+
+
+def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
+    """Energy gap to a positive reference state with matching mass.
+
+    ``u`` and ``u_inf`` are DiscreteFields or their packed vectors;
+    ``log_u_inf``, when given, is log(u_inf), which a caller comparing
+    many states with one reference computes once."""
+    u_inf = _packed(u_inf)
+    if log_u_inf is None:
+        log_u_inf = np.log(u_inf)
+    uu = np.maximum(_packed(u), 0.0)
+    return _half_mass_dot(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
 
 
 def stationary_state(mesh, v_field: DiscreteField, mass: float,
@@ -204,6 +225,33 @@ def stationary_state(mesh, v_field: DiscreteField, mass: float,
 # --- assembly ----------------------------------------------------------
 
 
+class Iterate:
+    """One Newton iterate: the packed state ``u`` and the parts of the
+    scheme at it, computed once.
+
+    ``logu`` and ``g`` = log u + V are nodal.  Per diamond, the rows of
+    the (2, n_diamonds) arrays ``d``, ``s`` and ``f`` are its primal and
+    dual parts: ``d`` the differences of g (cell k - cell l, vertex k -
+    vertex l), ``s`` = A d with the diamond's local matrix A, and the
+    fluxes ``f = rd * s``, where ``rd`` is the mean of u over the
+    diamond's four corners.  A quarter of ``s`` is the quarter flux per
+    unit of rd that the Jacobian reads.
+    ``Assembly.flux_parts`` computes them when the first of
+    ``Assembly.system_vec``, ``system_jacobian``, ``dissipation_vec`` and
+    ``penalty_bracket_vec`` reads the Iterate (in the time loop, the
+    residual), and every later reader reuses them, so a Newton iterate
+    costs one evaluation however many of them it needs.  The parts
+    describe ``u`` as it was at that first read; nothing tracks later
+    edits of ``u``.
+    """
+
+    __slots__ = ("u", "logu", "g", "d", "rd", "s", "f")
+
+    def __init__(self, u):
+        self.u = u
+        self.rd = None      # parts not computed yet
+
+
 class Assembly:
     """Cached index arrays and matrices for residual/Jacobian evaluation.
 
@@ -213,6 +261,9 @@ class Assembly:
     independent, so the absolute l1 stopping tolerance is meaningful on
     every refinement level.  The divergence-form residual of the public API
     is the same vector scaled by the inverse row weights.
+
+    The evaluation methods take the state as an ``Iterate``, whose parts
+    they share, or as a packed vector, which they evaluate afresh.
     """
 
     def __init__(self, mesh, params: SchemeParams):
@@ -222,25 +273,32 @@ class Assembly:
         self.v_field = project_potential(mesh, params.potential)
 
         nc, nb, nv = mesh.n_cells, mesh.n_bnd, mesh.n_verts
+        nd = mesh.n_diamonds
         off = nc + nb
         self.n = nc + nb + nv
-        self.col_k = mesh.dia_cell_k
-        self.col_l = mesh.dia_cell_l
-        self.col_vk = off + mesh.dia_vert_k
-        self.col_vl = off + mesh.dia_vert_l
+        # The four corners of each diamond: cells k, l and vertices k, l.
+        self.corners = np.stack([mesh.dia_cell_k, mesh.dia_cell_l,
+                                 off + mesh.dia_vert_k, off + mesh.dia_vert_l])
+        # s = A d per diamond: s = form_rows[0] * d[0] + form_rows[1] * d[1]
+        m = self.mats
+        self.form_rows = np.array([[m.a_edge, m.a_cross],
+                                   [m.a_cross, m.a_dual]])
 
-        # Variational row coefficients: +-1, with +1 into the closure row
-        # of a boundary cell (its row is half the outgoing edge flux).
-        coef_l = np.where(mesh.dia_is_boundary, 1.0, -1.0)
-        ones = np.ones(mesh.n_diamonds)
-        self.row_coef = np.column_stack([ones, coef_l, ones, -ones])
+        # Variational row coefficients of the corners k, l, vk, vl: +1,
+        # coef_l, +1, -1, where coef_l is -1, or +1 into the closure row of
+        # a boundary cell (its row is half the outgoing edge flux).
+        self.coef_l = np.where(mesh.dia_is_boundary, 1.0, -1.0)
+        # The flux rows of the residual are one bincount over the corners,
+        # summing in the order of four np.add.at passes.
+        self.flux_rows = self.corners.ravel()
 
         self.time_mask = np.ones(self.n, dtype=bool)
         self.time_mask[nc:off] = False
         half_mass = np.concatenate([
             0.5 * mesh.cell_areas, np.full(nb, 0.5), 0.5 * mesh.dual_areas,
         ])
-        self.time_coef = half_mass[self.time_mask] / params.dt
+        # zero on the closure rows, which have no time derivative
+        self.time_coef = np.where(self.time_mask, half_mass / params.dt, 0.0)
         # Inverse weights mapping variational rows to divergence-form rows:
         # 2/measure on interior and dual rows, 2 on boundary closure rows
         # (turning half the edge flux into the full one).
@@ -252,125 +310,179 @@ class Assembly:
             self.ov_v = off + mesh.overlap_vert
             self.ov_w = mesh.overlap_area
 
-        # Fixed CSR pattern of the Jacobian.  Its COO entries are, in this
-        # order, the 4x4 diamond blocks, the time diagonal and, for
-        # kappa > 0, the 2x2 overlap blocks of the penalization;
-        # jac_scatter maps each COO entry to its CSR slot, so assembly
-        # only writes values into the fixed COO buffer and sums them.
-        cols = np.column_stack([self.col_k, self.col_l, self.col_vk, self.col_vl])
-        coo_rows = [np.repeat(cols, 4, axis=1).ravel()]
-        coo_cols = [np.tile(cols, (1, 4)).ravel()]
-        diag_idx = np.flatnonzero(self.time_mask)
-        coo_rows.append(diag_idx)
-        coo_cols.append(diag_idx)
-        if params.kappa > 0.0:
-            coo_rows.append(np.concatenate(
-                [self.ov_c, self.ov_c, self.ov_v, self.ov_v]))
-            coo_cols.append(np.concatenate(
-                [self.ov_c, self.ov_v, self.ov_v, self.ov_c]))
-        keys = (np.concatenate(coo_rows).astype(np.int64) * self.n
-                + np.concatenate(coo_cols))
-        slots, self.jac_scatter = np.unique(keys, return_inverse=True)
-        pattern_rows = slots // self.n
-        self.jac_indices = (slots % self.n).astype(np.int32)
-        self.jac_indptr = np.concatenate([
-            [0], np.cumsum(np.bincount(pattern_rows, minlength=self.n)),
+        (self.jac_indices, self.jac_indptr,
+         self.jac_map) = self._jacobian_structure()
+
+    def _jacobian_structure(self):
+        """The fixed CSR pattern of the Jacobian and the map from the
+        parts of an iterate to its values.
+
+        The values are linear in the parts
+            z = [rd / u[corners] (4 x nd), s / 4 (2 x nd),
+                 1 / u[ov_c], 1 / u[ov_v] (kappa > 0 only), 1].
+        Entry (i, j) of a diamond block is
+        row_coef_i * (q_i + sign_j * a_ij * rd / u[corners[j]]), with q_i
+        the row's quarter flux s / 4 (rows 0-1 primal, 2-3 dual), sign =
+        (+1, -1, +1, -1) and a_ij the local matrix entry of the row's and
+        the column's kind; the time diagonal is time_coef * 1 and the 2x2
+        overlap blocks of the penalization are +-pen_scale * overlap area
+        / u.  The map (CSC) sends z to the values of the pattern, summing
+        the entries that share a slot; its column for each part lists the
+        slots of the entries that read it.
+
+        Index arrays are 32-bit and the map is filled in place: at large
+        N, set-up time goes to first touches of fresh memory as much as to
+        arithmetic.
+        """
+        n, nd = self.n, self.mesh.n_diamonds
+        cols = self.corners.T.astype(np.int32)
+        # The entries, in the order: diamond blocks (d, i, j), time
+        # diagonal and, for kappa > 0, the overlap blocks with rows c, c,
+        # v, v and columns c, v, v, c; their sorted unique keys row * n +
+        # column are the pattern's slots.
+        diag = np.flatnonzero(self.time_mask).astype(np.int32)
+        nb16, n_diag = 16 * nd, len(diag)
+        rows = [np.repeat(cols, 4, axis=1).ravel(), diag]
+        columns = [np.tile(cols, (1, 4)).ravel(), diag]
+        n_ov = 0
+        if self.params.kappa > 0.0:
+            c, v = self.ov_c, self.ov_v
+            n_ov = len(c)
+            rows.append(np.concatenate([c, c, v, v]))
+            columns.append(np.concatenate([c, v, v, c]))
+        rows, columns = np.concatenate(rows), np.concatenate(columns)
+        slots, slot_of = np.unique(rows.astype(np.int64) * n + columns,
+                                   return_inverse=True)
+        indices = (slots % n).astype(np.int32)
+        indptr = np.concatenate([
+            [0], np.cumsum(np.bincount(slots // n, minlength=n)),
         ]).astype(np.int32)
 
-        # Value tables of the COO entries.  Entry (i, j) of a diamond block
-        # is row_coef[i] * (q_i + s_j * rd * a_ij / u[cols[j]]), with q the
-        # quarter flux (row 0-1: primal, 2-3: dual), s = (+1, -1, +1, -1)
-        # the column sign and a_ij the local matrix entry of the row's and
-        # the column's kind; jac_coef holds row_coef[i] * s_j * a_ij.
-        self.jac_cols = cols
-        a_edge, a_cross, a_dual = (self.mats.a_edge, self.mats.a_cross,
-                                   self.mats.a_dual)
-        local = np.stack([a_edge, -a_edge, a_cross, -a_cross,
-                          a_cross, -a_cross, a_dual, -a_dual], axis=1)
-        self.jac_coef = np.repeat(local.reshape(-1, 2, 4), 2, axis=1)
-        self.jac_coef *= self.row_coef[:, :, None]
-        self.jac_values = np.empty(len(self.jac_scatter))
-        nblock = 16 * mesh.n_diamonds
-        self.jac_block = self.jac_values[:nblock].reshape(-1, 4, 4)
-        self.jac_values[nblock:nblock + len(diag_idx)] = self.time_coef
-        if params.kappa > 0.0:
-            # rows c, c, v, v and columns c, v, v, c of the overlap blocks
+        # Map columns in the order of the parts: part j nd + d holds rows i
+        # of column j of block d, part (4 + h) nd + d rows 2h and 2h + 1 of
+        # block d, part 1/u[ov_c] the entries (c, c) and (v, c), part
+        # 1/u[ov_v] the entries (c, v) and (v, v), the last part the time
+        # diagonal.
+        nnz = 2 * nb16 + 4 * n_ov + n_diag
+        map_slots = np.empty(nnz, dtype=np.int32)
+        map_coef = np.empty(nnz)
+        blocks = slot_of[:nb16].reshape(nd, 4, 4)
+        map_slots[:nb16].reshape(4, nd, 4)[...] = blocks.transpose(2, 0, 1)
+        map_slots[nb16:2 * nb16].reshape(2, nd, 2, 4)[...] = (
+            blocks.reshape(nd, 2, 2, 4).transpose(1, 0, 2, 3))
+        # coefficient of part j nd + d in row i: row_coef_i sign_j a_ij
+        ones = np.ones(nd)
+        row_coef = np.column_stack([ones, self.coef_l, ones, -ones])
+        m = self.mats
+        local = np.stack([m.a_edge, -m.a_edge, m.a_cross, -m.a_cross,
+                          m.a_cross, -m.a_cross, m.a_dual, -m.a_dual]
+                         ).reshape(2, 4, nd).transpose(1, 2, 0)
+        coef = map_coef[:nb16].reshape(4, nd, 2, 2)
+        coef[...] = local[:, :, :, None]
+        coef *= row_coef.reshape(nd, 2, 2)
+        map_coef[nb16:2 * nb16].reshape(2, nd, 2, 4)[...] = (
+            row_coef.reshape(nd, 2, 2, 1).transpose(1, 0, 2, 3))
+        end = 2 * nb16
+        if n_ov:
+            pen = slot_of[nb16 + n_diag:].reshape(4, n_ov)
             w = self.pen_scale * self.ov_w
-            self.pen_weight = np.stack([w, -w, w, -w])
-            self.pen_cols = coo_cols[-1].reshape(4, -1)
-            self.jac_pen = self.jac_values[nblock + len(diag_idx):].reshape(4, -1)
+            for rows, signs in (((0, 3), (1.0, -1.0)), ((1, 2), (-1.0, 1.0))):
+                map_slots[end:end + 2 * n_ov].reshape(n_ov, 2)[...] = (
+                    pen[list(rows)].T)
+                map_coef[end:end + 2 * n_ov].reshape(n_ov, 2)[...] = (
+                    np.multiply.outer(w, signs))
+                end += 2 * n_ov
+        map_slots[end:] = slot_of[nb16:nb16 + n_diag]
+        map_coef[end:] = self.time_coef[diag]
+        counts = np.repeat([4, 8, 2, n_diag], [4 * nd, 2 * nd, 2 * n_ov, 1])
+        jac_map = sp.csc_matrix(
+            (map_coef, map_slots,
+             np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+            shape=(len(slots), len(counts)))
+        return indices, indptr, jac_map
 
-    # -- value helpers --
+    # -- evaluation --
 
-    def _g(self, u):
+    def flux_parts(self, it: Iterate) -> Iterate:
+        """Compute the parts of the Iterate ``it`` from its state."""
+        u = it.u
         if u.min() <= 0.0:
             raise NonPositiveState(
                 f"state has nonpositive entry {u.min():.3e}"
             )
-        return np.log(u) + self.v_field.values
+        it.logu = np.log(u)
+        it.g = it.logu + self.v_field.values
+        corner_g = it.g[self.corners]
+        it.d = d = corner_g[0::2] - corner_g[1::2]
+        # the corners summed in order k, l, vk, vl
+        it.rd = rd = 0.25 * u[self.corners].sum(axis=0)
+        it.s = self.form_rows[0] * d[0] + self.form_rows[1] * d[1]
+        it.f = rd * it.s
+        return it
 
-    def _flux_parts(self, u):
-        g = self._g(u)
-        d1 = g[self.col_k] - g[self.col_l]
-        d2 = g[self.col_vk] - g[self.col_vl]
-        rd = 0.25 * (u[self.col_k] + u[self.col_l]
-                     + u[self.col_vk] + u[self.col_vl])
-        m = self.mats
-        f1 = rd * (m.a_edge * d1 + m.a_cross * d2)
-        f2 = rd * (m.a_cross * d1 + m.a_dual * d2)
-        return g, d1, d2, rd, f1, f2
+    def _at(self, u) -> Iterate:
+        """The Iterate to read: ``u`` itself, its parts computed on this
+        first read, or a fresh one for a packed vector."""
+        it = u if isinstance(u, Iterate) else Iterate(u)
+        return it if it.rd is not None else self.flux_parts(it)
 
     def system_vec(self, u, u_prev):
         """Mass-scaled residual rows (the vector Newton drives to zero)."""
-        g, d1, d2, rd, f1, f2 = self._flux_parts(u)
-        res = np.zeros(self.n)
-        np.add.at(res, self.col_k, f1)
-        np.add.at(res, self.col_l, self.row_coef[:, 1] * f1)
-        np.add.at(res, self.col_vk, f2)
-        np.subtract.at(res, self.col_vl, f2)
-        res[self.time_mask] += self.time_coef * (u - u_prev)[self.time_mask]
+        it = self._at(u)
+        weights = it.f[[0, 0, 1, 1]]
+        weights[1] *= self.coef_l
+        weights[3] *= -1.0
+        res = np.bincount(self.flux_rows, weights=weights.ravel(),
+                          minlength=self.n)
+        res += self.time_coef * (it.u - u_prev)
         if self.params.kappa > 0.0:
+            g = it.g
             gap = self.pen_scale * self.ov_w * (g[self.ov_c] - g[self.ov_v])
             np.add.at(res, self.ov_c, gap)
             np.subtract.at(res, self.ov_v, gap)
         return res
 
+    def next_step_vec(self, res, u, u_prev):
+        """The residual F(u; u) of the step after the one that accepted
+        ``u``, from that step's final residual res = F(u; u_prev): only the
+        time rows change, by time_coef * (u_prev - u).  Costs no flux
+        evaluation; agrees with ``system_vec(u, u)`` up to rounding of the
+        size of the time term."""
+        return res - self.time_coef * (u - u_prev)
+
     def system_jacobian(self, u):
         """Analytic Jacobian of the mass-scaled rows (CSR)."""
-        g, d1, d2, rd, f1, f2 = self._flux_parts(u)
-        m = self.mats
-        inv = 1.0 / u
-        quarter1 = 0.25 * (m.a_edge * d1 + m.a_cross * d2)
-        quarter2 = 0.25 * (m.a_cross * d1 + m.a_dual * d2)
-        quarter = np.column_stack([quarter1, quarter1, quarter2, quarter2])
-
-        block = self.jac_block
-        np.multiply(self.jac_coef, rd[:, None, None], out=block)
-        block *= inv[self.jac_cols][:, None, :]
-        block += (self.row_coef * quarter)[:, :, None]
+        it = self._at(u)
+        nd = len(it.rd)
+        inv = 1.0 / it.u
+        parts = np.empty(self.jac_map.shape[1])
+        np.multiply(it.rd, inv[self.corners],
+                    out=parts[:4 * nd].reshape(4, nd))
+        np.multiply(it.s, 0.25, out=parts[4 * nd:6 * nd].reshape(2, nd))
         if self.params.kappa > 0.0:
-            np.multiply(self.pen_weight, inv[self.pen_cols], out=self.jac_pen)
-        data = np.bincount(self.jac_scatter, weights=self.jac_values,
-                           minlength=len(self.jac_indices))
+            n_ov = len(self.ov_c)
+            np.take(inv, self.ov_c, out=parts[6 * nd:6 * nd + n_ov])
+            np.take(inv, self.ov_v, out=parts[6 * nd + n_ov:-1])
+        parts[-1] = 1.0
         # The pattern arrays are copied so that in-place edits of a returned
         # matrix cannot corrupt the cached pattern.
         return sp.csr_matrix(
-            (data, self.jac_indices.copy(), self.jac_indptr.copy()),
+            (self.jac_map @ parts, self.jac_indices.copy(),
+             self.jac_indptr.copy()),
             shape=(self.n, self.n),
         )
 
     def dissipation_vec(self, u):
         """Entropy production and its diagonal-form counterpart."""
-        g, d1, d2, rd, f1, f2 = self._flux_parts(u)
-        diss = float(np.dot(rd, self.mats.quad_a(d1, d2)))
-        logu = np.log(u)
-        l1 = logu[self.col_k] - logu[self.col_l]
-        l2 = logu[self.col_vk] - logu[self.col_vl]
-        diss_hat = float(np.dot(rd, self.mats.quad_b(l1, l2)))
+        it = self._at(u)
+        diss = float(it.rd.dot(self.mats.quad_a(*it.d)))
+        corner_logu = it.logu[self.corners]
+        diss_hat = float(it.rd.dot(
+            self.mats.quad_b(*(corner_logu[0::2] - corner_logu[1::2]))))
         return diss, diss_hat
 
     def penalty_bracket_vec(self, u):
-        g = DiscreteField(self.mesh, self._g(u))
+        g = DiscreteField(self.mesh, self._at(u).g)
         return penalization_bracket(self.mesh, g, g, self.params.beta)
 
 

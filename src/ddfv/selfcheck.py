@@ -210,7 +210,8 @@ def check_jacobian_fd(rng):
     worst = float((np.abs(jac - fd) / denom).max())
     return CheckResult("jacobian vs finite differences",
                        worst < 1e-6 and identity < 1e-12,
-                       f"worst entrywise defect {worst:.2e}")
+                       f"worst entrywise defect {worst:.2e}, "
+                       f"homogeneity defect {identity:.2e}")
 
 
 CHECKS = [

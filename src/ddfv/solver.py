@@ -46,7 +46,11 @@ factorizations and its GMRES iterations (those of cycles that missed
 included); ``newton_solve`` reports both per solve in ``NewtonStats``.
 
 Newton is undamped by default and backtracks only to keep every iterate
-strictly positive.
+strictly positive.  It evaluates each iterate once: ``residual_fn``
+returns the residual together with the state the caller evaluated, and
+``jacobian_fn`` reads that state.  The start-value guard compares the
+start's l1 residual with the fallback's, which the caller may supply; then
+the fallback is evaluated only when the guard picks it.
 """
 
 import math
@@ -79,6 +83,7 @@ INNER_ETA = 1e-2
 # Largest Krylov basis of the single GMRES cycle tried before refactorizing
 # (see the module docstring for why 8).
 GMRES_RESTART = 8
+EPS = np.finfo(float).eps
 # SuperLU settings of every factorization (see the module docstring).
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options={"SymmetricMode": True})
@@ -113,19 +118,33 @@ class NewtonStats:
     factorizations: int = 0
     krylov_iterations: int = 0
     residual_history: list = field(default_factory=list)
+    residual: np.ndarray | None = None  # the residual at the returned iterate
+    state: object = None                # what residual_fn returned with it
 
 
 class LinearSolver:
     """Lagged-LU state of one run: the factor of the last equilibrated
     matrix it factorized (with that matrix's row scaling), how many
     factorizations it made and how many GMRES iterations it ran (those of
-    cycles that missed included)."""
+    cycles that missed included), and the GMRES work arrays of the last
+    system size."""
 
     def __init__(self):
         self.factor = None
         self.row_max = None
         self.factorizations = 0
         self.krylov_iterations = 0
+        self._basis = self._precond = self._hess = None
+
+    def _work_arrays(self, m, size):
+        """The GMRES basis, preconditioned vectors and Hessenberg matrix
+        for m iterations on systems of ``size``, allocated once per size
+        and factor."""
+        if self._basis is None or self._basis.shape != (m + 1, size):
+            self._basis = np.empty((m + 1, size))
+            self._precond = np.empty((m, size))
+            self._hess = np.empty((m, m))
+        return self._basis, self._precond, self._hess
 
     def krylov(self, matrix, rhs, a_inf, tol_l1=0.0):
         """One cycle of right-preconditioned GMRES from x = 0, with the
@@ -142,18 +161,17 @@ class LinearSolver:
         """
         if self.factor is None or self.factor.shape != matrix.shape:
             return None
-        beta = math.sqrt(rhs @ rhs)
+        beta = math.sqrt(rhs.dot(rhs))
         if beta == 0.0:
             return np.zeros_like(rhs)
-        eps = np.finfo(float).eps
-        m = min(GMRES_RESTART, rhs.shape[0])
-        basis = np.empty((m + 1, rhs.shape[0]))
-        precond = np.empty((m, rhs.shape[0]))
-        hess = np.zeros((m, m))
+        size = rhs.shape[0]
+        m = min(GMRES_RESTART, size)
+        basis, precond, hess = self._work_arrays(m, size)
+        # The Givens rotations and the rotated right-hand side g are Python
+        # floats; only the triangular solve at the end reads hess.
         rotations = []
-        g = np.zeros(m + 1)
-        g[0] = beta
-        basis[0] = rhs / beta
+        g = [beta]
+        np.divide(rhs, beta, out=basis[0])
         for k in range(m):
             self.krylov_iterations += 1
             precond[k] = self.factor.solve(basis[k] / self.row_max)
@@ -161,38 +179,45 @@ class LinearSolver:
                 target = max(
                     KRYLOV_BOUND * (a_inf * beta * np.abs(precond[0]).max()
                                     + np.abs(rhs).max()),
-                    tol_l1 / math.sqrt(rhs.shape[0]))
+                    tol_l1 / math.sqrt(size))
             w = matrix @ precond[k]
-            norm_aw = math.sqrt(w @ w)
-            for _ in range(2):      # classical Gram-Schmidt, reorthogonalized
-                h = basis[:k + 1] @ w
-                w -= h @ basis[:k + 1]
-                hess[:k + 1, k] += h
-            norm_w = math.sqrt(w @ w)
-            if norm_w <= eps * norm_aw:     # the Krylov space is invariant
+            norm_aw = math.sqrt(w.dot(w))
+            # classical Gram-Schmidt, reorthogonalized (ndarray.dot is the
+            # same BLAS call as @ with less dispatch)
+            known = basis[:k + 1]
+            h = known.dot(w)
+            w -= h.dot(known)
+            h2 = known.dot(w)
+            w -= h2.dot(known)
+            h += h2
+            col = h.tolist()
+            norm_w = math.sqrt(w.dot(w))
+            if norm_w <= EPS * norm_aw:     # the Krylov space is invariant
                 norm_w = 0.0
-            col = hess[:, k]
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
                                       c * col[i + 1] - s * col[i])
             rho = math.hypot(col[k], norm_w)
-            if rho <= eps * norm_aw:
+            if rho <= EPS * norm_aw:
                 return None
             c, s = col[k] / rho, norm_w / rho
             rotations.append((c, s))
             col[k] = rho
-            g[k + 1] = -s * g[k]
+            hess[:k + 1, k] = col
+            g.append(-s * g[k])
             g[k] *= c
             if abs(g[k + 1]) <= target or norm_w == 0.0:
                 y, _ = dtrtrs(hess[:k + 1, :k + 1], g[:k + 1])
-                return y @ precond[:k + 1]
-            basis[k + 1] = w / norm_w
+                return y.dot(precond[:k + 1])
+            np.divide(w, norm_w, out=basis[k + 1])
         return None
 
     def refactor(self, scaled, row_max):
         """Factorize the equilibrated matrix and keep the factor.  The stale
-        factor is released first so that only one is ever resident."""
+        factor and the GMRES work arrays are released first, so that they
+        do not add to the factorization's memory peak."""
         self.factor = None
+        self._basis = self._precond = self._hess = None
         self.factor = spla.splu(scaled.tocsc(), **LU_OPTIONS)
         self.row_max = row_max
         self.factorizations += 1
@@ -223,14 +248,15 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.shape[0]:
         raise ValidationError("linear system shape mismatch")
 
+    starts = matrix.indptr[:-1]
     row_nnz = np.diff(matrix.indptr)
-    abs_data = np.abs(matrix.data)
     if not row_nnz.all():           # reduceat below needs nonempty rows
         raise SingularMatrix("matrix has an identically zero row")
-    row_max = np.maximum.reduceat(abs_data, matrix.indptr[:-1])
-    if not row_max.all():
+    abs_data = np.abs(matrix.data)
+    row_sum = np.add.reduceat(abs_data, starts)
+    if not row_sum.all():
         raise SingularMatrix("matrix has an identically zero row")
-    a_inf = np.add.reduceat(abs_data, matrix.indptr[:-1]).max()
+    a_inf = row_sum.max()
 
     def residual_and_scale(x):
         """|A x - b| entrywise, and the scale of the backward error."""
@@ -244,6 +270,7 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
                 or resid.sum() <= tol_l1):
             return x
 
+    row_max = np.maximum.reduceat(abs_data, starts)
     scaled = sp.csr_matrix(
         (matrix.data * np.repeat(1.0 / row_max, row_nnz),
          matrix.indices, matrix.indptr),
@@ -266,18 +293,29 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
 
 
 def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
-                 linear_solver: LinearSolver | None = None, fallback=None):
-    """Solve residual_fn(u) = 0 starting from max(u_init, floor).
+                 linear_solver: LinearSolver | None = None, fallback=None,
+                 fallback_l1=None):
+    """Solve F(u) = 0 starting from max(u_init, floor).
+
+    ``residual_fn(u)`` returns the pair (F(u), state), where ``state`` is
+    whatever the caller evaluated at u to form F(u) (u itself, say);
+    ``jacobian_fn(state)`` returns the Jacobian at that u.  So each iterate
+    is evaluated once, for its residual and, while Newton goes on, for its
+    Jacobian.
 
     With ``fallback``, Newton starts from max(fallback, floor) instead
     when that has the strictly smaller l1 residual (or u_init's is NaN).
-    Every iterate is kept strictly positive by halving the update; the
-    returned stats record whether the initialization floor changed any
-    component of the chosen start and how many LU factorizations the solve
-    made.  The inner solves go through ``linear_solver`` (a fresh one when
-    None), so a caller that passes one solver to successive solves reuses
-    its factor across them; each accepts an l1 residual of ``INNER_ETA``
-    times the Newton tolerance.
+    ``fallback_l1``, when the caller knows it, is the fallback's l1
+    residual; then the fallback is evaluated only when it is picked.
+    Without it, residual_fn runs on the fallback for the comparison.
+    Every iterate is kept
+    strictly positive by halving the update; the returned stats record
+    whether the initialization floor changed any component of the chosen
+    start, how many LU factorizations the solve made, and the residual
+    and state of the returned iterate.  The inner solves go through
+    ``linear_solver`` (a fresh one when None), so a caller that passes one
+    solver to successive solves reuses its factor across them; each
+    accepts an l1 residual of ``INNER_ETA`` times the Newton tolerance.
     """
     solver = linear_solver if linear_solver is not None else LinearSolver()
     factorizations0 = solver.factorizations
@@ -287,15 +325,18 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
     def start(values):
         values = np.asarray(values, dtype=float)
         u = np.maximum(values, config.positivity_floor)
-        res = residual_fn(u)
-        return (u, res, float(np.abs(res).sum()),
+        res, state = residual_fn(u)
+        return (u, res, state, float(np.abs(res).sum()),
                 bool((values < config.positivity_floor).any()))
 
-    u, res, l1, floor_activated = start(u_init)
+    u, res, state, l1, floor_activated = start(u_init)
     if fallback is not None:
-        other = start(fallback)
-        if other[2] < l1 or math.isnan(l1):
-            u, res, l1, floor_activated = other
+        other = None
+        if fallback_l1 is None:
+            other = start(fallback)
+            fallback_l1 = other[3]
+        if fallback_l1 < l1 or math.isnan(l1):
+            u, res, state, l1, floor_activated = other or start(fallback)
 
     backtracks_total = 0
     history = [l1]
@@ -309,14 +350,19 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
                 factorizations=solver.factorizations - factorizations0,
                 krylov_iterations=solver.krylov_iterations - krylov0,
                 residual_history=history,
+                residual=res,
+                state=state,
             )
         if iteration == config.max_iter:
             break
-        step = linear_solve(jacobian_fn(u), -res, solver,
-                            tol_l1=INNER_ETA * tol)
+        # The state is not kept through the solve, which may factorize:
+        # at large N its memory would add to the factorization's peak.
+        jacobian, state = jacobian_fn(state), None
+        step = linear_solve(jacobian, -res, solver, tol_l1=INNER_ETA * tol)
         alpha = 1.0
         bt = 0
-        while (u + alpha * step).min() <= 0.0:
+        trial = u + step
+        while trial.min() <= 0.0:
             bt += 1
             if bt > config.max_backtracks:
                 raise PositivityBacktrackExhausted(
@@ -324,9 +370,10 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
                     f"{config.max_backtracks} halvings"
                 )
             alpha *= 0.5
+            trial = u + alpha * step
         backtracks_total += bt
-        u = u + alpha * step
-        res = residual_fn(u)
+        u = trial
+        res, state = residual_fn(u)
         l1 = float(np.abs(res).sum())
         history.append(l1)
 

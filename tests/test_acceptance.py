@@ -77,7 +77,7 @@ def test_criterion_2_stationary_fixed_point():
     u_inf = stationary_state(mesh, asm.v_field, mass=2.0)
     res_l1 = float(np.abs(asm.system_vec(u_inf.values, u_inf.values)).sum())
     _, stats = newton_solve(
-        lambda x: asm.system_vec(x, u_inf.values),
+        lambda x: (asm.system_vec(x, u_inf.values), x),
         asm.system_jacobian, u_inf.values, params.newton,
     )
     ok = res_l1 < 1e-10 and stats.iterations <= 1 and stats.residual_l1 < 1e-10

@@ -246,7 +246,8 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
     calls = []
     newton = hm.newton_solve
 
-    def spy(residual_fn, jacobian_fn, u_init, config, solver, fallback):
+    def spy(residual_fn, jacobian_fn, u_init, config, solver, fallback,
+            fallback_l1):
         calls.append((u_init, fallback))
         return newton(residual_fn, jacobian_fn, u_init, config, solver,
                       fallback)
@@ -290,6 +291,29 @@ def test_extrapolated_start_keeps_large_steps_cheap(quad8):
     params = SchemeParams(dt=1.0, t_final=10.0, potential=case.potential)
     result = simulate(quad8, params, project_initial(quad8, case.u0))
     assert sum(r.newton_iterations for r in result.records) <= 19
+
+
+def test_each_newton_iterate_is_evaluated_once(quad8, monkeypatch):
+    # one flux evaluation per residual, one residual per Newton iterate
+    # plus each step's start value (the guard derives u^n's residual), and
+    # one Jacobian per Newton iteration
+    calls = dict.fromkeys(("flux_parts", "system_vec", "system_jacobian"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(Assembly, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Assembly, name, counted)
+    case = exact_decay_case()
+    params = SchemeParams(dt=1e-3, t_final=0.2, kappa=0.1,
+                          potential=case.potential)
+    result = simulate(quad8, params, project_initial(quad8, case.u0))
+    steps = len(result.records) - 1
+    newton = sum(r.newton_iterations for r in result.records)
+    assert steps == 200
+    assert calls["flux_parts"] == calls["system_vec"]
+    assert calls["system_vec"] == newton + steps
+    assert calls["system_jacobian"] == newton
 
 
 # --- studies -------------------------------------------------------------------

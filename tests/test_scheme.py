@@ -196,7 +196,10 @@ def _coo_system_jacobian(asm, u):
     """Reference assembly of the mass-scaled Jacobian: every diamond block,
     the time diagonal and the penalization blocks as COO triplets, summed by
     scipy's COO -> CSR conversion."""
-    g, d1, d2, rd, f1, f2 = asm._flux_parts(u)
+    col_k, col_l, col_vk, col_vl = asm.corners
+    g = np.log(u) + asm.v_field.values
+    d1, d2 = g[col_k] - g[col_l], g[col_vk] - g[col_vl]
+    rd = 0.25 * (u[col_k] + u[col_l] + u[col_vk] + u[col_vl])
     m = asm.mats
     inv = 1.0 / u
     quarter1 = 0.25 * (m.a_edge * d1 + m.a_cross * d2)
@@ -205,23 +208,25 @@ def _coo_system_jacobian(asm, u):
     d_f1 = np.empty((nd, 4))
     d_f2 = np.empty((nd, 4))
     for j, (col, sign, a1, a2) in enumerate((
-        (asm.col_k, 1.0, m.a_edge, m.a_cross),
-        (asm.col_l, -1.0, m.a_edge, m.a_cross),
-        (asm.col_vk, 1.0, m.a_cross, m.a_dual),
-        (asm.col_vl, -1.0, m.a_cross, m.a_dual),
+        (col_k, 1.0, m.a_edge, m.a_cross),
+        (col_l, -1.0, m.a_edge, m.a_cross),
+        (col_vk, 1.0, m.a_cross, m.a_dual),
+        (col_vl, -1.0, m.a_cross, m.a_dual),
     )):
         d_f1[:, j] = quarter1 + sign * rd * a1 * inv[col]
         d_f2[:, j] = quarter2 + sign * rd * a2 * inv[col]
     values = np.empty((nd, 4, 4))
+    ones = np.ones(nd)
+    row_coef = np.column_stack([ones, asm.coef_l, ones, -ones])
     for i in range(4):
         src = d_f1 if i < 2 else d_f2
-        values[:, i, :] = asm.row_coef[:, i, None] * src
+        values[:, i, :] = row_coef[:, i, None] * src
 
-    cols = np.column_stack([asm.col_k, asm.col_l, asm.col_vk, asm.col_vl])
+    cols = asm.corners.T
     diag_idx = np.flatnonzero(asm.time_mask)
     rows = [np.repeat(cols, 4, axis=1).ravel(), diag_idx]
     cols_ = [np.tile(cols, (1, 4)).ravel(), diag_idx]
-    vals = [values.ravel(), asm.time_coef]
+    vals = [values.ravel(), asm.time_coef[diag_idx]]
     if asm.params.kappa > 0.0:
         c, v, w = asm.ov_c, asm.ov_v, asm.pen_scale * asm.ov_w
         rows.append(np.concatenate([c, c, v, v]))

@@ -30,3 +30,7 @@ def test_jacobian_check_sees_a_tiny_scaling(seed, monkeypatch):
     monkeypatch.setattr(Assembly, "system_jacobian", scaled)
     result = selfcheck.check_jacobian_fd(np.random.default_rng(seed))
     assert not result.passed, result.line()
+    # the FAIL line names the identity's defect, not only the quotients'
+    line = result.line()
+    assert line.startswith("FAIL")
+    assert float(line.rsplit("homogeneity defect ", 1)[1]) > 1e-12, line

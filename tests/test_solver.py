@@ -176,9 +176,10 @@ def test_factor_fill_below_partial_pivoting():
 
 
 def _scalar_system(root):
-    # residual r_i(u) = u_i**2 - root_i**2 has a positive root at root_i
+    # residual r_i(u) = u_i**2 - root_i**2 has a positive root at root_i;
+    # the Jacobian reads u itself as the state
     def residual(u):
-        return u * u - root * root
+        return u * u - root * root, u
 
     def jac(u):
         return sp.diags(2.0 * u).tocsr()
@@ -218,7 +219,7 @@ def test_newton_floor_and_positivity_backtracking():
     # a full step from u=3 for r = u**2 - 1 stays positive, but a crafted
     # residual with a far negative Newton target must backtrack
     def bad_res(u):
-        return u + 1.0
+        return u + 1.0, u
 
     def bad_jac(u):
         return sp.identity(len(u), format="csr")
@@ -271,7 +272,7 @@ def test_newton_from_stationary_state_zero_iterations(quad8):
     asm = Assembly(quad8, params)
     u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
     u, stats = newton_solve(
-        lambda x: asm.system_vec(x, u_inf.values),
+        lambda x: (asm.system_vec(x, u_inf.values), x),
         asm.system_jacobian, u_inf.values, params.newton,
     )
     assert stats.iterations <= 1
@@ -285,7 +286,7 @@ def test_newton_deterministic(quad8, rng):
 
     def solve():
         return newton_solve(
-            lambda x: asm.system_vec(x, u_prev),
+            lambda x: (asm.system_vec(x, u_prev), x),
             asm.system_jacobian, u_prev, params.newton,
         )[0]
 
