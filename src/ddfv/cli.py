@@ -154,13 +154,20 @@ def _mesh_report(ddfv, cfg):
     return EXIT_OK
 
 
+def _write_valid_mesh(primal, name, cfg):
+    """Write the mesh under --out only once ``build_ddfv`` accepts it, so a
+    rejected mesh leaves no file behind; then report its quality."""
+    ddfv = meshmod.build_ddfv(primal)
+    path = _out_dir(cfg) / name
+    meshmod.write_mesh(primal, path)
+    print(f"wrote {path}")
+    return _mesh_report(ddfv, cfg)
+
+
 def cmd_mesh_gen(args):
     cfg = effective_config(args)
     primal = meshmod.gen_family(cfg["family"], cfg["n"], **_family_kwargs(cfg))
-    path = _out_dir(cfg) / f"{cfg['family']}_{cfg['n']}.mesh"
-    meshmod.write_mesh(primal, path)
-    print(f"wrote {path}")
-    return _mesh_report(meshmod.build_ddfv(primal), cfg)
+    return _write_valid_mesh(primal, f"{cfg['family']}_{cfg['n']}.mesh", cfg)
 
 
 def cmd_mesh_inspect(args):
@@ -175,10 +182,8 @@ def cmd_mesh_convert(args):
     if not cfg["mesh"]:
         raise ValidationError("mesh convert needs --mesh PATH")
     primal = meshmod.read_mesh(cfg["mesh"])
-    path = _out_dir(cfg) / (Path(cfg["mesh"]).stem + "_converted.mesh")
-    meshmod.write_mesh(primal, path)
-    print(f"wrote {path}")
-    return _mesh_report(meshmod.build_ddfv(primal), cfg)
+    name = Path(cfg["mesh"]).stem + "_converted.mesh"
+    return _write_valid_mesh(primal, name, cfg)
 
 
 def _trace_csv(records):

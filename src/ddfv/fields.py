@@ -61,9 +61,6 @@ class DiscreteField:
         """Interior and boundary values, indexed by global primal index."""
         return self.values[: self.mesh.n_cells + self.mesh.n_bnd]
 
-    def copy(self):
-        return DiscreteField(self.mesh, self.values.copy())
-
     def __add__(self, other):
         return DiscreteField(self.mesh, self.values + _vals(other))
 

@@ -593,6 +593,9 @@ def gen_quad_fvca(n: int, amplitude: float = 0.1) -> PrimalMesh:
 
     Vertex (x, y) moves to (x + d, y + d) with
     d = amplitude * sin(2*pi*x) * sin(2*pi*y); boundary vertices stay put.
+    ``build_ddfv`` rejects the mesh (primal and dual edges that do not
+    cross) before the map inverts a cell: amplitude 0.15 builds at n = 8,
+    16, 32 and 64, while 0.155 fails at n = 16 and 0.158 at n = 32.
     """
     if n < 2:
         raise ValidationError("n must be >= 2")
@@ -615,7 +618,9 @@ def gen_kershaw(n: int, distortion: float = 0.8) -> PrimalMesh:
     Column i is sheared vertically by distortion * zig(i) * profile(j) cell
     heights, where zig cycles through (0, 1, 0, -1) every four columns and
     the hat profile vanishes on the top and bottom boundaries.  Boundary
-    columns are pinned so all boundary vertices stay put.
+    columns are pinned so all boundary vertices stay put.  At the default
+    distortion 0.8, n = 2 and n = 4 fail ``build_ddfv`` (primal and dual
+    edges do not cross); n = 3 and n = 5 to 16 build.
     """
     if n < 2:
         raise ValidationError("n must be >= 2")

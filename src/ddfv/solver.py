@@ -38,12 +38,35 @@ The GMRES cycle stops once its residual 2-norm meets either bound; for the
 l1 bound that is tol_l1 / sqrt(N).  Without ``tol_l1`` (the default 0) only
 ``KRYLOV_BOUND`` accepts.
 
-The cycle is capped at 8 iterations.  A fresh factor answers in 2-6, and a
-factorization costs about 20-40 of its triangular solves at every mesh size
-measured (N = 177 to 33,537), so a cycle that needs more than 8 means the
-factor has aged past what it saves and is refreshed.  The solver counts its
-factorizations and its GMRES iterations (those of cycles that missed
-included); ``newton_solve`` reports both per solve in ``NewtonStats``.
+A factor also is refreshed before it fails, by its amortised cost.  Since
+its factorization the solver counts ``solves`` (the direct solve counts as
+1), ``served`` (the GMRES iterations run) and ``last`` (the iterations of
+the previous cycle).  Counting a factorization as ``REFRESH_COST`` GMRES
+iterations, the mean cost of a solve with this factor is
+(REFRESH_COST + served) / solves.  A factor's cycles lengthen as the matrix
+drifts from it, so once the last cycle cost more than that mean, keeping
+the factor raises the mean and a new factor is cheaper in the long run; the
+solver then factorizes directly and skips the cycle:
+
+    last > (REFRESH_COST + served) / solves.
+
+The rule reads only counts, so the solver's decisions and counters are
+deterministic.  ``GMRES_RESTART`` = 8 stays a ceiling on the cycle: a fresh
+factor answers in 2-6 iterations, and a cycle that misses both bounds still
+refactors.
+
+Why 20.  One factorization costs 20 GMRES iterations at N = 609 (quad
+n=16: 2.0 ms against 101 us), 25 at N = 2241 and 21-35 at N = 8577.  A
+sweep over 15, 20 and 30 on the benchmark workloads and on 600 steps of
+quad n=64 (amplitude 0.15, kappa=0.1, dt=6.25e-5) left no workload worse
+at 20 than with refresh-on-miss alone; 30 was the slowest of the three on
+the long-time study.  There GMRES iterations went 3703 -> 1814 and
+factorizations 6 -> 17 (500 steps at n=16), and on the n=64 steps
+4716 -> 2152 and 7 -> 23; Newton counts did not change.
+
+The solver counts its factorizations and its GMRES iterations (those of
+cycles that missed included); ``newton_solve`` reports both per solve in
+``NewtonStats``.
 
 Newton is undamped by default and backtracks only to keep every iterate
 strictly positive.  It evaluates each iterate once: ``residual_fn``
@@ -80,9 +103,11 @@ KRYLOV_BOUND = 1e-2 * DIRECT_BOUND
 # Over 20 steps on kershaw n=16 the lagged path ends 1.5e-13 (max norm)
 # from the direct solves at 0.1, and 9e-15 at 0.01.
 INNER_ETA = 1e-2
-# Largest Krylov basis of the single GMRES cycle tried before refactorizing
-# (see the module docstring for why 8).
+# Largest Krylov basis of the single GMRES cycle tried before refactorizing.
 GMRES_RESTART = 8
+# Cost of one factorization in GMRES iterations, in the refresh rule
+# last > (REFRESH_COST + served) / solves (see the module docstring).
+REFRESH_COST = 20
 EPS = np.finfo(float).eps
 # SuperLU settings of every factorization (see the module docstring).
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
@@ -124,14 +149,16 @@ class NewtonStats:
 
 class LinearSolver:
     """Lagged-LU state of one run: the factor of the last equilibrated
-    matrix it factorized (with that matrix's row scaling), how many
-    factorizations it made and how many GMRES iterations it ran (those of
-    cycles that missed included), and the GMRES work arrays of the last
-    system size."""
+    matrix it factorized (with that matrix's row scaling), the counts of
+    the refresh rule since that factorization (``solves``, ``served`` and
+    ``last``), how many factorizations it made and how many GMRES
+    iterations it ran (those of cycles that missed included), and the GMRES
+    work arrays of the last system size."""
 
     def __init__(self):
         self.factor = None
         self.row_max = None
+        self.solves = self.served = self.last = 0
         self.factorizations = 0
         self.krylov_iterations = 0
         self._basis = self._precond = self._hess = None
@@ -155,12 +182,16 @@ class LinearSolver:
         preconditioned vector, or is at most tol_l1 / sqrt(N), which keeps
         its l1 norm within tol_l1.  The preconditioned vectors are kept, so
         forming the answer costs no extra solve.  Returns None when there is
-        no factor of this size, the cycle ends short of both bounds, or the
-        least-squares problem turns singular (a singular matrix, which the
-        direct solve then reports).
+        no factor of this size, the refresh rule drops the factor (last >
+        (REFRESH_COST + served) / solves, compared as integers), the cycle
+        ends short of both bounds, or the least-squares problem turns
+        singular (a singular matrix, which the direct solve then reports).
         """
-        if self.factor is None or self.factor.shape != matrix.shape:
+        if (self.factor is None or self.factor.shape != matrix.shape
+                or self.last * self.solves > REFRESH_COST + self.served):
             return None
+        self.solves += 1
+        self.last = 0
         beta = math.sqrt(rhs.dot(rhs))
         if beta == 0.0:
             return np.zeros_like(rhs)
@@ -174,6 +205,8 @@ class LinearSolver:
         np.divide(rhs, beta, out=basis[0])
         for k in range(m):
             self.krylov_iterations += 1
+            self.served += 1
+            self.last += 1
             precond[k] = self.factor.solve(basis[k] / self.row_max)
             if k == 0:
                 target = max(
@@ -220,6 +253,7 @@ class LinearSolver:
         self._basis = self._precond = self._hess = None
         self.factor = spla.splu(scaled.tocsc(), **LU_OPTIONS)
         self.row_max = row_max
+        self.solves, self.served, self.last = 1, 0, 0
         self.factorizations += 1
         return self.factor
 
@@ -229,9 +263,10 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
     """Sparse solve with row equilibration; deterministic.
 
     A GMRES cycle preconditioned by the solver's lagged factor runs first,
-    and the direct solve (which refreshes the factor) runs only when that
-    answer misses both ``KRYLOV_BOUND`` and an l1 residual of ``tol_l1``
-    (see the module docstring).  Without ``solver`` the call goes through
+    and the direct solve (which refreshes the factor) runs only when the
+    refresh rule drops the factor or that answer misses both
+    ``KRYLOV_BOUND`` and an l1 residual of ``tol_l1`` (see the module
+    docstring).  Without ``solver`` the call goes through
     a fresh ``LinearSolver``, which has no factor yet, so it is the direct
     LU solve.
 

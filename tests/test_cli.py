@@ -42,6 +42,15 @@ def test_mesh_gen_kershaw_reports_distortion(tmp_path, capsys):
     assert float(line.split()[-1]) > 1.0
 
 
+def test_mesh_gen_leaves_no_file_for_a_rejected_mesh(tmp_path, capsys):
+    # kershaw n=4 at the default distortion fails build_ddfv
+    code, out, err = run_cli(capsys, "mesh", "gen", "--family", "kershaw",
+                             "--n", "4", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "primal and dual edges do not cross" in err
+    assert not (tmp_path / "kershaw_4.mesh").exists()
+
+
 def test_mesh_convert_round_trip(tmp_path, capsys):
     run_cli(capsys, "mesh", "gen", "--family", "quad", "--n", "3",
             "--out", str(tmp_path))

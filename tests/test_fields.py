@@ -28,7 +28,7 @@ def test_field_arithmetic(quad5):
     assert np.allclose((u - v).values, 1.5)
     assert np.allclose((u + v).values, 2.5)
     assert np.allclose((2.0 * v).values, 1.0)
-    w = u.copy()
+    w = DiscreteField(quad5, u.values.copy())
     w.values[0] = -1.0
     assert u.values[0] == 2.0
 

@@ -124,7 +124,7 @@ def test_residual_zero_at_constant_no_potential(quad5):
 def test_residual_raises_on_nonpositive_state(quad5):
     params = _params()
     u = DiscreteField.full(quad5, 1.0)
-    bad = u.copy()
+    bad = DiscreteField(quad5, u.values.copy())
     bad.values[0] = 0.0
     with pytest.raises(NonPositiveState):
         residual(quad5, params, u, bad)

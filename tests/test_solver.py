@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,8 +22,10 @@ from ddfv.mesh import build_ddfv, gen_kershaw, gen_quad_fvca
 from ddfv.scheme import Assembly, SchemeParams, project_initial, stationary_state
 from ddfv.solver import (
     DIRECT_BOUND,
+    GMRES_RESTART,
     INNER_ETA,
     KRYLOV_BOUND,
+    REFRESH_COST,
     LinearSolver,
     NewtonConfig,
     linear_solve,
@@ -125,6 +129,49 @@ def test_linear_solver_accepts_answers_within_the_inner_tolerance(quad8, rng):
             assert np.abs(a1 @ x - scale * b).sum() <= tol_l1
         else:
             assert np.array_equal(x, linear_solve(a1, scale * b))
+
+
+def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
+    # Jacobians along a slow drift u_k = u_0 exp(k drift w): the cycles a
+    # factor needs lengthen with its age.  The counts of the rule are
+    # rebuilt from the solver's public counters alone, and before every
+    # solve the documented inequality last > (REFRESH_COST + served) /
+    # solves decides whether the solve factorizes directly (no GMRES
+    # iteration) or runs a cycle that the factor answers.
+    rng = np.random.default_rng(7)
+    asm = Assembly(quad8, SchemeParams(dt=1e-2, t_final=1e-2, kappa=0.1,
+                                       potential=lambda x: -x[1]))
+    base = 0.5 + rng.random(quad8.n_values)
+    w = rng.standard_normal(quad8.n_values)
+    b = rng.standard_normal(quad8.n_values)
+    solver = LinearSolver()
+    solves = served = last = 0
+    refreshed_by_rule = []
+    for k in range(40):
+        a = asm.system_jacobian(base * np.exp(2e-3 * k * w))
+        before = solver.factorizations, solver.krylov_iterations
+        x = linear_solve(a, b, solver)
+        refreshed = solver.factorizations - before[0]
+        cycle = solver.krylov_iterations - before[1]
+        if k == 0 or last > Fraction(REFRESH_COST + served, solves):
+            assert (cycle, refreshed) == (0, 1), k
+            assert np.array_equal(x, linear_solve(a, b))
+            refreshed_by_rule.append(k)
+            solves, served, last = 1, 0, 0
+        else:
+            assert 0 < cycle <= GMRES_RESTART and refreshed == 0, k
+            assert _backward_error(a, x, b) <= KRYLOV_BOUND
+            solves, served, last = solves + 1, served + cycle, cycle
+        assert (solver.solves, solver.served, solver.last) == (solves, served,
+                                                               last)
+    # the first factorization and at least two refreshes by the rule
+    assert len(refreshed_by_rule) >= 3
+    # the inequality is strict: at equality the factor serves one more cycle
+    for last, refreshes in ((REFRESH_COST, 0), (REFRESH_COST + 1, 1)):
+        solver.solves, solver.served, solver.last = 1, 0, last
+        before = solver.factorizations
+        linear_solve(a, b, solver)
+        assert solver.factorizations - before == refreshes
 
 
 def test_linear_solver_singular_matrix():
@@ -351,8 +398,10 @@ def test_simulate_reuse_matches_direct_path(family, kappa, monkeypatch):
 def test_simulate_refactors_an_aged_factor(monkeypatch):
     # Quad n=16, dt=1e-3, kappa=0 for 100 steps.  A factor kept until a
     # 20-iteration cycle misses serves the whole run at about 15 GMRES
-    # iterations per Newton iteration; refactoring once a cycle needs more
-    # than 8 keeps the mean below 7.
+    # iterations per Newton iteration.  Refreshing the factor once its
+    # last cycle costs more than its mean cost per solve, with cycles of
+    # at most 8 iterations, keeps the mean at about 3.7, with more than one
+    # factorization but fewer than one per Newton iteration.
     mesh = build_ddfv(gen_quad_fvca(16, 0.1))
     case = exact_decay_case()
     params = SchemeParams(dt=1e-3, t_final=0.1, potential=case.potential)
@@ -372,3 +421,18 @@ def test_simulate_refactors_an_aged_factor(monkeypatch):
     assert ([r.newton_iterations for r in reuse.records]
             == [r.newton_iterations for r in ref.records])
     assert sum(r.krylov_iterations for r in ref.records) == 0
+
+
+def test_simulate_counts_are_deterministic():
+    # the refresh rule reads only counts, so a repeated run makes the same
+    # factorizations and GMRES iterations on every step
+    mesh = build_ddfv(gen_quad_fvca(16, 0.15))
+    case = exact_decay_case()
+    params = SchemeParams(dt=1e-3, t_final=0.05, kappa=0.1,
+                          potential=case.potential)
+    u0 = nodal_initial(mesh, case.u0)
+    runs = [simulate(mesh, params, u0).records for _ in range(2)]
+    counts = [[(r.newton_iterations, r.factorizations, r.krylov_iterations)
+               for r in records] for records in runs]
+    assert counts[0] == counts[1]
+    assert sum(f for _, f, _ in counts[0]) > 1
