@@ -9,7 +9,8 @@ any other flag or key is a config error.  run, converge and longtime echo
 their settings to ``effective_config`` in the output directory, so a run
 can be reproduced bit-identically from it.
 
-Exit codes: 0 ok, 2 config/mesh error, 3 solver failure, 4 property failure.
+Exit codes: 0 ok, 2 config/mesh/file error, 3 solver failure, 4 property
+failure.
 """
 
 import argparse
@@ -67,8 +68,13 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(path, command):
     _, _, keys = COMMANDS[command]
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file (byte "
+                              f"{exc.object[exc.start]:#x})") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,20 +154,25 @@ def _out_dir(cfg):
 # --- commands -----------------------------------------------------------
 
 
-def _mesh_report(ddfv, cfg):
-    lam = TensorSpec.parse(cfg["lam"]) if cfg["lam"] else None
+def _lam(cfg):
+    return TensorSpec.parse(cfg["lam"]) if cfg["lam"] else None
+
+
+def _mesh_report(ddfv, lam):
     print(meshmod.quality(ddfv, lam).summary())
     return EXIT_OK
 
 
 def _write_valid_mesh(primal, name, cfg):
-    """Write the mesh under --out only once ``build_ddfv`` accepts it, so a
-    rejected mesh leaves no file behind; then report its quality."""
+    """Write the mesh under --out only once ``build_ddfv`` and the --lam
+    parser accept it, so a rejected mesh or tensor leaves no file behind;
+    then report its quality."""
+    lam = _lam(cfg)
     ddfv = meshmod.build_ddfv(primal)
     path = _out_dir(cfg) / name
     meshmod.write_mesh(primal, path)
     print(f"wrote {path}")
-    return _mesh_report(ddfv, cfg)
+    return _mesh_report(ddfv, lam)
 
 
 def cmd_mesh_gen(args):
@@ -174,7 +185,8 @@ def cmd_mesh_inspect(args):
     cfg = effective_config(args)
     if not cfg["mesh"]:
         raise ValidationError("mesh inspect needs --mesh PATH")
-    return _mesh_report(meshmod.build_ddfv(meshmod.read_mesh(cfg["mesh"])), cfg)
+    lam = _lam(cfg)
+    return _mesh_report(meshmod.build_ddfv(meshmod.read_mesh(cfg["mesh"])), lam)
 
 
 def cmd_mesh_convert(args):
@@ -351,7 +363,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (MeshError, ValidationError, FileNotFoundError) as exc:
+    except (MeshError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -84,16 +84,27 @@ def _vals(other):
 def _check_spd(mats):
     """Stack a sequence of 2x2 tensors into an (n, 2, 2) array and return it
     with the (n, 2) ascending eigenvalues.  NotSPD reports the first tensor
-    that is not a symmetric positive definite 2x2 matrix."""
+    that is not a symmetric positive definite 2x2 matrix of finite
+    entries."""
     mats = [np.asarray(mat, dtype=float) for mat in mats]
     bad_shape = np.array([mat.shape != (2, 2) for mat in mats], dtype=bool)
     stack = np.array([np.eye(2) if bad else mat
                       for mat, bad in zip(mats, bad_shape)]).reshape(-1, 2, 2)
-    asym = (np.abs(stack[:, 0, 1] - stack[:, 1, 0])
-            > 1e-12 * (1.0 + np.abs(stack).max(axis=(1, 2))))
-    evals = np.linalg.eigvalsh(stack)
+    finite = np.isfinite(stack)
+    nonfinite = ~finite.all(axis=(1, 2))
+    # the later checks read the identity in place of a non-finite tensor
+    safe = np.where(nonfinite[:, None, None], np.eye(2), stack)
+    asym = (np.abs(safe[:, 0, 1] - safe[:, 1, 0])
+            > 1e-12 * (1.0 + np.abs(safe).max(axis=(1, 2))))
+    evals = np.linalg.eigvalsh(safe)
+
+    def nonfinite_entry(d):
+        i, j = np.argwhere(~finite[d])[0]
+        return f"tensor entry ({i}, {j}) is not finite: {stack[d, i, j]}"
+
     raise_first([
         (bad_shape, NotSPD, lambda d: "tensor must be a 2x2 matrix"),
+        (nonfinite, NotSPD, nonfinite_entry),
         (asym, NotSPD, lambda d: "tensor is not symmetric"),
         (evals[:, 0] <= 0.0, NotSPD,
          lambda d: f"tensor has nonpositive eigenvalue {evals[d, 0]:.3e}"),
@@ -128,9 +139,11 @@ class TensorSpec:
 
     @classmethod
     def rotated(cls, lam1, lam2, angle):
-        """R(angle) @ diag(lam1, lam2) @ R(angle).T"""
-        if lam1 <= 0 or lam2 <= 0:
-            raise NotSPD("rotated-diagonal eigenvalues must be positive")
+        """R(angle) @ diag(lam1, lam2) @ R(angle).T; diag(lam1, lam2) goes
+        through the SPD check, and the angle must be finite."""
+        _check_spd([np.diag([lam1, lam2])])
+        if not np.isfinite(angle):
+            raise NotSPD(f"rotation angle is not finite: {angle}")
         c, s = np.cos(angle), np.sin(angle)
         rot = np.array([[c, -s], [s, c]])
         mat = rot @ np.diag([float(lam1), float(lam2)]) @ rot.T

@@ -19,7 +19,6 @@ from .mesh import build_ddfv, gen_family
 from .operators import bracket, grad_diamond
 from .scheme import (
     Assembly,
-    Iterate,
     SchemeParams,
     StateRecord,
     energy,
@@ -205,10 +204,10 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     changing its time rows (``Assembly.next_step_vec``), so the comparison
     evaluates nothing; u^n is evaluated only when it is picked.
 
-    Each Newton iterate is evaluated once (``scheme.Iterate``): its
-    residual computes the parts of the scheme at it, and its Jacobian and,
-    for the accepted state, the dissipation and the penalization bracket
-    read the same parts.
+    Each Newton iterate is evaluated once: ``Assembly.system_vec``
+    returns its residual with a ``scheme.Iterate`` of the parts of the
+    scheme at it, and its Jacobian and, for the accepted state, the
+    dissipation and the penalization bracket read that Iterate.
 
     ``observe(record, u_vec)``, when given, is called once for step 0 and
     once after each accepted step, in order, with that step's StateRecord
@@ -236,28 +235,23 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     older = []      # up to two positive states before u_vec, newest first
     res = None      # F(u_vec; the state before it), from step 1 on
     for n in range(1, params.n_steps + 1):
-        fallback = fallback_l1 = None
+        fallback = None
         if n == 1:
             start = _seed_boundary_zeros(mesh, assembly, u_vec)
         elif older:
-            start, fallback = _extrapolate(u_vec, older), u_vec
-            fallback_l1 = float(np.abs(
-                assembly.next_step_vec(res, u_vec, older[0])).sum())
+            start = _extrapolate(u_vec, older)
+            fallback = (u_vec, float(np.abs(
+                assembly.next_step_vec(res, u_vec, older[0])).sum()))
         else:
             start = u_vec
 
-        def residual_fn(x):
-            it = Iterate(x)
-            return assembly.system_vec(it, u_vec), it
-
         u_next, stats = newton_solve(
-            residual_fn,
+            lambda x: assembly.system_vec(x, u_vec),
             assembly.system_jacobian,
             start,
             params.newton,
             linear_solver,
             fallback,
-            fallback_l1,
         )
         mass = bracket(mesh, DiscreteField(mesh, u_next), one)
         en = energy(mesh, u_next, v_vec)

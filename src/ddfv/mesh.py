@@ -671,12 +671,18 @@ def write_mesh(primal: PrimalMesh, path):
 def read_mesh(path) -> PrimalMesh:
     """Read a primal mesh written by ``write_mesh``.
 
-    Malformed content raises ParseError carrying the offending line number.
+    Malformed content raises ParseError carrying the offending line number,
+    non-ASCII content one naming the file.  The vertex count is checked
+    against the lines left before the vertex array is allocated.
     Once the whole file has parsed, clockwise cells are reoriented with a
     warning each, in cell order.
     """
-    with open(path, "r", encoding="ascii") as f:
-        raw = f.readlines()
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            raw = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not an ASCII text file (byte "
+                         f"{exc.object[exc.start]:#x})") from None
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(raw)
@@ -702,6 +708,9 @@ def read_mesh(path) -> PrimalMesh:
         raise ParseError("vertex count is not an integer", line=lineno) from None
     if n_verts < 0:
         raise ParseError("vertex count is negative", line=lineno)
+    if n_verts > len(lines) - pos:
+        raise ParseError(f"vertex count {n_verts} exceeds the number of "
+                         f"lines that follow ({len(lines) - pos})", line=lineno)
 
     vertices = np.empty((n_verts, 2))
     for i in range(n_verts):

@@ -14,10 +14,11 @@ form of the scheme exactly; mass conservation and free-energy decay follow.
 
 All hot-path routines work on packed vectors; ``Assembly`` caches the
 per-mesh index arrays and local matrices so time stepping only pays for
-value updates.  Each Newton iterate is evaluated once: an ``Iterate``
-carries log u, g, the per-diamond differences and the fluxes from the
-residual to the Jacobian at the same state and, for the accepted state, to
-the dissipation and the penalization bracket.
+value updates.  Each Newton iterate is evaluated once, by
+``Assembly.system_vec``: it returns the residual with an ``Iterate`` that
+carries log u, g, the per-diamond differences and the fluxes to the
+Jacobian at the same state and, for the accepted state, to the dissipation
+and the penalization bracket, which take only that Iterate.
 """
 
 import math
@@ -55,6 +56,8 @@ class SchemeParams:
             raise ValidationError("dt must be finite and positive")
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValidationError("t_final must be finite and positive")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValidationError("dt too small: t_final / dt is not finite")
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValidationError("kappa must be finite and nonnegative")
         if not 0.0 < self.beta < 2.0:
@@ -162,11 +165,6 @@ def project_initial(mesh, u0) -> DiscreteField:
 # --- energy, dissipation, stationary state -----------------------------
 
 
-def _packed(u):
-    """The packed vector of a DiscreteField, or the vector itself."""
-    return u.values if isinstance(u, DiscreteField) else u
-
-
 def _entropy(values):
     if values.min() < -1e-12:
         raise ValidationError(f"negative value {values.min():.3e} in entropy")
@@ -182,24 +180,20 @@ def _half_mass_dot(mesh, values):
                       values[mesh.n_cells + mesh.n_bnd:])))
 
 
-def energy(mesh, u, v_field) -> float:
-    """Free energy: entropy plus potential energy (0*log 0 taken as 0).
-
-    ``u`` and ``v_field`` are DiscreteFields or their packed vectors."""
-    u = _packed(u)
-    return _half_mass_dot(mesh, _entropy(u) + _packed(v_field) * u)
+def energy(mesh, u, v) -> float:
+    """Free energy of the packed state ``u`` in the packed potential ``v``:
+    entropy plus potential energy (0*log 0 taken as 0)."""
+    return _half_mass_dot(mesh, _entropy(u) + v * u)
 
 
 def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
-    """Energy gap to a positive reference state with matching mass.
-
-    ``u`` and ``u_inf`` are DiscreteFields or their packed vectors;
-    ``log_u_inf``, when given, is log(u_inf), which a caller comparing
-    many states with one reference computes once."""
-    u_inf = _packed(u_inf)
+    """Energy gap of the packed state ``u`` to a positive packed reference
+    state ``u_inf`` with matching mass.  ``log_u_inf``, when given, is
+    log(u_inf), which a caller comparing many states with one reference
+    computes once."""
     if log_u_inf is None:
         log_u_inf = np.log(u_inf)
-    uu = np.maximum(_packed(u), 0.0)
+    uu = np.maximum(u, 0.0)
     return _half_mass_dot(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
 
 
@@ -227,29 +221,26 @@ def stationary_state(mesh, v_field: DiscreteField, mass: float,
 
 class Iterate:
     """One Newton iterate: the packed state ``u`` and the parts of the
-    scheme at it, computed once.
+    scheme at it, computed once, by ``Assembly.system_vec``.
 
     ``logu`` and ``g`` = log u + V are nodal.  Per diamond, the rows of
-    the (2, n_diamonds) arrays ``d``, ``s`` and ``f`` are its primal and
-    dual parts: ``d`` the differences of g (cell k - cell l, vertex k -
-    vertex l), ``s`` = A d with the diamond's local matrix A, and the
-    fluxes ``f = rd * s``, where ``rd`` is the mean of u over the
-    diamond's four corners.  A quarter of ``s`` is the quarter flux per
-    unit of rd that the Jacobian reads.
-    ``Assembly.flux_parts`` computes them when the first of
-    ``Assembly.system_vec``, ``system_jacobian``, ``dissipation_vec`` and
-    ``penalty_bracket_vec`` reads the Iterate (in the time loop, the
-    residual), and every later reader reuses them, so a Newton iterate
-    costs one evaluation however many of them it needs.  The parts
-    describe ``u`` as it was at that first read; nothing tracks later
+    the (2, n_diamonds) arrays ``d`` and ``s`` are its primal and dual
+    parts: ``d`` the differences of g (cell k - cell l, vertex k - vertex
+    l) and ``s`` = A d with the diamond's local matrix A; ``rd`` is the
+    mean of u over the diamond's four corners, and the fluxes are rd * s.
+    A quarter of ``s`` is the quarter flux per unit of rd that the
+    Jacobian reads.  ``Assembly.system_jacobian``, ``dissipation_vec`` and
+    ``penalty_bracket_vec`` read these parts, so a Newton iterate costs
+    one evaluation however many of them it needs.  The parts describe
+    ``u`` as it was when ``system_vec`` evaluated it; nothing tracks later
     edits of ``u``.
     """
 
-    __slots__ = ("u", "logu", "g", "d", "rd", "s", "f")
+    __slots__ = ("u", "logu", "g", "d", "rd", "s")
 
-    def __init__(self, u):
-        self.u = u
-        self.rd = None      # parts not computed yet
+    def __init__(self, u, logu, g, d, rd, s):
+        self.u, self.logu, self.g = u, logu, g
+        self.d, self.rd, self.s = d, rd, s
 
 
 class Assembly:
@@ -262,8 +253,8 @@ class Assembly:
     every refinement level.  The divergence-form residual of the public API
     is the same vector scaled by the inverse row weights.
 
-    The evaluation methods take the state as an ``Iterate``, whose parts
-    they share, or as a packed vector, which they evaluate afresh.
+    ``system_vec`` evaluates a packed state into an ``Iterate``; the other
+    evaluation methods take that Iterate.
     """
 
     def __init__(self, mesh, params: SchemeParams):
@@ -403,44 +394,32 @@ class Assembly:
 
     # -- evaluation --
 
-    def flux_parts(self, it: Iterate) -> Iterate:
-        """Compute the parts of the Iterate ``it`` from its state."""
-        u = it.u
+    def system_vec(self, u, u_prev):
+        """Mass-scaled residual rows F(u; u_prev), the vector Newton drives
+        to zero, and the Iterate of the packed state ``u``, which the other
+        evaluations at ``u`` read."""
         if u.min() <= 0.0:
             raise NonPositiveState(
                 f"state has nonpositive entry {u.min():.3e}"
             )
-        it.logu = np.log(u)
-        it.g = it.logu + self.v_field.values
-        corner_g = it.g[self.corners]
-        it.d = d = corner_g[0::2] - corner_g[1::2]
+        logu = np.log(u)
+        g = logu + self.v_field.values
+        corner_g = g[self.corners]
+        d = corner_g[0::2] - corner_g[1::2]
         # the corners summed in order k, l, vk, vl
-        it.rd = rd = 0.25 * u[self.corners].sum(axis=0)
-        it.s = self.form_rows[0] * d[0] + self.form_rows[1] * d[1]
-        it.f = rd * it.s
-        return it
-
-    def _at(self, u) -> Iterate:
-        """The Iterate to read: ``u`` itself, its parts computed on this
-        first read, or a fresh one for a packed vector."""
-        it = u if isinstance(u, Iterate) else Iterate(u)
-        return it if it.rd is not None else self.flux_parts(it)
-
-    def system_vec(self, u, u_prev):
-        """Mass-scaled residual rows (the vector Newton drives to zero)."""
-        it = self._at(u)
-        weights = it.f[[0, 0, 1, 1]]
+        rd = 0.25 * u[self.corners].sum(axis=0)
+        s = self.form_rows[0] * d[0] + self.form_rows[1] * d[1]
+        weights = (rd * s)[[0, 0, 1, 1]]
         weights[1] *= self.coef_l
         weights[3] *= -1.0
         res = np.bincount(self.flux_rows, weights=weights.ravel(),
                           minlength=self.n)
-        res += self.time_coef * (it.u - u_prev)
+        res += self.time_coef * (u - u_prev)
         if self.params.kappa > 0.0:
-            g = it.g
             gap = self.pen_scale * self.ov_w * (g[self.ov_c] - g[self.ov_v])
             np.add.at(res, self.ov_c, gap)
             np.subtract.at(res, self.ov_v, gap)
-        return res
+        return res, Iterate(u, logu, g, d, rd, s)
 
     def next_step_vec(self, res, u, u_prev):
         """The residual F(u; u) of the step after the one that accepted
@@ -450,9 +429,8 @@ class Assembly:
         size of the time term."""
         return res - self.time_coef * (u - u_prev)
 
-    def system_jacobian(self, u):
-        """Analytic Jacobian of the mass-scaled rows (CSR)."""
-        it = self._at(u)
+    def system_jacobian(self, it: Iterate):
+        """Analytic Jacobian of the mass-scaled rows (CSR) at ``it``."""
         nd = len(it.rd)
         inv = 1.0 / it.u
         parts = np.empty(self.jac_map.shape[1])
@@ -472,17 +450,16 @@ class Assembly:
             shape=(self.n, self.n),
         )
 
-    def dissipation_vec(self, u):
-        """Entropy production and its diagonal-form counterpart."""
-        it = self._at(u)
+    def dissipation_vec(self, it: Iterate):
+        """Entropy production and its diagonal-form counterpart at ``it``."""
         diss = float(it.rd.dot(self.mats.quad_a(*it.d)))
         corner_logu = it.logu[self.corners]
         diss_hat = float(it.rd.dot(
             self.mats.quad_b(*(corner_logu[0::2] - corner_logu[1::2]))))
         return diss, diss_hat
 
-    def penalty_bracket_vec(self, u):
-        g = DiscreteField(self.mesh, self._at(u).g)
+    def penalty_bracket_vec(self, it: Iterate):
+        g = DiscreteField(self.mesh, it.g)
         return penalization_bracket(self.mesh, g, g, self.params.beta)
 
 
@@ -495,15 +472,16 @@ def residual(mesh, params: SchemeParams, u_prev: DiscreteField,
     interior and dual rows, the full edge-flux closure on boundary rows
     (Newton's mass-scaled rows times ``Assembly.inv_weight``)."""
     assembly = assembly or Assembly(mesh, params)
-    return DiscreteField(
-        mesh, assembly.inv_weight * assembly.system_vec(u.values, u_prev.values))
+    res, _ = assembly.system_vec(u.values, u_prev.values)
+    return DiscreteField(mesh, assembly.inv_weight * res)
 
 
 def jacobian(mesh, params: SchemeParams, u_prev: DiscreteField,
              u: DiscreteField, assembly: Assembly | None = None):
     """Analytic Jacobian of the residual as a CSR matrix."""
     assembly = assembly or Assembly(mesh, params)
-    jac = assembly.system_jacobian(u.values)
+    _, it = assembly.system_vec(u.values, u_prev.values)
+    jac = assembly.system_jacobian(it)
     # scaling the values in place keeps the pattern, explicit zeros included
     jac.data *= np.repeat(assembly.inv_weight, np.diff(jac.indptr))
     return jac

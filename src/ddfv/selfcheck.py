@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .fields import DiscreteField, TensorSpec
 from .mesh import build_ddfv, gen_kershaw, gen_quad_fvca, gen_uniform_quad
 from .operators import (
@@ -225,5 +226,7 @@ CHECKS = [
 
 
 def run_property_checks(seed: int = 0):
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     return [check(rng) for check in CHECKS]

@@ -72,8 +72,8 @@ Newton is undamped by default and backtracks only to keep every iterate
 strictly positive.  It evaluates each iterate once: ``residual_fn``
 returns the residual together with the state the caller evaluated, and
 ``jacobian_fn`` reads that state.  The start-value guard compares the
-start's l1 residual with the fallback's, which the caller may supply; then
-the fallback is evaluated only when the guard picks it.
+start's l1 residual with the fallback's, which the caller supplies with
+the fallback, so the fallback is evaluated only when the guard picks it.
 """
 
 import math
@@ -328,8 +328,7 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
 
 
 def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
-                 linear_solver: LinearSolver | None = None, fallback=None,
-                 fallback_l1=None):
+                 linear_solver: LinearSolver | None = None, fallback=None):
     """Solve F(u) = 0 starting from max(u_init, floor).
 
     ``residual_fn(u)`` returns the pair (F(u), state), where ``state`` is
@@ -338,12 +337,11 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
     is evaluated once, for its residual and, while Newton goes on, for its
     Jacobian.
 
-    With ``fallback``, Newton starts from max(fallback, floor) instead
-    when that has the strictly smaller l1 residual (or u_init's is NaN).
-    ``fallback_l1``, when the caller knows it, is the fallback's l1
-    residual; then the fallback is evaluated only when it is picked.
-    Without it, residual_fn runs on the fallback for the comparison.
-    Every iterate is kept
+    ``fallback``, when given, is the pair (values, l1): another start
+    value and the l1 norm of its residual.  Newton starts from
+    max(values, floor) instead when l1 is strictly smaller than the
+    start's l1 residual (or that is NaN); the fallback is evaluated only
+    then.  Every iterate is kept
     strictly positive by halving the update; the returned stats record
     whether the initialization floor changed any component of the chosen
     start, how many LU factorizations the solve made, and the residual
@@ -366,12 +364,9 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
 
     u, res, state, l1, floor_activated = start(u_init)
     if fallback is not None:
-        other = None
-        if fallback_l1 is None:
-            other = start(fallback)
-            fallback_l1 = other[3]
-        if fallback_l1 < l1 or math.isnan(l1):
-            u, res, state, l1, floor_activated = other or start(fallback)
+        other, other_l1 = fallback
+        if other_l1 < l1 or math.isnan(l1):
+            u, res, state, l1, floor_activated = start(other)
 
     backtracks_total = 0
     history = [l1]

@@ -75,9 +75,9 @@ def test_criterion_2_stationary_fixed_point():
                           potential=lambda x: -x[1])
     asm = Assembly(mesh, params)
     u_inf = stationary_state(mesh, asm.v_field, mass=2.0)
-    res_l1 = float(np.abs(asm.system_vec(u_inf.values, u_inf.values)).sum())
+    res_l1 = float(np.abs(asm.system_vec(u_inf.values, u_inf.values)[0]).sum())
     _, stats = newton_solve(
-        lambda x: (asm.system_vec(x, u_inf.values), x),
+        lambda x: asm.system_vec(x, u_inf.values),
         asm.system_jacobian, u_inf.values, params.newton,
     )
     ok = res_l1 < 1e-10 and stats.iterations <= 1 and stats.residual_l1 < 1e-10
@@ -177,7 +177,8 @@ def test_criterion_8_kershaw_family(kershaw_study):
                    for a, b in zip(energies, energies[1:]))
     asm = Assembly(mesh, params)
     u_inf = stationary_state(mesh, asm.v_field, mass=2.0)
-    fixed_pt = float(np.abs(asm.system_vec(u_inf.values, u_inf.values)).sum())
+    fixed_pt = float(np.abs(
+        asm.system_vec(u_inf.values, u_inf.values)[0]).sum())
 
     positive = min(r.min_u for r in kershaw_study) > 0.0
     ok = (orders_ok and drift <= 1e-11 and decay_ok and fixed_pt < 1e-10

@@ -49,6 +49,17 @@ def test_mesh_gen_leaves_no_file_for_a_rejected_mesh(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "primal and dual edges do not cross" in err
     assert not (tmp_path / "kershaw_4.mesh").exists()
+    # a rejected --lam is parsed before the mesh is written
+    run_cli(capsys, "mesh", "gen", "--n", "3", "--out", str(tmp_path / "src"))
+    source = str(tmp_path / "src" / "quad_3.mesh")
+    out_dir = tmp_path / "out"
+    for argv in (["mesh", "gen", "--n", "3", "--lam", "wat"],
+                 ["mesh", "gen", "--n", "3", "--lam", "diag:1,-1"],
+                 ["mesh", "convert", "--mesh", source, "--lam", "wat"]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert not out_dir.exists(), argv
 
 
 def test_mesh_convert_round_trip(tmp_path, capsys):
@@ -100,6 +111,47 @@ def test_mesh_actions_read_only_their_own_settings(tmp_path, capsys,
     assert err == f"error: {cfg}:2: mesh inspect has no setting 'n'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inspect.cfg",
                                                           "quad_3.mesh"]
+
+
+# command, stderr prefix, files it leaves
+FILE_AND_VALUE_ERRORS = [
+    ("check --seed -1", "error: seed must be nonnegative", []),
+    ("mesh inspect --mesh adir", "error: [Errno", []),
+    ("mesh inspect --mesh ff.bin",
+     "error: ff.bin: not an ASCII text file (byte 0xff)", []),
+    ("mesh inspect --mesh huge.mesh",
+     "error: line 1: vertex count 1000000000000000 exceeds", []),
+    ("run --config adir", "error: [Errno", []),
+    ("run --config ff.bin", "error: ff.bin: not a text file (byte 0xff)", []),
+    ("run --out afile/sub", "error: [Errno", []),
+    # run echoes its settings before it reads them
+    ("run --n 2 --lam rotated:1,1,nan",
+     "error: rotation angle is not finite: nan", ["effective_config"]),
+    ("run --n 2 --lam matrix:1,0,inf",
+     "error: tensor entry (1, 1) is not finite: inf", ["effective_config"]),
+    ("run --n 2 --lam rotated:inf,1,0",
+     "error: tensor entry (0, 0) is not finite: inf", ["effective_config"]),
+    ("run --n 2 --lam diag:nan,1",
+     "error: tensor entry (0, 0) is not finite: nan", ["effective_config"]),
+    ("run --n 2 --dt 1e-320", "error: dt too small", ["effective_config"]),
+]
+
+
+@pytest.mark.parametrize("argv, prefix, left", FILE_AND_VALUE_ERRORS,
+                         ids=[row[0] for row in FILE_AND_VALUE_ERRORS])
+def test_file_and_value_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
+                                      prefix, left):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "ff.bin").write_bytes(b"\xff\n")
+    (tmp_path / "afile").write_text("a regular file\n")
+    (tmp_path / "huge.mesh").write_text("vertices 1000000000000000\n0 0\n")
+    inputs = {p.name for p in tmp_path.iterdir()}
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()
+                  if p.name not in inputs) == left
 
 
 # --- settings a command does not read ------------------------------------------

@@ -52,6 +52,16 @@ def test_tensor_rejects_non_spd():
         TensorSpec.rotated(-1.0, 2.0, 0.0)
 
 
+def test_tensor_rejects_non_finite_entries(quad5):
+    with pytest.raises(NotSPD, match=r"entry \(0, 1\) is not finite: nan"):
+        TensorSpec.constant(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    spec = TensorSpec.from_callable(lambda x: np.diag([1.0, np.inf]))
+    with pytest.raises(NotSPD, match=r"entry \(1, 1\) is not finite: inf"):
+        spec.on_diamonds(quad5)
+    with pytest.raises(NotSPD, match="angle is not finite: inf"):
+        TensorSpec.rotated(1.0, 2.0, np.inf)
+
+
 def test_tensor_parse():
     assert TensorSpec.parse("identity").kind == "identity"
     d = TensorSpec.parse("diag:1,1e-2")

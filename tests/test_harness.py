@@ -246,9 +246,8 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
     calls = []
     newton = hm.newton_solve
 
-    def spy(residual_fn, jacobian_fn, u_init, config, solver, fallback,
-            fallback_l1):
-        calls.append((u_init, fallback))
+    def spy(residual_fn, jacobian_fn, u_init, config, solver, fallback):
+        calls.append((u_init, fallback and fallback[0]))
         return newton(residual_fn, jacobian_fn, u_init, config, solver,
                       fallback)
 
@@ -294,16 +293,24 @@ def test_extrapolated_start_keeps_large_steps_cheap(quad8):
 
 
 def test_each_newton_iterate_is_evaluated_once(quad8, monkeypatch):
-    # one flux evaluation per residual, one residual per Newton iterate
-    # plus each step's start value (the guard derives u^n's residual), and
-    # one Jacobian per Newton iteration
-    calls = dict.fromkeys(("flux_parts", "system_vec", "system_jacobian"), 0)
-    for name in calls:
+    # one flux evaluation (an Iterate) per residual, one residual per
+    # Newton iterate plus each step's start value (the guard derives u^n's
+    # residual), and one Jacobian per Newton iteration
+    import ddfv.scheme as scheme
+
+    calls = dict.fromkeys(("Iterate", "system_vec", "system_jacobian"), 0)
+    for name in ("system_vec", "system_jacobian"):
         def counted(self, *args, _name=name, _method=getattr(Assembly, name)):
             calls[_name] += 1
             return _method(self, *args)
 
         monkeypatch.setattr(Assembly, name, counted)
+
+    def counted_iterate(*args, _cls=scheme.Iterate):
+        calls["Iterate"] += 1
+        return _cls(*args)
+
+    monkeypatch.setattr(scheme, "Iterate", counted_iterate)
     case = exact_decay_case()
     params = SchemeParams(dt=1e-3, t_final=0.2, kappa=0.1,
                           potential=case.potential)
@@ -311,7 +318,7 @@ def test_each_newton_iterate_is_evaluated_once(quad8, monkeypatch):
     steps = len(result.records) - 1
     newton = sum(r.newton_iterations for r in result.records)
     assert steps == 200
-    assert calls["flux_parts"] == calls["system_vec"]
+    assert calls["Iterate"] == calls["system_vec"]
     assert calls["system_vec"] == newton + steps
     assert calls["system_jacobian"] == newton
 

@@ -1,11 +1,12 @@
 """Property tests over sampled configurations of the scheme.
 
-One evaluation of an ``Iterate`` is shared by the residual, the Jacobian,
-the dissipation and the penalization bracket of a Newton iterate, and the
-residual guard of the time loop derives F(u^n; u^n) from F(u^n; u^{n-1})
-instead of evaluating it.  Both must give the numbers of fresh, independent
-evaluations, on every configuration the CLI accepts: any SPD tensor, kappa
-in [0, 10], beta in (0, 2), distorted quad and kershaw meshes.
+One evaluation of a Newton iterate, the ``Iterate`` that the residual
+returns, is shared by the Jacobian, the dissipation and the penalization
+bracket at that iterate, and the residual guard of the time loop derives
+F(u^n; u^n) from F(u^n; u^{n-1}) instead of evaluating it.  Both must give
+the numbers of fresh, independent evaluations, on every configuration the
+CLI accepts: any SPD tensor, kappa in [0, 10], beta in (0, 2), distorted
+quad and kershaw meshes.
 """
 
 import numpy as np
@@ -62,22 +63,29 @@ def _jacobian_parts(jac):
 def test_shared_iterate_matches_fresh_evaluations(config):
     mesh, params, u, u_prev = config
     asm = Assembly(mesh, params)
-    it = Iterate(u)
-    shared = (asm.system_vec(it, u_prev), asm.system_jacobian(it),
+    res, it = asm.system_vec(u, u_prev)
+    shared = (res, asm.system_jacobian(it),
               asm.dissipation_vec(it), asm.penalty_bracket_vec(it))
     # fresh evaluations, each from its own copy of u on another Assembly
     other = Assembly(mesh, params)
-    fresh = (other.system_vec(u.copy(), u_prev),
-             other.system_jacobian(u.copy()),
-             other.dissipation_vec(u.copy()),
-             other.penalty_bracket_vec(u.copy()))
+
+    def fresh_iterate():
+        return other.system_vec(u.copy(), u_prev)[1]
+
+    fresh = (other.system_vec(u.copy(), u_prev)[0],
+             other.system_jacobian(fresh_iterate()),
+             other.dissipation_vec(fresh_iterate()),
+             other.penalty_bracket_vec(fresh_iterate()))
     assert np.array_equal(shared[0], fresh[0])
     for a, b in zip(_jacobian_parts(shared[1]), _jacobian_parts(fresh[1])):
         assert np.array_equal(a, b)
     assert shared[2] == fresh[2]
     assert shared[3] == fresh[3]
     # the shared evaluation is unchanged by its readers
-    assert np.array_equal(asm.system_vec(it, u_prev), shared[0])
+    assert np.array_equal(asm.system_vec(it.u, u_prev)[0], shared[0])
+    unread = fresh_iterate()
+    assert all(np.array_equal(getattr(it, part), getattr(unread, part))
+               for part in Iterate.__slots__)
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,7 +93,7 @@ def test_shared_iterate_matches_fresh_evaluations(config):
 def test_derived_guard_residual_matches_a_fresh_one(config):
     mesh, params, u, u_prev = config
     asm = Assembly(mesh, params)
-    derived = asm.next_step_vec(asm.system_vec(u, u_prev), u, u_prev)
-    fresh = asm.system_vec(u, u)
+    derived = asm.next_step_vec(asm.system_vec(u, u_prev)[0], u, u_prev)
+    fresh = asm.system_vec(u, u)[0]
     gap = np.abs(derived - fresh).sum()
     assert gap <= 1e-14 * np.abs(fresh).sum()

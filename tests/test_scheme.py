@@ -246,7 +246,7 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
     for _ in range(2):
         u = 0.5 + rng.random(kershaw8.n_values)
         ref = _coo_system_jacobian(asm, u)
-        jac = asm.system_jacobian(u)
+        jac = asm.system_jacobian(asm.system_vec(u, u)[1])
         assert jac.has_canonical_format
         # duplicate entries (at most a dozen terms each) may be summed in
         # another order: allow 16 ulps of the largest entry in the row
@@ -260,22 +260,23 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
         # the cached pattern survives in-place edits of a returned matrix
         jac.data[:] = 0.0
         jac.eliminate_zeros()
-    assert (abs(asm.system_jacobian(u) - ref).toarray() <= tol).all()
+    assert (abs(asm.system_jacobian(asm.system_vec(u, u)[1]) - ref).toarray()
+            <= tol).all()
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.1])
 def test_jacobian_does_not_alias_assembly_buffers(kappa, quad5, rng):
     asm = Assembly(quad5, _params(dt=0.05, kappa=kappa, potential=lambda x: x[0]))
     u1, u2 = (0.5 + rng.random(quad5.n_values) for _ in range(2))
-    j1 = asm.system_jacobian(u1)
+    j1 = asm.system_jacobian(asm.system_vec(u1, u1)[1])
     kept1 = j1.copy()
-    j2 = asm.system_jacobian(u2)
+    j2 = asm.system_jacobian(asm.system_vec(u2, u2)[1])
     kept2 = j2.copy()
     assert (j1 != j2).nnz > 0
     assert (j1 != kept1).nnz == 0
     j2.data[:] = -1.0
     assert (j1 != kept1).nnz == 0
-    assert (asm.system_jacobian(u2) != kept2).nnz == 0
+    assert (asm.system_jacobian(asm.system_vec(u2, u2)[1]) != kept2).nnz == 0
 
 
 def test_jacobian_row_sums_at_constant_state(quad5):
@@ -306,9 +307,10 @@ def test_jacobian_sparsity_structurally_symmetric(quad5, rng):
 def test_energy_reference_values(quad5):
     zero_v = DiscreteField.zeros(quad5)
     one = DiscreteField.full(quad5, 1.0)
-    assert energy(quad5, one, zero_v) == pytest.approx(0.0, abs=1e-14)
+    assert energy(quad5, one.values, zero_v.values) == pytest.approx(
+        0.0, abs=1e-14)
     ue = DiscreteField.full(quad5, math.e)
-    assert energy(quad5, ue, zero_v) == pytest.approx(
+    assert energy(quad5, ue.values, zero_v.values) == pytest.approx(
         quad5.domain_area, rel=1e-13)
 
 
@@ -316,21 +318,23 @@ def test_energy_accepts_zeros(quad5):
     zero_v = DiscreteField.zeros(quad5)
     u = DiscreteField.zeros(quad5)
     # H(0) = 1 with 0*log(0) = 0
-    assert energy(quad5, u, zero_v) == pytest.approx(
+    assert energy(quad5, u.values, zero_v.values) == pytest.approx(
         quad5.domain_area, rel=1e-13)
 
 
 def test_relative_energy_zero_at_reference(quad8):
     v = project_potential(quad8, lambda x: -x[1])
     u_inf = stationary_state(quad8, v, mass=1.7)
-    assert relative_energy(quad8, u_inf, u_inf) == pytest.approx(0.0, abs=1e-13)
+    assert relative_energy(quad8, u_inf.values, u_inf.values) == pytest.approx(
+        0.0, abs=1e-13)
 
 
 def test_dissipation_zero_at_stationary_state(quad8):
     params = _params(dt=1e-2, potential=lambda x: -x[1])
     asm = Assembly(quad8, params)
     u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
-    diss, diss_hat = asm.dissipation_vec(u_inf.values)
+    diss, diss_hat = asm.dissipation_vec(
+        asm.system_vec(u_inf.values, u_inf.values)[1])
     assert abs(diss) < 1e-24
     assert diss_hat > 0.0  # log u alone is not piecewise constant here
 
@@ -338,7 +342,8 @@ def test_dissipation_zero_at_stationary_state(quad8):
 def test_dissipation_hat_zero_at_constant(quad5):
     params = _params(dt=1e-2)
     u = DiscreteField.full(quad5, 2.5)
-    diss, diss_hat = Assembly(quad5, params).dissipation_vec(u.values)
+    asm = Assembly(quad5, params)
+    diss, diss_hat = asm.dissipation_vec(asm.system_vec(u.values, u.values)[1])
     assert abs(diss) < 1e-28 and abs(diss_hat) < 1e-28
 
 
@@ -359,7 +364,7 @@ def test_dissipation_sandwich(quad8, rng):
     vk, vl = off + quad8.dia_vert_k, off + quad8.dia_vert_l
     for _ in range(20):
         u = _positive_field(quad8, rng)
-        diss, _ = asm.dissipation_vec(u.values)
+        diss, _ = asm.dissipation_vec(asm.system_vec(u.values, u.values)[1])
         g = np.log(u.values) + asm.v_field.values
         # diagonal differences of g and the corner mean of u per diamond
         dg1, dg2 = g[ck] - g[cl], g[vk] - g[vl]

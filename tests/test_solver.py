@@ -78,8 +78,9 @@ def _jacobians(mesh, rng, count, spread):
                           potential=lambda x: -x[1])
     asm = Assembly(mesh, params)
     base = 0.5 + rng.random(mesh.n_values)
-    return [asm.system_jacobian(base * (1.0 + spread * rng.random(mesh.n_values)))
-            for _ in range(count)]
+    states = [base * (1.0 + spread * rng.random(mesh.n_values))
+              for _ in range(count)]
+    return [asm.system_jacobian(asm.system_vec(u, u)[1]) for u in states]
 
 
 def test_linear_solver_matches_direct_oracle(quad8, rng):
@@ -148,7 +149,8 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
     solves = served = last = 0
     refreshed_by_rule = []
     for k in range(40):
-        a = asm.system_jacobian(base * np.exp(2e-3 * k * w))
+        u = base * np.exp(2e-3 * k * w)
+        a = asm.system_jacobian(asm.system_vec(u, u)[1])
         before = solver.factorizations, solver.krylov_iterations
         x = linear_solve(a, b, solver)
         refreshed = solver.factorizations - before[0]
@@ -211,7 +213,7 @@ def test_factor_fill_below_partial_pivoting():
     params = SchemeParams(dt=1e-3, t_final=1e-3, potential=case.potential)
     asm = Assembly(mesh, params)
     u = _seed_boundary_zeros(mesh, asm, project_initial(mesh, case.u0).values)
-    jac = asm.system_jacobian(u)
+    jac = asm.system_jacobian(asm.system_vec(u, u)[1])
     row_max = abs(jac).max(axis=1).toarray().ravel()
     scaled = (sp.diags(1.0 / row_max) @ jac).tocsr()
     factor = LinearSolver().refactor(scaled, row_max)
@@ -280,13 +282,20 @@ def test_newton_starts_from_the_fallback_with_smaller_residual():
     root = np.array([1.0, 2.0, 0.5])
     res, jac = _scalar_system(root)
     far = np.full(3, 3.0)
-    u, stats = newton_solve(res, jac, far, NewtonConfig(), fallback=root)
+
+    def l1(u):
+        return float(np.abs(res(u)[0]).sum())
+
+    u, stats = newton_solve(res, jac, far, NewtonConfig(),
+                            fallback=(root, l1(root)))
     assert stats.iterations == 0 and np.array_equal(u, root)
     # the start value wins ties and keeps its own iterates
-    u, stats = newton_solve(res, jac, root, NewtonConfig(), fallback=root)
+    u, stats = newton_solve(res, jac, root, NewtonConfig(),
+                            fallback=(root, l1(root)))
     assert stats.iterations == 0
     ref = newton_solve(res, jac, 1.1 * root, NewtonConfig())
-    u, stats = newton_solve(res, jac, 1.1 * root, NewtonConfig(), fallback=far)
+    u, stats = newton_solve(res, jac, 1.1 * root, NewtonConfig(),
+                            fallback=(far, l1(far)))
     assert np.array_equal(u, ref[0])
     assert stats.residual_history == ref[1].residual_history
 
@@ -319,7 +328,7 @@ def test_newton_from_stationary_state_zero_iterations(quad8):
     asm = Assembly(quad8, params)
     u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
     u, stats = newton_solve(
-        lambda x: (asm.system_vec(x, u_inf.values), x),
+        lambda x: asm.system_vec(x, u_inf.values),
         asm.system_jacobian, u_inf.values, params.newton,
     )
     assert stats.iterations <= 1
@@ -333,7 +342,7 @@ def test_newton_deterministic(quad8, rng):
 
     def solve():
         return newton_solve(
-            lambda x: (asm.system_vec(x, u_prev), x),
+            lambda x: asm.system_vec(x, u_prev),
             asm.system_jacobian, u_prev, params.newton,
         )[0]
 
