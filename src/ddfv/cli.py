@@ -5,9 +5,10 @@ Commands: mesh (gen | inspect | convert), run, converge, longtime, check.
 names the settings each command (each mesh action on its own) reads.  A
 command accepts exactly these, as ``--flag`` or as a key of an optional
 flat ``key = value`` config file (``--config``; flags override the file);
-any other flag or key is a config error.  run, converge and longtime echo
-their settings to ``effective_config`` in the output directory, so a run
-can be reproduced bit-identically from it.
+any other flag or key is a config error.  run, converge and longtime check
+their settings first and then echo them to ``effective_config`` in the
+output directory, so a run can be reproduced bit-identically from it and a
+config error leaves no file.
 
 Exit codes: 0 ok, 2 config/mesh/file error, 3 solver failure, 4 property
 failure.
@@ -215,8 +216,6 @@ def _trace_csv(records):
 
 def cmd_run(args):
     cfg = effective_config(args)
-    out = _out_dir(cfg)
-    write_effective_config(cfg, out)
     mesh = _load_mesh(cfg)
     case = _case(cfg)
     params = SchemeParams(
@@ -224,6 +223,8 @@ def cmd_run(args):
         beta=cfg["beta"], lam=case.lam, potential=case.potential,
         newton=_newton(cfg),
     )
+    out = _out_dir(cfg)
+    write_effective_config(cfg, out)
     u0 = project_initial(mesh, case.u0)
     result = harness.simulate(mesh, params, u0)
     (out / "trace.csv").write_text(_trace_csv(result.records))
@@ -241,14 +242,14 @@ def cmd_run(args):
 
 def cmd_converge(args):
     cfg = effective_config(args)
+    case, newton = _case(cfg), _newton(cfg)
+    study = dict(case=case, family=cfg["family"], levels=cfg["levels"],
+                 n0=cfg["n0"], dt0=cfg["dt0"], kappa=cfg["kappa"],
+                 beta=cfg["beta"], family_kwargs=_family_kwargs(cfg))
+    harness.check_convergence(**study)
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
-    rows = harness.convergence_study(
-        _case(cfg), cfg["family"], cfg["levels"], n0=cfg["n0"],
-        dt0=cfg["dt0"], kappa=cfg["kappa"], beta=cfg["beta"],
-        newton=_newton(cfg),
-        family_kwargs=_family_kwargs(cfg),
-    )
+    rows = harness.convergence_study(newton=newton, **study)
     (out / "convergence.csv").write_text(harness.rows_to_csv(rows))
     print(harness.rows_to_text(rows), end="")
     return EXIT_OK
@@ -256,13 +257,18 @@ def cmd_converge(args):
 
 def cmd_longtime(args):
     cfg = effective_config(args)
+    mesh = _load_mesh(cfg)
+    case, newton = _case(cfg), _newton(cfg)
+    t_final = cfg["tfinal"] if cfg["tfinal"] is not None else 2.0
+    # longtime_study builds these parameters itself; built here first,
+    # they are checked before --out is made.
+    SchemeParams(dt=cfg["dt"], t_final=t_final, kappa=cfg["kappa"],
+                 beta=cfg["beta"])
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
-    mesh = _load_mesh(cfg)
-    t_final = cfg["tfinal"] if cfg["tfinal"] is not None else 2.0
     result = harness.longtime_study(
-        _case(cfg), mesh, cfg["dt"], t_final, kappa=cfg["kappa"],
-        beta=cfg["beta"], newton=_newton(cfg),
+        case, mesh, cfg["dt"], t_final, kappa=cfg["kappa"],
+        beta=cfg["beta"], newton=newton,
     )
     (out / "energy_decay.csv").write_text(result.to_csv())
     if args.plot_script:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ValidationError
 from .fields import DiscreteField, TensorSpec
-from .mesh import build_ddfv, gen_family
+from .mesh import build_ddfv, family_map, gen_family
 from .operators import bracket, grad_diamond
 from .scheme import (
     Assembly,
@@ -419,6 +419,21 @@ def observed_order(prev_err, err, prev_h, h):
     return math.log(prev_err / err) / math.log(prev_h / h)
 
 
+def check_convergence(case: TestCase, family: str, levels: int,
+                      n0: int = 8, dt0: float = 4e-3,
+                      kappa: float = 0.0, beta: float = 1.0,
+                      family_kwargs=None):
+    """Raise what ``convergence_study`` would raise before its level 0
+    runs (the level count, a case without an exact solution, the mesh
+    family's arguments at n0, level 0's parameters), building nothing."""
+    if levels < 1:
+        raise ValidationError("levels must be >= 1")
+    if case.u_exact is None:
+        raise ValidationError("convergence study needs a case with an exact solution")
+    family_map(family, n0, **(family_kwargs or {}))
+    SchemeParams(dt=dt0, t_final=case.t_final, kappa=kappa, beta=beta)
+
+
 def convergence_study(case: TestCase, family: str, levels: int,
                       n0: int = 8, dt0: float = 4e-3,
                       kappa: float = 0.0, beta: float = 1.0,
@@ -427,10 +442,8 @@ def convergence_study(case: TestCase, family: str, levels: int,
 
     Error orders come from mesh-size ratios; the first row has no orders.
     """
-    if levels < 1:
-        raise ValidationError("levels must be >= 1")
-    if case.u_exact is None:
-        raise ValidationError("convergence study needs a case with an exact solution")
+    check_convergence(case, family, levels, n0, dt0, kappa, beta,
+                      family_kwargs)
     family_kwargs = family_kwargs or {}
     rows = []
     prev = None

@@ -6,6 +6,9 @@ diamond mesh with one quadrilateral per edge (degenerating to a triangle on
 the boundary).  ``build_ddfv`` assembles all three together with the
 geometric quantities the scheme needs: edge lengths, unit normals/tangents,
 diamond areas, quarter-diamond splits and cell/dual-cell overlap areas.
+``PrimalMesh`` keeps its cells only as flat loop arrays.  The generators
+distort a uniform grid by a family's vertex map; ``family_map`` checks a
+family's arguments and returns that map without making the grid.
 
 Conventions per diamond (one per primal edge):
 
@@ -20,6 +23,7 @@ Conventions per diamond (one per primal edge):
   (dual_edge_normal, dual_edge_tangent) are direct orthonormal bases.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,19 +38,39 @@ from .errors import (
     ValidationError,
     raise_first,
 )
-from .geometry import cross2, triangle_area
 
 _SIN_TOL = 1e-10
 _PARAM_TOL = 1e-12
 
 
-def _loop_next(loop_vert, sizes):
-    """The vertex after each entry of back-to-back loops of the given
-    sizes, wrapping around at the end of each loop."""
-    ends = np.cumsum(sizes)
-    full = sizes > 0
+def cross2(a, b):
+    """z-component of the 2D cross product a x b."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def triangle_area(a, b, c):
+    """Unsigned area of the triangle (a, b, c)."""
+    a = np.asarray(a, dtype=float)
+    return 0.5 * abs(cross2(np.asarray(b) - a, np.asarray(c) - a))
+
+
+def _flatten(cells):
+    """A sequence of vertex-index loops as one array of the loops back to
+    back, and the offset of each loop in it followed by the total length."""
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    loop_start = np.concatenate([[0], np.cumsum(sizes)])
+    loop_vert = np.fromiter(itertools.chain.from_iterable(cells),
+                            dtype=np.int64, count=int(loop_start[-1]))
+    return loop_vert, loop_start
+
+
+def _loop_next(loop_vert, loop_start):
+    """The vertex after each entry of back-to-back loops starting at the
+    given offsets, wrapping around at the end of each loop."""
+    starts, ends = loop_start[:-1], loop_start[1:]
+    full = ends > starts
     nxt = np.arange(1, len(loop_vert) + 1)
-    nxt[ends[full] - 1] = (ends - sizes)[full]
+    nxt[ends[full] - 1] = starts[full]
     return loop_vert[nxt]
 
 
@@ -76,11 +100,13 @@ def _signed_areas(vertices, loop_vert, loop_next, loop_cell, n_cells):
 class PrimalMesh:
     """Polygonal partition of a connected 2D domain.
 
-    Cells are vertex-index loops in counterclockwise order.  Besides the
-    list ``cells``, the loops are stored back to back in ``loop_vert``;
-    ``loop_cell`` names the cell owning each entry and ``loop_next`` the
-    vertex after it, so entry i starts the directed edge
-    (loop_vert[i], loop_next[i]).
+    Cells are vertex-index loops in counterclockwise order, given as a
+    sequence of sequences of vertex indices and stored only as arrays: the
+    loops back to back in ``loop_vert``, cell c's entries at
+    ``loop_start[c]:loop_start[c + 1]``.  ``loop_cell`` names the cell
+    owning each entry and ``loop_next`` the vertex after it, so entry i
+    starts the directed edge (loop_vert[i], loop_next[i]).  ``cells``
+    derives the loops as lists of ints from these arrays.
 
     Edges are numbered in discovery order, the order in which a walk over
     the cells' loops first meets them.  ``edges`` holds each edge's sorted
@@ -97,14 +123,12 @@ class PrimalMesh:
         if bad.any():
             raise ValidationError(
                 f"vertex {int(np.argmax(bad))} has a non-finite coordinate")
-        self.cells = [list(map(int, c)) for c in cells]
-        if not self.cells:
+        if not len(cells):
             raise ValidationError("mesh has no cells")
-        sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
-        self.loop_vert = np.array(
-            [v for loop in self.cells for v in loop], dtype=np.int64)
+        self.loop_vert, self.loop_start = _flatten(cells)
+        sizes = np.diff(self.loop_start)
         self.loop_cell = np.repeat(np.arange(len(sizes)), sizes)
-        self.loop_next = _loop_next(self.loop_vert, sizes)
+        self.loop_next = _loop_next(self.loop_vert, self.loop_start)
         self._check_cells(sizes)
         self._build_edges()
 
@@ -194,7 +218,13 @@ class PrimalMesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self.loop_start) - 1
+
+    @property
+    def cells(self):
+        """The vertex loops as lists of ints, in cell order."""
+        flat, bounds = self.loop_vert.tolist(), self.loop_start.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -273,35 +303,6 @@ class DDFVMesh:
     def primal_centers(self):
         """Interior cell centroids stacked with boundary-edge midpoints."""
         return np.vstack([self.cell_centers, self.bnd_centers])
-
-    def dual_polygon(self, v):
-        """Vertex loop of dual cell ``v``: surrounding centers sorted by angle
-        around the vertex, plus the vertex itself and the adjacent
-        boundary-edge midpoints when the vertex lies on the boundary."""
-        x0 = self.primal.vertices[v]
-        pts = []
-        for d in range(self.n_diamonds):
-            for vert, cells in (
-                (self.dia_vert_k[d], (self.dia_cell_k[d], self.dia_cell_l[d])),
-                (self.dia_vert_l[d], (self.dia_cell_k[d], self.dia_cell_l[d])),
-            ):
-                if vert == v:
-                    for g in cells:
-                        pts.append(tuple(self.primal_centers[g]))
-        pts = [np.array(p) for p in sorted(set(pts))]
-        angles = np.array([np.arctan2(p[1] - x0[1], p[0] - x0[0]) for p in pts])
-        order = np.argsort(angles)
-        pts = [pts[i] for i in order]
-        if not self.vertex_is_boundary[v]:
-            return np.array(pts)
-        # Boundary vertex: rotate the cyclic order so the outside gap (the
-        # largest angular jump) sits between the last and first point, then
-        # close the loop through the vertex itself.
-        ang = np.sort(angles)
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-        start = (int(np.argmax(gaps)) + 1) % len(pts)
-        pts = pts[start:] + pts[:start]
-        return np.array([x0] + pts)
 
 
 def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
@@ -562,9 +563,94 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
 
 def gen_uniform_quad(n: int) -> PrimalMesh:
     """Uniform n-by-n quadrilateral mesh of the unit square."""
+    return gen_family("uniform", n)
+
+
+def gen_quad_fvca(n: int, amplitude: float = 0.1) -> PrimalMesh:
+    """Smooth sinusoidal distortion of the uniform grid.
+
+    Vertex (x, y) moves to (x + d, y + d) with
+    d = amplitude * sin(2*pi*x) * sin(2*pi*y); boundary vertices stay put.
+    ``build_ddfv`` rejects the mesh (primal and dual edges that do not
+    cross) before the map inverts a cell: amplitude 0.15 builds at n = 8,
+    16, 32 and 64, while 0.155 fails at n = 16 and 0.158 at n = 32.
+    """
+    return gen_family("quad", n, amplitude=amplitude)
+
+
+def gen_kershaw(n: int, distortion: float = 0.8) -> PrimalMesh:
+    """Layered zigzag distortion of the uniform grid (n/4 zigzag layers).
+
+    Column i is sheared vertically by distortion * zig(i) * profile(j) cell
+    heights, where zig cycles through (0, 1, 0, -1) every four columns and
+    the hat profile vanishes on the top and bottom boundaries.  Boundary
+    columns are pinned so all boundary vertices stay put.  At the default
+    distortion 0.8, n = 2 and n = 4 fail ``build_ddfv`` (primal and dual
+    edges do not cross); n = 3 and n = 5 to 16 build.
+    """
+    return gen_family("kershaw", n, distortion=distortion)
+
+
+def _uniform_map(n, **_):
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return _distorted_quad(n, lambda i, j, p: p)
+    return lambda i, j, p: p
+
+
+def _quad_map(n, amplitude=0.1):
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    if not 0.0 <= amplitude < 0.25:
+        raise ValidationError("amplitude must lie in [0, 0.25)")
+
+    def displace(i, j, p):
+        d = amplitude * np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])
+        return p + d[:, None]
+
+    return displace
+
+
+_ZIGZAG = np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _kershaw_map(n, distortion=0.8):
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    if distortion < 0.0:
+        raise ValidationError("distortion must be nonnegative")
+    half = (n + 1) // 2
+
+    def displace(i, j, p):
+        prof = np.minimum(j, n - j) / half
+        y = (j + distortion * _ZIGZAG[i % 4] * prof) / n
+        pinned = (i == 0) | (i == n)
+        return np.column_stack([p[:, 0], np.where(pinned, p[:, 1], y)])
+
+    return displace
+
+
+MESH_FAMILIES = {"uniform": _uniform_map, "quad": _quad_map,
+                 "kershaw": _kershaw_map}
+
+
+def family_map(family: str, n: int, **kwargs):
+    """A family's vertex map (``_distorted_quad``'s ``displace``) after the
+    checks of n and the family's arguments; no grid is made."""
+    try:
+        make = MESH_FAMILIES[family]
+    except KeyError:
+        raise ValidationError(
+            f"unknown mesh family {family!r}; choose from {sorted(MESH_FAMILIES)}"
+        ) from None
+    displace = make(n, **kwargs)
+    if (int(n) + 1) ** 2 > np.iinfo(np.intp).max:
+        raise ValidationError(f"n = {n} is too large: numpy cannot index "
+                              f"(n + 1)**2 vertices")
+    return displace
+
+
+def gen_family(family: str, n: int, **kwargs) -> PrimalMesh:
+    return _distorted_quad(n, family_map(family, n, **kwargs))
 
 
 def _distorted_quad(n, displace):
@@ -586,72 +672,6 @@ def _distorted_quad(n, displace):
     if inverted.size:
         raise DegenerateCell(f"cell {inverted[0]} inverted under distortion")
     return PrimalMesh(vertices, cells.tolist())
-
-
-def gen_quad_fvca(n: int, amplitude: float = 0.1) -> PrimalMesh:
-    """Smooth sinusoidal distortion of the uniform grid.
-
-    Vertex (x, y) moves to (x + d, y + d) with
-    d = amplitude * sin(2*pi*x) * sin(2*pi*y); boundary vertices stay put.
-    ``build_ddfv`` rejects the mesh (primal and dual edges that do not
-    cross) before the map inverts a cell: amplitude 0.15 builds at n = 8,
-    16, 32 and 64, while 0.155 fails at n = 16 and 0.158 at n = 32.
-    """
-    if n < 2:
-        raise ValidationError("n must be >= 2")
-    if not 0.0 <= amplitude < 0.25:
-        raise ValidationError("amplitude must lie in [0, 0.25)")
-
-    def displace(i, j, p):
-        d = amplitude * np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])
-        return p + d[:, None]
-
-    return _distorted_quad(n, displace)
-
-
-_ZIGZAG = np.array([0.0, 1.0, 0.0, -1.0])
-
-
-def gen_kershaw(n: int, distortion: float = 0.8) -> PrimalMesh:
-    """Layered zigzag distortion of the uniform grid (n/4 zigzag layers).
-
-    Column i is sheared vertically by distortion * zig(i) * profile(j) cell
-    heights, where zig cycles through (0, 1, 0, -1) every four columns and
-    the hat profile vanishes on the top and bottom boundaries.  Boundary
-    columns are pinned so all boundary vertices stay put.  At the default
-    distortion 0.8, n = 2 and n = 4 fail ``build_ddfv`` (primal and dual
-    edges do not cross); n = 3 and n = 5 to 16 build.
-    """
-    if n < 2:
-        raise ValidationError("n must be >= 2")
-    if distortion < 0.0:
-        raise ValidationError("distortion must be nonnegative")
-    half = (n + 1) // 2
-
-    def displace(i, j, p):
-        prof = np.minimum(j, n - j) / half
-        y = (j + distortion * _ZIGZAG[i % 4] * prof) / n
-        pinned = (i == 0) | (i == n)
-        return np.column_stack([p[:, 0], np.where(pinned, p[:, 1], y)])
-
-    return _distorted_quad(n, displace)
-
-
-MESH_FAMILIES = {
-    "uniform": lambda n, **kw: gen_uniform_quad(n),
-    "quad": gen_quad_fvca,
-    "kershaw": gen_kershaw,
-}
-
-
-def gen_family(family: str, n: int, **kwargs) -> PrimalMesh:
-    try:
-        gen = MESH_FAMILIES[family]
-    except KeyError:
-        raise ValidationError(
-            f"unknown mesh family {family!r}; choose from {sorted(MESH_FAMILIES)}"
-        ) from None
-    return gen(n, **kwargs)
 
 
 # --- file I/O ----------------------------------------------------------
@@ -755,10 +775,10 @@ def read_mesh(path) -> PrimalMesh:
     if pos < len(lines):
         raise ParseError("trailing content after last cell", line=lines[pos][0])
 
-    sizes = np.array([len(loop) for loop in cells], dtype=np.int64)
-    loop_vert = np.array([v for loop in cells for v in loop], dtype=np.int64)
-    areas = _signed_areas(vertices, loop_vert, _loop_next(loop_vert, sizes),
-                          np.repeat(np.arange(len(cells)), sizes), len(cells))
+    loop_vert, loop_start = _flatten(cells)
+    areas = _signed_areas(vertices, loop_vert, _loop_next(loop_vert, loop_start),
+                          np.repeat(np.arange(len(cells)), np.diff(loop_start)),
+                          len(cells))
     for i in np.flatnonzero(areas < 0.0):
         warnings.warn(f"cell {i} was clockwise; reoriented", stacklevel=2)
         cells[i] = cells[i][::-1]

@@ -42,13 +42,6 @@ def _meshes():
     ]
 
 
-def _random_field(mesh, rng, positive=False):
-    vals = rng.standard_normal(mesh.n_values)
-    if positive:
-        vals = 0.5 + np.exp(0.5 * vals)
-    return DiscreteField(mesh, vals)
-
-
 def check_partitions(rng):
     worst = 0.0
     for name, mesh in _meshes():
@@ -102,7 +95,7 @@ def check_duality(rng):
     for name, mesh in _meshes():
         for _ in range(20):
             xi = rng.standard_normal((mesh.n_diamonds, 2))
-            v = _random_field(mesh, rng)
+            v = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
             v.boundary[:] = 0.0
             v.dual[mesh.vertex_is_boundary] = 0.0
 

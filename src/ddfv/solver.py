@@ -68,12 +68,15 @@ The solver counts its factorizations and its GMRES iterations (those of
 cycles that missed included); ``newton_solve`` reports both per solve in
 ``NewtonStats``.
 
-Newton is undamped by default and backtracks only to keep every iterate
-strictly positive.  It evaluates each iterate once: ``residual_fn``
-returns the residual together with the state the caller evaluated, and
-``jacobian_fn`` reads that state.  The start-value guard compares the
-start's l1 residual with the fallback's, which the caller supplies with
-the fallback, so the fallback is evaluated only when the guard picks it.
+Newton is undamped and backtracks only to keep every iterate strictly
+positive: it starts from the caller's values raised to ``POSITIVITY_FLOOR``
+(1e-12) and halves an update that would leave a nonpositive entry, at most
+``MAX_BACKTRACKS`` (40) times.  Both are fixed.  It evaluates each iterate
+once: ``residual_fn`` returns the residual together with the state the
+caller evaluated, and ``jacobian_fn`` reads that state.  The start-value
+guard compares the start's l1 residual with the fallback's, which the
+caller supplies with the fallback, so the fallback is evaluated only when
+the guard picks it.
 """
 
 import math
@@ -112,14 +115,22 @@ EPS = np.finfo(float).eps
 # SuperLU settings of every factorization (see the module docstring).
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options={"SymmetricMode": True})
+# Newton's start value is max(u_init, POSITIVITY_FLOOR) entrywise.
+POSITIVITY_FLOOR = 1e-12
+# Halvings of one Newton update that may be tried to keep the iterate
+# strictly positive before PositivityBacktrackExhausted.
+MAX_BACKTRACKS = 40
 
 
 @dataclass
 class NewtonConfig:
+    """The two Newton settings a run chooses: the tolerance on the l1 norm
+    of the residual and the most iterations per solve.  The start value's
+    floor and the number of halvings are the module constants
+    ``POSITIVITY_FLOOR`` and ``MAX_BACKTRACKS``."""
+
     tol_residual_l1: float = 1e-10
     max_iter: int = 50
-    positivity_floor: float = 1e-12
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if not (math.isfinite(self.tol_residual_l1)
@@ -127,11 +138,6 @@ class NewtonConfig:
             raise ValidationError("Newton tolerance must be finite and > 0")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        if self.max_backtracks < 0:
-            raise ValidationError("max_backtracks must be >= 0")
-        if not (math.isfinite(self.positivity_floor)
-                and self.positivity_floor > 0.0):
-            raise ValidationError("positivity floor must be finite and > 0")
 
 
 @dataclass
@@ -329,7 +335,7 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
 
 def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
                  linear_solver: LinearSolver | None = None, fallback=None):
-    """Solve F(u) = 0 starting from max(u_init, floor).
+    """Solve F(u) = 0 starting from max(u_init, POSITIVITY_FLOOR).
 
     ``residual_fn(u)`` returns the pair (F(u), state), where ``state`` is
     whatever the caller evaluated at u to form F(u) (u itself, say);
@@ -339,10 +345,10 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
 
     ``fallback``, when given, is the pair (values, l1): another start
     value and the l1 norm of its residual.  Newton starts from
-    max(values, floor) instead when l1 is strictly smaller than the
-    start's l1 residual (or that is NaN); the fallback is evaluated only
-    then.  Every iterate is kept
-    strictly positive by halving the update; the returned stats record
+    max(values, POSITIVITY_FLOOR) instead when l1 is strictly smaller than
+    the start's l1 residual (or that is NaN); the fallback is evaluated
+    only then.  Every iterate is kept strictly positive by halving the
+    update, at most ``MAX_BACKTRACKS`` times; the returned stats record
     whether the initialization floor changed any component of the chosen
     start, how many LU factorizations the solve made, and the residual
     and state of the returned iterate.  The inner solves go through
@@ -357,10 +363,10 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
 
     def start(values):
         values = np.asarray(values, dtype=float)
-        u = np.maximum(values, config.positivity_floor)
+        u = np.maximum(values, POSITIVITY_FLOOR)
         res, state = residual_fn(u)
         return (u, res, state, float(np.abs(res).sum()),
-                bool((values < config.positivity_floor).any()))
+                bool((values < POSITIVITY_FLOOR).any()))
 
     u, res, state, l1, floor_activated = start(u_init)
     if fallback is not None:
@@ -394,10 +400,10 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
         trial = u + step
         while trial.min() <= 0.0:
             bt += 1
-            if bt > config.max_backtracks:
+            if bt > MAX_BACKTRACKS:
                 raise PositivityBacktrackExhausted(
                     f"could not keep iterate positive after "
-                    f"{config.max_backtracks} halvings"
+                    f"{MAX_BACKTRACKS} halvings"
                 )
             alpha *= 0.5
             trial = u + alpha * step

@@ -124,16 +124,33 @@ FILE_AND_VALUE_ERRORS = [
     ("run --config adir", "error: [Errno", []),
     ("run --config ff.bin", "error: ff.bin: not a text file (byte 0xff)", []),
     ("run --out afile/sub", "error: [Errno", []),
-    # run echoes its settings before it reads them
     ("run --n 2 --lam rotated:1,1,nan",
-     "error: rotation angle is not finite: nan", ["effective_config"]),
+     "error: rotation angle is not finite: nan", []),
     ("run --n 2 --lam matrix:1,0,inf",
-     "error: tensor entry (1, 1) is not finite: inf", ["effective_config"]),
+     "error: tensor entry (1, 1) is not finite: inf", []),
     ("run --n 2 --lam rotated:inf,1,0",
-     "error: tensor entry (0, 0) is not finite: inf", ["effective_config"]),
+     "error: tensor entry (0, 0) is not finite: inf", []),
     ("run --n 2 --lam diag:nan,1",
-     "error: tensor entry (0, 0) is not finite: nan", ["effective_config"]),
-    ("run --n 2 --dt 1e-320", "error: dt too small", ["effective_config"]),
+     "error: tensor entry (0, 0) is not finite: nan", []),
+    ("run --n 2 --dt 1e-320", "error: dt too small", []),
+    # each setting is checked before --out is made
+    ("run --beta 2", "error: penalization exponent 2.0 outside (0, 2)", []),
+    ("run --newton-max-iter 0", "error: max_iter must be >= 1", []),
+    ("run --family nope", "error: unknown mesh family 'nope'", []),
+    ("run --case nope", "error: unknown case 'nope'", []),
+    ("run --n 1", "error: n must be >= 2", []),
+    ("run --dt nan", "error: dt must be finite and positive", []),
+    ("converge --levels 0", "error: levels must be >= 1", []),
+    ("longtime --tfinal -1", "error: t_final must be finite and positive", []),
+    # grids too large to index (numpy rejects these before allocating)
+    ("run --n 100000000000000000000", "error: n = 100000000000000000000 "
+     "is too large", []),
+    ("longtime --n 100000000000000000000", "error: n = 100000000000000000000 "
+     "is too large", []),
+    ("mesh gen --n 100000000000000000000", "error: n = 100000000000000000000 "
+     "is too large", []),
+    ("converge --n0 100000000000000000000 --levels 1",
+     "error: n = 100000000000000000000 is too large", []),
 ]
 
 

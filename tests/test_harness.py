@@ -6,7 +6,6 @@ import pytest
 
 from ddfv.errors import InvariantViolation, ValidationError
 from ddfv.fields import DiscreteField
-from ddfv.geometry import triangle_area
 from ddfv.harness import (
     CSV_HEADER,
     ConvergenceRow,
@@ -25,7 +24,7 @@ from ddfv.harness import (
     simulate,
     _seed_boundary_zeros,
 )
-from ddfv.mesh import build_ddfv, gen_family
+from ddfv.mesh import build_ddfv, gen_family, triangle_area
 from ddfv.operators import grad_diamond
 from ddfv.scheme import Assembly, SchemeParams, evaluate, project_initial
 

@@ -28,13 +28,6 @@ def test_no_unused_imports(path):
 
 # Defined in src/ddfv but referenced nowhere else there, on purpose.
 UNREFERENCED_ON_PURPOSE = {
-    # loop oracles of the vectorised mesh set-up, called by the tests only
-    "segment_intersection": "oracle of build_ddfv's crossing test",
-    "diamond_geometry": "oracle of build_ddfv's diamond geometry",
-    "gradient_on_diamond": "oracle of operators.grad_diamond",
-    "polygon_area": "oracle of the vectorised cell areas",
-    "polygon_centroid": "oracle of the vectorised cell centroids",
-    "dual_polygon": "oracle of the vectorised dual cells",
     "from_callable": "TensorSpec.from_callable is the only library entry "
                      "point for a spatially varying tensor",
 }

@@ -5,7 +5,6 @@ import pytest
 
 from ddfv.errors import BadBeta
 from ddfv.fields import DiscreteField, TensorSpec
-from ddfv.geometry import diamond_geometry, gradient_on_diamond
 from ddfv.mesh import PrimalMesh, build_ddfv, gen_quad_fvca, quality
 from ddfv.operators import (
     bracket,
@@ -30,39 +29,40 @@ def test_gradient_of_constant_is_zero(quad5):
     assert np.abs(g).max() < 1e-13
 
 
-def test_gradient_single_diamond_rational_oracle():
-    # one diamond with labeled corners; oracle evaluates the formula in
-    # exact rational arithmetic (the length factors cancel the norms)
-    xk = (Fraction(0), Fraction(0))
-    xl = (Fraction(1), Fraction(1, 5))
-    xvk = (Fraction(2, 5), Fraction(-1, 2))
-    xvl = (Fraction(1, 2), Fraction(3, 5))
-    uk, ul, uvk, uvl = map(Fraction, (1, 2, 3, 4))
-
+def test_gradient_single_diamond_rational_oracle(quad5, kershaw8, rng):
+    # On every diamond, the gradient formula evaluated in exact rational
+    # arithmetic from the float corners and values (Fraction(float) is
+    # exact): the length factors cancel the norms, so no square root.
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]
 
-    edge = (xvl[0] - xvk[0], xvl[1] - xvk[1])
-    dual = (xl[0] - xk[0], xl[1] - xk[1])
-    # edge_len * edge_normal is the edge vector rotated by +-90 degrees,
-    # oriented from cell k towards cell l
-    ne = (-edge[1], edge[0])
-    if ne[0] * dual[0] + ne[1] * dual[1] < 0:
-        ne = (-ne[0], -ne[1])
-    nd = (dual[1], -dual[0])
-    if nd[0] * edge[0] + nd[1] * edge[1] < 0:
-        nd = (-nd[0], -nd[1])
-    area2 = abs(cross(dual, edge))  # 2 * diamond area
-    exact = [
-        ((ul - uk) * ne[i] + (uvl - uvk) * nd[i]) / area2 for i in range(2)
-    ]
-
-    geom = diamond_geometry(
-        [float(c) for c in xk], [float(c) for c in xl],
-        [float(c) for c in xvk], [float(c) for c in xvl],
-    )
-    got = gradient_on_diamond(geom, 1.0, 2.0, 3.0, 4.0)
-    assert np.allclose(got, [float(e) for e in exact], rtol=1e-13)
+    for name, mesh in (("quad5", quad5), ("kershaw8", kershaw8)):
+        u = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
+        got = grad_diamond(mesh, u)
+        up, ud = u.primal_all, u.dual
+        centers, verts = mesh.primal_centers, mesh.primal.vertices
+        for d in range(mesh.n_diamonds):
+            ck, cl = mesh.dia_cell_k[d], mesh.dia_cell_l[d]
+            vk, vl = mesh.dia_vert_k[d], mesh.dia_vert_l[d]
+            xk, xl, xvk, xvl = ([Fraction(c) for c in p] for p in (
+                centers[ck], centers[cl], verts[vk], verts[vl]))
+            uk, ul, uvk, uvl = map(Fraction, (up[ck], up[cl], ud[vk], ud[vl]))
+            edge = (xvl[0] - xvk[0], xvl[1] - xvk[1])
+            dual = (xl[0] - xk[0], xl[1] - xk[1])
+            # edge_len * edge_normal is the edge vector rotated by +-90
+            # degrees, oriented from cell k towards cell l
+            ne = (-edge[1], edge[0])
+            if ne[0] * dual[0] + ne[1] * dual[1] < 0:
+                ne = (-ne[0], -ne[1])
+            nd = (dual[1], -dual[0])
+            if nd[0] * edge[0] + nd[1] * edge[1] < 0:
+                nd = (-nd[0], -nd[1])
+            area2 = abs(cross(dual, edge))  # 2 * diamond area
+            exact = np.array([
+                float(((ul - uk) * ne[i] + (uvl - uvk) * nd[i]) / area2)
+                for i in range(2)])
+            gap = np.abs(got[d] - exact).max() / np.abs(exact).max()
+            assert gap < 1e-13, (name, d, gap)
 
 
 def test_gradient_two_formulas_agree(mesh_zoo, rng):

@@ -27,13 +27,6 @@ from ddfv.errors import (
     ParseError,
     ValidationError,
 )
-from ddfv.geometry import (
-    cross2,
-    polygon_area,
-    polygon_centroid,
-    segment_intersection,
-    triangle_area,
-)
 from ddfv.harness import exact_decay_case
 from ddfv.mesh import (
     _SIN_TOL,
@@ -42,12 +35,16 @@ from ddfv.mesh import (
     PrimalMesh,
     _validate_partitions,
     build_ddfv,
+    cross2,
     gen_kershaw,
     gen_quad_fvca,
     gen_uniform_quad,
     read_mesh,
+    triangle_area,
+    write_mesh,
 )
 from ddfv.scheme import project_initial, project_potential
+from oracles import polygon_area, polygon_centroid, segment_intersection
 
 FLOAT_TOL = 1e-15
 
@@ -354,6 +351,35 @@ def primals(mesh_zoo, mixed_primal):
 
 def test_mixed_mesh_has_triangles_quads_and_a_pentagon(mixed_primal):
     assert sorted(map(len, mixed_primal.cells)) == [3, 3, 4, 4, 5]
+
+
+def test_primal_arrays_do_not_depend_on_how_the_cells_are_given(
+        tmp_path, mixed_primal):
+    # A generator's mesh, a file's mesh, the same loops as lists of ints or
+    # tuples of numpy ints, and each written and read back: equal arrays.
+    def arrays(primal):
+        return {k: v for k, v in vars(primal).items()
+                if isinstance(v, np.ndarray)}
+
+    for name, primal in (("quad5", gen_quad_fvca(5, 0.1)),
+                         ("kershaw8", gen_kershaw(8)),
+                         ("mixed", mixed_primal)):
+        path = tmp_path / f"{name}.mesh"
+        write_mesh(primal, path)
+        expected = arrays(primal)
+        assert {"loop_vert", "loop_cell", "loop_next", "edges"} <= set(expected)
+        for how, other in (
+                ("lists", PrimalMesh(primal.vertices.tolist(),
+                                     [list(c) for c in primal.cells])),
+                ("tuples", PrimalMesh(primal.vertices, tuple(
+                    tuple(np.array(c)) for c in primal.cells))),
+                ("file", read_mesh(path))):
+            got = arrays(other)
+            assert got.keys() == expected.keys(), (name, how)
+            for key, value in expected.items():
+                assert got[key].dtype == value.dtype, (name, how, key)
+                assert np.array_equal(got[key], value), (name, how, key)
+            assert other.cells == primal.cells, (name, how)
 
 
 # --- comparisons -------------------------------------------------------------
