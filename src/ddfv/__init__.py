@@ -1,6 +1,6 @@
 """Free-energy diminishing DDFV solver for drift-diffusion equations."""
 
-from .fields import DiscreteField, TensorSpec
+from .fields import TensorSpec
 from .mesh import (
     DDFVMesh,
     PrimalMesh,
@@ -30,7 +30,7 @@ from .solver import NewtonConfig, NewtonStats, linear_solve, newton_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscreteField", "TensorSpec",
+    "TensorSpec",
     "DDFVMesh", "PrimalMesh", "QualityReport",
     "build_ddfv", "gen_kershaw", "gen_quad_fvca", "gen_uniform_quad",
     "quality", "read_mesh", "write_mesh",

@@ -1,84 +1,15 @@
-"""Scalar fields on the DDFV meshes and anisotropy tensor specifications.
+"""Anisotropy tensor specifications.
 
-A DiscreteField owns one packed vector laid out as
-[interior cells | boundary cells | dual cells]; the named components are
-views into it, so solver code can work on the vector while tests and
-operators address the pieces by name.  Per-diamond data (gradients, fluxes,
-reconstructions) is kept as plain numpy arrays of shape (n_diamonds,) or
-(n_diamonds, 2).
+Discrete scalar fields are plain packed vectors, laid out and split by
+``DDFVMesh.parts``/``DDFVMesh.pack``; per-diamond data (gradients, fluxes,
+reconstructions) are numpy arrays of shape (n_diamonds,) or
+(n_diamonds, 2).  This module holds the diffusion tensor that the
+per-diamond data are built from, with its SPD checks.
 """
 
 import numpy as np
 
 from .errors import NotSPD, ValidationError, raise_first
-
-
-class DiscreteField:
-    """One value per interior cell, boundary cell and dual cell."""
-
-    __slots__ = ("mesh", "values")
-
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.n_values,):
-            raise ValidationError(
-                f"field length {values.shape} does not match mesh "
-                f"({mesh.n_values} values)"
-            )
-        self.mesh = mesh
-        self.values = values
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_values))
-
-    @classmethod
-    def full(cls, mesh, value):
-        return cls(mesh, np.full(mesh.n_values, float(value)))
-
-    @classmethod
-    def from_components(cls, mesh, interior, boundary, dual):
-        return cls(mesh, np.concatenate([
-            np.asarray(interior, dtype=float),
-            np.asarray(boundary, dtype=float),
-            np.asarray(dual, dtype=float),
-        ]))
-
-    @property
-    def interior(self):
-        return self.values[: self.mesh.n_cells]
-
-    @property
-    def boundary(self):
-        return self.values[self.mesh.n_cells: self.mesh.n_cells + self.mesh.n_bnd]
-
-    @property
-    def dual(self):
-        return self.values[self.mesh.n_cells + self.mesh.n_bnd:]
-
-    @property
-    def primal_all(self):
-        """Interior and boundary values, indexed by global primal index."""
-        return self.values[: self.mesh.n_cells + self.mesh.n_bnd]
-
-    def __add__(self, other):
-        return DiscreteField(self.mesh, self.values + _vals(other))
-
-    def __sub__(self, other):
-        return DiscreteField(self.mesh, self.values - _vals(other))
-
-    def __mul__(self, scalar):
-        return DiscreteField(self.mesh, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return (f"DiscreteField({self.mesh.n_cells} cells, {self.mesh.n_bnd} "
-                f"boundary, {self.mesh.n_verts} dual)")
-
-
-def _vals(other):
-    return other.values if isinstance(other, DiscreteField) else other
 
 
 def _check_spd(mats):

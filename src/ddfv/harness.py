@@ -1,9 +1,9 @@
 """Reference cases, the time-stepping driver, error norms and studies.
 
-``simulate`` advances one configuration in time, checking mass
-conservation, free-energy decay and positivity at every accepted step,
-handing each state to an optional observer (it stores none) and returning
-per-step diagnostics.  On top of it sit the mesh-convergence study (errors,
+``simulate`` advances a packed vector in time, checking mass conservation,
+free-energy decay and positivity at every accepted step, handing each
+state to an optional observer (it stores none) and returning per-step
+diagnostics.  On top of it sit the mesh-convergence study (errors,
 observed orders, Newton statistics per refinement level) and the long-time
 energy-decay study, both reduced while stepping.
 """
@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError
-from .fields import DiscreteField, TensorSpec
+from .fields import TensorSpec
 from .mesh import build_ddfv, family_map, gen_family
-from .operators import bracket, grad_diamond
+from .operators import bracket, grad_diamond, overlap_gap
 from .scheme import (
     Assembly,
     SchemeParams,
@@ -162,7 +162,7 @@ def _seed_boundary_zeros(mesh, assembly, u_vec):
     # are written, so the interior values read are the unseeded ones.
     zero = u_vec[rows] <= 0.0
     rows, ks = rows[zero], ks[zero]
-    v = assembly.v_field.values
+    v = assembly.v
     out = u_vec.copy()
     out[rows] = u_vec[ks] * np.exp(v[ks] - v[rows])
     return out
@@ -179,9 +179,8 @@ def _extrapolate(u_vec, older):
     return u_vec * ratio * ratio * (older[1] / older[0])
 
 
-def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
-             observe=None) -> RunResult:
-    """Advance the scheme params.n_steps steps from the projected data.
+def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
+    """Advance the scheme params.n_steps steps from the packed data ``u0``.
 
     Mass conservation, free-energy decay (including the penalization term)
     and positivity are asserted at every step; violations raise
@@ -214,20 +213,17 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
     and packed state.  The loop never writes to ``u_vec`` after the call,
     so an observer may keep the array itself.  No state is stored here.
     """
+    one = np.ones(mesh.n_values)
+    u_vec = np.array(u0, dtype=float)
+    mass0 = bracket(mesh, u_vec, one)
     assembly = Assembly(mesh, params)
     linear_solver = LinearSolver()
-    v_vec = assembly.v_field.values
-    one = DiscreteField.full(mesh, 1.0)
-
-    u_vec = u0_field.values.copy()
-    mass0 = bracket(mesh, u0_field, one)
-    en_prev = energy(mesh, u_vec, v_vec)
-    inner_dual = np.concatenate([u_vec[:mesh.n_cells],
-                                 u_vec[mesh.n_cells + mesh.n_bnd:]])
+    en_prev = energy(mesh, u_vec, assembly.v)
+    interior, _, dual = mesh.parts(u_vec)
     records = [StateRecord(
         n=0, t=0.0, mass=mass0, energy=en_prev,
         dissipation=None, dissipation_hat=None, penalty_bracket=None,
-        min_u=float(inner_dual.min()),
+        min_u=float(min(interior.min(), dual.min())),
     )]
     if observe is not None:
         observe(records[0], u_vec)
@@ -253,8 +249,8 @@ def simulate(mesh, params: SchemeParams, u0_field: DiscreteField,
             linear_solver,
             fallback,
         )
-        mass = bracket(mesh, DiscreteField(mesh, u_next), one)
-        en = energy(mesh, u_next, v_vec)
+        mass = bracket(mesh, u_next, one)
+        en = energy(mesh, u_next, assembly.v)
         diss, diss_hat = assembly.dissipation_vec(stats.state)
         pen = assembly.penalty_bracket_vec(stats.state)
         rec = StateRecord(
@@ -302,11 +298,12 @@ def _check_step(rec, mass0, en_prev, diss, pen, params):
 def error_u(mesh, u_vec, t, u_exact) -> float:
     """Squared mass-weighted L2 distance at time t to the nodally sampled
     exact solution."""
-    nc, nb = mesh.n_cells, mesh.n_bnd
+    nc = mesh.n_cells
     nodes = np.vstack([mesh.cell_centers, mesh.primal.vertices])
     exact = evaluate(u_exact, nodes, t)
-    di = u_vec[:nc] - exact[:nc]
-    dd = u_vec[nc + nb:] - exact[nc:]
+    interior, _, dual = mesh.parts(u_vec)
+    di = interior - exact[:nc]
+    dd = dual - exact[nc:]
     return float(0.5 * (np.dot(mesh.cell_areas, di * di)
                         + np.dot(mesh.dual_areas, dd * dd)))
 
@@ -327,7 +324,7 @@ def _exact_gradient_at(grad_u_exact, points, t):
 def error_gradient(mesh, u_vec, t, grad_u_exact) -> float:
     """Squared L2 distance at time t of the discrete gradient to the exact
     one evaluated at the diamond crossing points."""
-    g = grad_diamond(mesh, DiscreteField(mesh, u_vec))
+    g = grad_diamond(mesh, u_vec)
     diff = g - _exact_gradient_at(grad_u_exact, mesh.cross_point, t)
     return float(np.dot(mesh.diamond_area, np.einsum("di,di->d", diff, diff)))
 
@@ -335,13 +332,12 @@ def error_gradient(mesh, u_vec, t, grad_u_exact) -> float:
 def norm_primal_dual_gap(mesh, u_vec) -> float:
     """Squared L2 norm of the gap between the primal and dual
     reconstructions, integrated exactly through the overlap areas."""
-    gap = (u_vec[mesh.overlap_cell]
-           - u_vec[mesh.n_cells + mesh.n_bnd + mesh.overlap_vert])
+    gap = overlap_gap(mesh, u_vec)
     return float(np.dot(mesh.overlap_area, gap * gap))
 
 
-def nodal_initial(mesh, u0) -> DiscreteField:
-    """Initial field for error studies: nodal samples of the data.
+def nodal_initial(mesh, u0) -> np.ndarray:
+    """Packed initial data for error studies: nodal samples of the data.
 
     Cells where the sample vanishes fall back to the cell mean (a strictly
     positive second-order value when the data has a flat touch).  Mean
@@ -350,12 +346,13 @@ def nodal_initial(mesh, u0) -> DiscreteField:
     refinement coupling that offset decays by a fixed factor per step and
     floors the nodally sampled solution error at O(h**1.5).
     """
-    means = project_initial(mesh, u0)
+    u = project_initial(mesh, u0)
     nodal = evaluate(u0, np.vstack([mesh.cell_centers, mesh.primal.vertices]))
-    interior, dual = nodal[:mesh.n_cells], nodal[mesh.n_cells:]
-    interior = np.where(interior > 0.0, interior, means.interior)
-    dual = np.where(dual > 0.0, dual, means.dual)
-    return DiscreteField.from_components(mesh, interior, np.zeros(mesh.n_bnd), dual)
+    interior, _, dual = mesh.parts(u)
+    for means, samples in ((interior, nodal[:mesh.n_cells]),
+                           (dual, nodal[mesh.n_cells:])):
+        np.copyto(means, samples, where=samples > 0.0)
+    return u
 
 
 # --- convergence study ---------------------------------------------------
@@ -525,23 +522,23 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
         lam=case.lam, potential=case.potential,
         **({"newton": newton} if newton else {}),
     )
-    v_field = project_potential(mesh, case.potential)
+    v = project_potential(mesh, case.potential)
     u0 = project_initial(mesh, case.u0)
     if kappa > 0.0:
-        one = DiscreteField.full(mesh, 1.0)
-        shape = DiscreteField(mesh, np.exp(-v_field.values))
+        one = np.ones(mesh.n_values)
+        shape = np.exp(-v)
         u_inf = shape * (bracket(mesh, u0, one) / bracket(mesh, shape, one))
     else:
-        mass_primal = float(np.dot(mesh.cell_areas, u0.interior))
-        mass_dual = float(np.dot(mesh.dual_areas, u0.dual))
-        u_inf = stationary_state(mesh, v_field, mass_primal,
-                                 dual_mass=mass_dual)
-    log_u_inf = np.log(u_inf.values)
+        interior, _, dual = mesh.parts(u0)
+        mass_primal = float(np.dot(mesh.cell_areas, interior))
+        mass_dual = float(np.dot(mesh.dual_areas, dual))
+        u_inf = stationary_state(mesh, v, mass_primal, dual_mass=mass_dual)
+    log_u_inf = np.log(u_inf)
 
     series = []
 
     def observe(rec, u_vec):
-        erel = relative_energy(mesh, u_vec, u_inf.values, log_u_inf)
+        erel = relative_energy(mesh, u_vec, u_inf, log_u_inf)
         series.append((rec.n, rec.t, erel))
 
     simulate(mesh, params, u0, observe)

@@ -231,8 +231,10 @@ class PrimalMesh:
 class DDFVMesh:
     """Immutable geometric database used by all discrete operators.
 
-    Scalar fields carry one value per interior cell, per boundary (degenerate)
-    cell and per vertex (dual cell); packed vectors use that order.
+    A scalar field is one packed vector [interior | boundary | dual] with
+    one value per interior cell, per boundary (degenerate) cell and per
+    vertex (dual cell); ``parts`` splits it into views and ``pack`` joins
+    them.  Primal indices are packed indices; dual ones add ``dual_offset``.
     """
 
     primal: PrimalMesh
@@ -296,8 +298,30 @@ class DDFVMesh:
         return len(self.diamond_area)
 
     @property
+    def dual_offset(self):
+        """Index of the first dual value: the number of primal values."""
+        return self.n_cells + self.n_bnd
+
+    @property
     def n_values(self):
-        return self.n_cells + self.n_bnd + self.n_verts
+        return self.dual_offset + self.n_verts
+
+    def parts(self, values):
+        """The interior, boundary and dual views of the packed vector
+        ``values`` (writing to a view writes to ``values``); a shape other
+        than (n_values,) is a ValidationError."""
+        values = np.asarray(values)
+        if values.shape != (self.n_values,):
+            raise ValidationError(f"packed vector of shape {values.shape} "
+                                  f"does not match mesh ({self.n_values},)")
+        nc, off = self.n_cells, self.dual_offset
+        return values[:nc], values[nc:off], values[off:]
+
+    def pack(self, interior, boundary, dual):
+        """The packed vector of the three blocks (inverse of ``parts``)."""
+        values = np.concatenate([interior, boundary, dual], dtype=float)
+        self.parts(values)
+        return values
 
     @property
     def primal_centers(self):

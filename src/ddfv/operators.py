@@ -1,23 +1,24 @@
 """Discrete differential operators, bilinear forms and the penalization.
 
-The gradient lives on diamonds, the divergence maps diamond vector fields
-back to cell/dual values, and the two are adjoint up to boundary terms (the
-discrete Green formula).  Inner products of two discrete gradients reduce to
-per-diamond 2x2 quadratic forms in the diagonal differences
-(u_cell_k - u_cell_l, u_vert_k - u_vert_l); ``local_matrices`` builds the
-corresponding matrices from the anisotropy tensor.
+Scalar fields are packed vectors (``DDFVMesh.parts``).  The gradient lives
+on diamonds, the divergence maps diamond vector fields back to packed
+vectors, and the two are adjoint up to boundary terms (the discrete Green
+formula).  Inner products of two discrete gradients reduce to per-diamond
+2x2 quadratic forms in the diagonal differences (u_cell_k - u_cell_l,
+u_vert_k - u_vert_l); ``local_matrices`` builds the corresponding matrices
+from the anisotropy tensor.
 """
 
 import numpy as np
 
 from .errors import BadBeta, ValidationError
-from .fields import DiscreteField
 
 
-def grad_diamond(mesh, u: DiscreteField) -> np.ndarray:
+def grad_diamond(mesh, u) -> np.ndarray:
     """Diamond-constant gradient, exact for fields sampled from affine data."""
-    primal, dual = u.primal_all, u.dual
-    du_edge = primal[mesh.dia_cell_l] - primal[mesh.dia_cell_k]
+    _, _, dual = mesh.parts(u)
+    # primal indices are packed indices
+    du_edge = u[mesh.dia_cell_l] - u[mesh.dia_cell_k]
     du_dual = dual[mesh.dia_vert_l] - dual[mesh.dia_vert_k]
     num = (
         (mesh.edge_len * du_edge)[:, None] * mesh.edge_normal
@@ -26,8 +27,8 @@ def grad_diamond(mesh, u: DiscreteField) -> np.ndarray:
     return num / (2.0 * mesh.diamond_area)[:, None]
 
 
-def div_discrete(mesh, xi: np.ndarray) -> DiscreteField:
-    """Discrete divergence of a diamond vector field.
+def div_discrete(mesh, xi: np.ndarray) -> np.ndarray:
+    """Discrete divergence of a diamond vector field, as a packed vector.
 
     Interior-cell and dual-cell components sum the edge fluxes of the
     incident diamonds; the boundary-cell component is zero by convention.
@@ -38,31 +39,30 @@ def div_discrete(mesh, xi: np.ndarray) -> DiscreteField:
     flux_edge = mesh.edge_len * np.einsum("ij,ij->i", xi, mesh.edge_normal)
     flux_dual = mesh.dual_edge_len * np.einsum("ij,ij->i", xi, mesh.dual_edge_normal)
 
-    interior = np.zeros(mesh.n_cells)
-    np.add.at(interior, mesh.dia_cell_k, flux_edge)
-    inner = ~mesh.dia_is_boundary
-    np.subtract.at(interior, mesh.dia_cell_l[inner], flux_edge[inner])
+    out = np.zeros(mesh.n_values)
+    interior, boundary, dual = mesh.parts(out)
+    np.add.at(out, mesh.dia_cell_k, flux_edge)
+    np.subtract.at(out, mesh.dia_cell_l, flux_edge)
+    boundary[:] = 0.0       # boundary diamonds subtracted into these
     interior /= mesh.cell_areas
-
-    dual = np.zeros(mesh.n_verts)
     np.add.at(dual, mesh.dia_vert_k, flux_dual)
     np.subtract.at(dual, mesh.dia_vert_l, flux_dual)
     dual /= mesh.dual_areas
-
-    return DiscreteField.from_components(
-        mesh, interior, np.zeros(mesh.n_bnd), dual
-    )
+    return out
 
 
-def bracket(mesh, u: DiscreteField, v: DiscreteField) -> float:
-    """Half primal plus half dual mass-weighted product.
+def bracket(mesh, u, v) -> float:
+    """Half primal plus half dual mass-weighted product of two packed
+    vectors; bracket(u, 1) is the mass of u.
 
     Boundary cells carry no measure and do not contribute, so this is only
     positive semi-definite on the full set of values.
     """
+    u_int, _, u_dual = mesh.parts(u)
+    v_int, _, v_dual = mesh.parts(v)
     return 0.5 * (
-        float(np.dot(mesh.cell_areas, u.interior * v.interior))
-        + float(np.dot(mesh.dual_areas, u.dual * v.dual))
+        float(np.dot(mesh.cell_areas, u_int * v_int))
+        + float(np.dot(mesh.dual_areas, u_dual * v_dual))
     )
 
 
@@ -123,12 +123,16 @@ def local_matrices(mesh, lam) -> LocalMatrices:
 # --- penalization ------------------------------------------------------
 
 
-def penalization_bracket(mesh, u: DiscreteField, v: DiscreteField,
-                         beta: float) -> float:
+def overlap_gap(mesh, u) -> np.ndarray:
+    """Primal minus dual value of the packed vector ``u`` on each overlap
+    of an interior cell with a dual cell."""
+    interior, _, dual = mesh.parts(u)
+    return interior[mesh.overlap_cell] - dual[mesh.overlap_vert]
+
+
+def penalization_bracket(mesh, u, v, beta: float) -> float:
     """Symmetric positive form: overlap-weighted primal/dual gap product."""
     if not 0.0 < beta < 2.0:
         raise BadBeta(f"penalization exponent {beta!r} outside (0, 2)")
-    gap_u = u.interior[mesh.overlap_cell] - u.dual[mesh.overlap_vert]
-    gap_v = v.interior[mesh.overlap_cell] - v.dual[mesh.overlap_vert]
+    gap_u, gap_v = overlap_gap(mesh, u), overlap_gap(mesh, v)
     return float(np.dot(mesh.overlap_area, gap_u * gap_v)) / (2.0 * mesh.h**beta)
-

@@ -12,9 +12,10 @@ the quadratic-form matrices of ``operators.local_matrices``, which makes
 testing the residual against any discrete field reproduce the variational
 form of the scheme exactly; mass conservation and free-energy decay follow.
 
-All hot-path routines work on packed vectors; ``Assembly`` caches the
-per-mesh index arrays and local matrices so time stepping only pays for
-value updates.  Each Newton iterate is evaluated once, by
+Every discrete field is a packed vector [interior | boundary | dual]
+(``DDFVMesh.parts``); the public functions check its length.  ``Assembly``
+caches the per-mesh index arrays and local matrices so time stepping only
+pays for value updates.  Each Newton iterate is evaluated once, by
 ``Assembly.system_vec``: it returns the residual with an ``Iterate`` that
 carries log u, g, the per-diamond differences and the fluxes to the
 Jacobian at the same state and, for the accepted state, to the dissipation
@@ -34,8 +35,8 @@ from .errors import (
     NonPositiveState,
     ValidationError,
 )
-from .fields import DiscreteField, TensorSpec
-from .operators import local_matrices, penalization_bracket
+from .fields import TensorSpec
+from .operators import bracket, local_matrices, penalization_bracket
 from .solver import NewtonConfig
 
 
@@ -65,6 +66,9 @@ class SchemeParams:
 
     @property
     def n_steps(self):
+        """Steps of size dt until n * dt >= t_final: a run ends past
+        t_final when dt does not divide it (dt 0.003 to t_final 0.01
+        takes 4 steps and ends at 0.012)."""
         return max(1, int(np.ceil(self.t_final / self.dt - 1e-9)))
 
 
@@ -109,17 +113,17 @@ def evaluate(fn, points, *args):
     return values
 
 
-def project_potential(mesh, potential) -> DiscreteField:
-    """Nodal values of the potential at cell centers, boundary-edge
+def project_potential(mesh, potential) -> np.ndarray:
+    """Packed nodal values of the potential at cell centers, boundary-edge
     midpoints and vertices, from one evaluation on all of them."""
     if potential is None:
-        return DiscreteField.zeros(mesh)
+        return np.zeros(mesh.n_values)
     points = np.vstack([mesh.cell_centers, mesh.bnd_centers, mesh.primal.vertices])
-    return DiscreteField(mesh, evaluate(potential, points))
+    return evaluate(potential, points)
 
 
-def project_initial(mesh, u0) -> DiscreteField:
-    """Cell means of the initial data on interior and dual cells.
+def project_initial(mesh, u0) -> np.ndarray:
+    """Packed cell means of the initial data on interior and dual cells.
 
     Quadrature fan-triangulates each cell from its centroid and applies the
     centroid rule per triangle (exact for affine data); each dual cell is
@@ -157,9 +161,7 @@ def project_initial(mesh, u0) -> DiscreteField:
                 f"{what} mean {low:.3e} below tolerance"
             )
         np.clip(arr, 0.0, None, out=arr)
-    return DiscreteField.from_components(
-        mesh, interior, np.zeros(mesh.n_bnd), dual
-    )
+    return mesh.pack(interior, np.zeros(mesh.n_bnd), dual)
 
 
 # --- energy, dissipation, stationary state -----------------------------
@@ -172,18 +174,11 @@ def _entropy(values):
     return xlogy(values, values) - values + 1.0
 
 
-def _half_mass_dot(mesh, values):
-    """bracket(f, 1) of the packed vector of f: half the primal plus half
-    the dual mass-weighted sum (boundary cells carry no measure)."""
-    return 0.5 * (float(mesh.cell_areas.dot(values[:mesh.n_cells]))
-                  + float(mesh.dual_areas.dot(
-                      values[mesh.n_cells + mesh.n_bnd:])))
-
-
 def energy(mesh, u, v) -> float:
     """Free energy of the packed state ``u`` in the packed potential ``v``:
     entropy plus potential energy (0*log 0 taken as 0)."""
-    return _half_mass_dot(mesh, _entropy(u) + v * u)
+    mesh.parts(u), mesh.parts(v)    # the length checks
+    return bracket(mesh, _entropy(u) + v * u, np.ones(mesh.n_values))
 
 
 def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
@@ -191,29 +186,27 @@ def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
     state ``u_inf`` with matching mass.  ``log_u_inf``, when given, is
     log(u_inf), which a caller comparing many states with one reference
     computes once."""
+    mesh.parts(u), mesh.parts(u_inf)    # the length checks
     if log_u_inf is None:
         log_u_inf = np.log(u_inf)
     uu = np.maximum(u, 0.0)
-    return _half_mass_dot(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
+    return bracket(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf,
+                   np.ones(mesh.n_values))
 
 
-def stationary_state(mesh, v_field: DiscreteField, mass: float,
-                     dual_mass: float | None = None) -> DiscreteField:
-    """Discrete steady state u = rho * exp(-V), normalized to the given
+def stationary_state(mesh, v, mass: float,
+                     dual_mass: float | None = None) -> np.ndarray:
+    """Discrete steady state u = rho * exp(-v), normalized to the given
     mass on the interior cells and on the dual cells (the dual
     normalization reuses ``mass`` unless ``dual_mass`` is given)."""
     if mass <= 0.0:
         raise ValidationError("mass must be positive")
-    exp_int = np.exp(-v_field.interior)
-    exp_bnd = np.exp(-v_field.boundary)
-    exp_dual = np.exp(-v_field.dual)
+    exp_int, exp_bnd, exp_dual = (np.exp(-x) for x in mesh.parts(v))
     rho = mass / float(np.dot(mesh.cell_areas, exp_int))
     rho_star = (mass if dual_mass is None else dual_mass) / float(
         np.dot(mesh.dual_areas, exp_dual)
     )
-    return DiscreteField.from_components(
-        mesh, rho * exp_int, rho * exp_bnd, rho_star * exp_dual
-    )
+    return mesh.pack(rho * exp_int, rho * exp_bnd, rho_star * exp_dual)
 
 
 # --- assembly ----------------------------------------------------------
@@ -261,12 +254,10 @@ class Assembly:
         self.mesh = mesh
         self.params = params
         self.mats = local_matrices(mesh, params.lam)
-        self.v_field = project_potential(mesh, params.potential)
+        self.v = project_potential(mesh, params.potential)
 
-        nc, nb, nv = mesh.n_cells, mesh.n_bnd, mesh.n_verts
-        nd = mesh.n_diamonds
-        off = nc + nb
-        self.n = nc + nb + nv
+        off = mesh.dual_offset
+        self.n = mesh.n_values
         # The four corners of each diamond: cells k, l and vertices k, l.
         self.corners = np.stack([mesh.dia_cell_k, mesh.dia_cell_l,
                                  off + mesh.dia_vert_k, off + mesh.dia_vert_l])
@@ -284,10 +275,9 @@ class Assembly:
         self.flux_rows = self.corners.ravel()
 
         self.time_mask = np.ones(self.n, dtype=bool)
-        self.time_mask[nc:off] = False
-        half_mass = np.concatenate([
-            0.5 * mesh.cell_areas, np.full(nb, 0.5), 0.5 * mesh.dual_areas,
-        ])
+        mesh.parts(self.time_mask)[1][:] = False    # the closure rows
+        half_mass = mesh.pack(0.5 * mesh.cell_areas, np.full(mesh.n_bnd, 0.5),
+                              0.5 * mesh.dual_areas)
         # zero on the closure rows, which have no time derivative
         self.time_coef = np.where(self.time_mask, half_mass / params.dt, 0.0)
         # Inverse weights mapping variational rows to divergence-form rows:
@@ -403,7 +393,7 @@ class Assembly:
                 f"state has nonpositive entry {u.min():.3e}"
             )
         logu = np.log(u)
-        g = logu + self.v_field.values
+        g = logu + self.v
         corner_g = g[self.corners]
         d = corner_g[0::2] - corner_g[1::2]
         # the corners summed in order k, l, vk, vl
@@ -459,28 +449,29 @@ class Assembly:
         return diss, diss_hat
 
     def penalty_bracket_vec(self, it: Iterate):
-        g = DiscreteField(self.mesh, it.g)
-        return penalization_bracket(self.mesh, g, g, self.params.beta)
+        return penalization_bracket(self.mesh, it.g, it.g, self.params.beta)
 
 
 # --- public wrappers ----------------------------------------------------
 
 
-def residual(mesh, params: SchemeParams, u_prev: DiscreteField,
-             u: DiscreteField, assembly: Assembly | None = None) -> DiscreteField:
+def residual(mesh, params: SchemeParams, u_prev, u,
+             assembly: Assembly | None = None) -> np.ndarray:
     """Divergence-form residual: d/dt + div(flux) + kappa * penalization on
     interior and dual rows, the full edge-flux closure on boundary rows
     (Newton's mass-scaled rows times ``Assembly.inv_weight``)."""
+    mesh.parts(u_prev), mesh.parts(u)    # the length checks
     assembly = assembly or Assembly(mesh, params)
-    res, _ = assembly.system_vec(u.values, u_prev.values)
-    return DiscreteField(mesh, assembly.inv_weight * res)
+    res, _ = assembly.system_vec(u, u_prev)
+    return assembly.inv_weight * res
 
 
-def jacobian(mesh, params: SchemeParams, u_prev: DiscreteField,
-             u: DiscreteField, assembly: Assembly | None = None):
+def jacobian(mesh, params: SchemeParams, u_prev, u,
+             assembly: Assembly | None = None):
     """Analytic Jacobian of the residual as a CSR matrix."""
+    mesh.parts(u_prev), mesh.parts(u)    # the length checks
     assembly = assembly or Assembly(mesh, params)
-    _, it = assembly.system_vec(u.values, u_prev.values)
+    _, it = assembly.system_vec(u, u_prev)
     jac = assembly.system_jacobian(it)
     # scaling the values in place keeps the pattern, explicit zeros included
     jac.data *= np.repeat(assembly.inv_weight, np.diff(jac.indptr))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import DiscreteField, TensorSpec
+from .fields import TensorSpec
 from .mesh import build_ddfv, gen_kershaw, gen_quad_fvca, gen_uniform_quad
 from .operators import (
     bracket,
@@ -95,17 +95,16 @@ def check_duality(rng):
     for name, mesh in _meshes():
         for _ in range(20):
             xi = rng.standard_normal((mesh.n_diamonds, 2))
-            v = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
-            v.boundary[:] = 0.0
-            v.dual[mesh.vertex_is_boundary] = 0.0
+            v = rng.standard_normal(mesh.n_values)
+            _, vb, vd = mesh.parts(v)
+            vb[:] = 0.0
+            vd[mesh.vertex_is_boundary] = 0.0
 
             lhs = bracket(mesh, div_discrete(mesh, xi), v)
             # independent evaluation of -(xi, grad v) by per-diamond loops
             rhs = 0.0
-            vp = v.primal_all
-            vd = v.dual
             for d in range(mesh.n_diamonds):
-                dv_edge = vp[mesh.dia_cell_l[d]] - vp[mesh.dia_cell_k[d]]
+                dv_edge = v[mesh.dia_cell_l[d]] - v[mesh.dia_cell_k[d]]
                 dv_dual = vd[mesh.dia_vert_l[d]] - vd[mesh.dia_vert_k[d]]
                 rhs -= 0.5 * (
                     mesh.edge_len[d] * dv_edge * np.dot(xi[d], mesh.edge_normal[d])
@@ -127,7 +126,7 @@ def check_affine_exactness(rng):
             a = rng.standard_normal(2)
             c = rng.standard_normal()
             vals = np.concatenate([centers @ a + c, verts @ a + c])
-            g = grad_diamond(mesh, DiscreteField(mesh, vals))
+            g = grad_diamond(mesh, vals)
             worst = max(worst, np.abs(g - a).max() / max(1.0, np.abs(a).max()))
     return CheckResult("gradient affine exactness", worst < 1e-12,
                        f"worst relative defect {worst:.2e}")
@@ -176,20 +175,15 @@ def check_jacobian_fd(rng):
     params = SchemeParams(dt=0.1, t_final=0.1, kappa=0.05, beta=1.0,
                           potential=lambda x: -x[1])
     assembly = Assembly(mesh, params)
-    u_prev = DiscreteField(mesh, 0.5 + rng.random(mesh.n_values))
+    u_prev = 0.5 + rng.random(mesh.n_values)
     u = 0.5 + rng.random(mesh.n_values)
-    u_field = DiscreteField(mesh, u)
-    jac = jacobian(mesh, params, u_prev, u_field, assembly).toarray()
-
-    def res(vals):
-        return residual(mesh, params, u_prev, DiscreteField(mesh, vals),
-                        assembly).values
+    jac = jacobian(mesh, params, u_prev, u, assembly).toarray()
 
     no_penalty = dataclasses.replace(params, kappa=0.0)
-    penalty = (residual(mesh, params, u_field, u_field, assembly).values
-               - residual(mesh, no_penalty, u_field, u_field).values)
-    homogeneous = (residual(mesh, params, DiscreteField.zeros(mesh), u_field,
-                            assembly).values - penalty)
+    penalty = (residual(mesh, params, u, u, assembly)
+               - residual(mesh, no_penalty, u, u))
+    homogeneous = (residual(mesh, params, np.zeros(mesh.n_values), u,
+                            assembly) - penalty)
     identity = float(np.abs(jac @ u - homogeneous).max()
                      / (np.abs(jac) @ u).max())
 
@@ -199,7 +193,8 @@ def check_jacobian_fd(rng):
         up, um = u.copy(), u.copy()
         up[j] += step
         um[j] -= step
-        fd[:, j] = (res(up) - res(um)) / (2 * step)
+        fd[:, j] = (residual(mesh, params, u_prev, up, assembly)
+                    - residual(mesh, params, u_prev, um, assembly)) / (2 * step)
     denom = np.maximum(1.0, np.abs(jac))
     worst = float((np.abs(jac - fd) / denom).max())
     return CheckResult("jacobian vs finite differences",

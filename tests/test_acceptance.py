@@ -74,11 +74,11 @@ def test_criterion_2_stationary_fixed_point():
     params = SchemeParams(dt=DT0, t_final=DT0, kappa=0.0,
                           potential=lambda x: -x[1])
     asm = Assembly(mesh, params)
-    u_inf = stationary_state(mesh, asm.v_field, mass=2.0)
-    res_l1 = float(np.abs(asm.system_vec(u_inf.values, u_inf.values)[0]).sum())
+    u_inf = stationary_state(mesh, asm.v, mass=2.0)
+    res_l1 = float(np.abs(asm.system_vec(u_inf, u_inf)[0]).sum())
     _, stats = newton_solve(
-        lambda x: asm.system_vec(x, u_inf.values),
-        asm.system_jacobian, u_inf.values, params.newton,
+        lambda x: asm.system_vec(x, u_inf),
+        asm.system_jacobian, u_inf, params.newton,
     )
     ok = res_l1 < 1e-10 and stats.iterations <= 1 and stats.residual_l1 < 1e-10
     _report(2, ok, f"residual l1 at steady state {res_l1:.2e}, "
@@ -176,9 +176,9 @@ def test_criterion_8_kershaw_family(kershaw_study):
     decay_ok = all(b <= a + 1e-9 * (1 + abs(a))
                    for a, b in zip(energies, energies[1:]))
     asm = Assembly(mesh, params)
-    u_inf = stationary_state(mesh, asm.v_field, mass=2.0)
+    u_inf = stationary_state(mesh, asm.v, mass=2.0)
     fixed_pt = float(np.abs(
-        asm.system_vec(u_inf.values, u_inf.values)[0]).sum())
+        asm.system_vec(u_inf, u_inf)[0]).sum())
 
     positive = min(r.min_u for r in kershaw_study) > 0.0
     ok = (orders_ok and drift <= 1e-11 and decay_ok and fixed_pt < 1e-10

@@ -2,35 +2,77 @@ import numpy as np
 import pytest
 
 from ddfv.errors import NotSPD, ValidationError
-from ddfv.fields import DiscreteField, TensorSpec
-from ddfv.operators import local_matrices
+from ddfv.fields import TensorSpec
+from ddfv.harness import simulate
+from ddfv.operators import (
+    bracket,
+    grad_diamond,
+    local_matrices,
+    penalization_bracket,
+)
+from ddfv.scheme import (
+    SchemeParams,
+    energy,
+    jacobian,
+    relative_energy,
+    residual,
+    stationary_state,
+)
 
 
 def test_field_layout_and_views(quad5):
-    u = DiscreteField.zeros(quad5)
-    u.interior[:] = 1.0
-    u.boundary[:] = 2.0
-    u.dual[:] = 3.0
-    assert u.values[0] == 1.0
-    assert u.values[quad5.n_cells] == 2.0
-    assert u.values[-1] == 3.0
-    assert np.array_equal(u.primal_all[quad5.n_cells:], u.boundary)
+    u = np.zeros(quad5.n_values)
+    interior, boundary, dual = quad5.parts(u)
+    interior[:] = 1.0
+    boundary[:] = 2.0
+    dual[:] = 3.0
+    assert u[0] == 1.0
+    assert u[quad5.n_cells] == 2.0
+    assert u[quad5.dual_offset - 1] == 2.0 and u[quad5.dual_offset] == 3.0
+    assert u[-1] == 3.0
+    assert np.array_equal(quad5.pack(*quad5.parts(u)), u)
+    assert quad5.pack(*quad5.parts(u)) is not u
 
 
 def test_field_shape_mismatch(quad5):
     with pytest.raises(ValidationError):
-        DiscreteField(quad5, np.zeros(3))
+        quad5.parts(np.zeros(3))
+    with pytest.raises(ValidationError):
+        quad5.parts(np.zeros((quad5.n_values, 1)))
+    with pytest.raises(ValidationError):
+        quad5.pack(np.zeros(quad5.n_cells), np.zeros(1), np.zeros(quad5.n_verts))
 
 
-def test_field_arithmetic(quad5):
-    u = DiscreteField.full(quad5, 2.0)
-    v = DiscreteField.full(quad5, 0.5)
-    assert np.allclose((u - v).values, 1.5)
-    assert np.allclose((u + v).values, 2.5)
-    assert np.allclose((2.0 * v).values, 1.0)
-    w = DiscreteField(quad5, u.values.copy())
-    w.values[0] = -1.0
-    assert u.values[0] == 2.0
+_PARAMS = SchemeParams(dt=0.1, t_final=0.1)
+
+# Every public function that takes packed vectors, called with the bad
+# vector x in one argument and a valid positive vector ok in the others.
+ENTRY_POINTS = {
+    "simulate": lambda m, x, ok: simulate(m, _PARAMS, x),
+    "residual_u": lambda m, x, ok: residual(m, _PARAMS, ok, x),
+    "residual_u_prev": lambda m, x, ok: residual(m, _PARAMS, x, ok),
+    "jacobian_u": lambda m, x, ok: jacobian(m, _PARAMS, ok, x),
+    "jacobian_u_prev": lambda m, x, ok: jacobian(m, _PARAMS, x, ok),
+    "bracket_u": lambda m, x, ok: bracket(m, x, ok),
+    "bracket_v": lambda m, x, ok: bracket(m, ok, x),
+    "penalization_bracket": lambda m, x, ok: penalization_bracket(m, ok, x, 1.0),
+    "grad_diamond": lambda m, x, ok: grad_diamond(m, x),
+    "stationary_state": lambda m, x, ok: stationary_state(m, x, 1.0),
+    "energy_u": lambda m, x, ok: energy(m, x, ok),
+    "energy_v": lambda m, x, ok: energy(m, ok, x),
+    "relative_energy_u": lambda m, x, ok: relative_energy(m, x, ok),
+    "relative_energy_u_inf": lambda m, x, ok: relative_energy(m, ok, x),
+}
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "column", "row"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_wrong_length(quad5, entry, shape):
+    n = quad5.n_values
+    x = np.ones({"short": n - 1, "long": n + 1, "column": (n, 1),
+                 "row": (1, n)}[shape])
+    with pytest.raises(ValidationError, match="does not match mesh"):
+        ENTRY_POINTS[entry](quad5, x, np.ones(n))
 
 
 def test_tensor_constant_and_rotated():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ddfv.errors import InvariantViolation, ValidationError
-from ddfv.fields import DiscreteField
 from ddfv.harness import (
     CSV_HEADER,
     ConvergenceRow,
@@ -115,7 +114,7 @@ def test_error_gradient_brute_force_oracle(uniform2, rng):
     vec = rng.standard_normal(uniform2.n_values)
     grad_exact = lambda x, t: np.array([x[0], -x[1]])
     dt = 0.2
-    g = grad_diamond(uniform2, DiscreteField(uniform2, vec))
+    g = grad_diamond(uniform2, vec)
     total = 0.0
     for d in range(uniform2.n_diamonds):
         diff = g[d] - grad_exact(uniform2.cross_point[d], dt)
@@ -173,14 +172,15 @@ def test_nodal_initial_sampling_and_fallback(quad8):
     means = project_initial(quad8, case.u0)
     direct = np.array([case.u0(x) for x in quad8.cell_centers])
     inside = direct > 0
-    assert np.allclose(field.interior[inside], direct[inside])
+    interior, boundary, dual = quad8.parts(field)
+    assert np.allclose(interior[inside], direct[inside])
     # the data vanishes on the top edge: those vertices take the cell mean
     dual_direct = np.array([case.u0(x) for x in quad8.primal.vertices])
     zero = dual_direct <= 0
     assert zero.any()
-    assert np.allclose(field.dual[zero], means.dual[zero])
-    assert field.interior.min() > 0 and field.dual.min() > 0
-    assert (field.boundary == 0).all()
+    assert np.allclose(dual[zero], quad8.parts(means)[2][zero])
+    assert interior.min() > 0 and dual.min() > 0
+    assert (boundary == 0).all()
 
 
 def test_simulate_records_and_invariants(quad8):
@@ -203,13 +203,13 @@ def test_seed_boundary_zeros_matches_loop_version(mesh_zoo, rng):
     for name, mesh in mesh_zoo:
         asm = Assembly(mesh, SchemeParams(dt=1e-3, t_final=1e-3,
                                           potential=case.potential))
-        u = project_initial(mesh, case.u0).values
+        u = project_initial(mesh, case.u0)
         bnd = slice(mesh.n_cells, mesh.n_cells + mesh.n_bnd)
         # zero boundary values are seeded, the others kept
         u[bnd] = np.where(rng.random(mesh.n_bnd) < 0.5, 0.0,
                           1.0 + rng.random(mesh.n_bnd))
         # the per-diamond loop the array update replaced
-        v = asm.v_field.values
+        v = asm.v
         expected = u.copy()
         for d in np.flatnonzero(mesh.dia_is_boundary):
             row, k = mesh.dia_cell_l[d], mesh.dia_cell_k[d]
@@ -258,7 +258,7 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
     # step 1: u0 with its zero boundary values seeded; step 2: u1, since u0
     # has zeros
     assert np.array_equal(calls[0][0],
-                          _seed_boundary_zeros(quad8, asm, u0.values))
+                          _seed_boundary_zeros(quad8, asm, u0))
     assert calls[0][1] is None
     assert calls[1][0] is states[1] and calls[1][1] is None
     # step 3: linear in log u from u2 and u1; steps 4-5: quadratic
@@ -426,8 +426,8 @@ def test_simulate_observer_sees_every_state_in_order(quad8):
     assert len(seen) == params.n_steps + 1 == len(result.records)
     assert [rec.n for rec, _, _ in seen] == list(range(params.n_steps + 1))
     assert all(a is b for a, (b, _, _) in zip(result.records, seen))
-    assert np.array_equal(seen[0][1], u0.values)
-    assert seen[0][1] is not u0.values
+    assert np.array_equal(seen[0][1], u0)
+    assert seen[0][1] is not u0
     # the loop never wrote to a state after handing it over
     assert all(np.array_equal(kept, copy) for _, kept, copy in seen)
     assert len({id(kept) for _, kept, _ in seen}) == len(seen)
@@ -456,7 +456,7 @@ def _list_error_gradient(mesh, trajectory, dt, grad_u_exact):
     total = 0.0
     for n in range(1, len(trajectory)):
         t = n * dt
-        g = grad_diamond(mesh, DiscreteField(mesh, trajectory[n]))
+        g = grad_diamond(mesh, trajectory[n])
         exact = np.asarray(grad_u_exact(mesh.cross_point.T, t), dtype=float)
         if exact.ndim == 1:
             exact = exact[:, None]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddfv.errors import BadBeta
-from ddfv.fields import DiscreteField, TensorSpec
+from ddfv.fields import TensorSpec
 from ddfv.mesh import PrimalMesh, build_ddfv, gen_quad_fvca, quality
 from ddfv.operators import (
     bracket,
@@ -25,7 +25,7 @@ def _inner_lambda(mesh, lam, xi, phi):
 
 
 def test_gradient_of_constant_is_zero(quad5):
-    g = grad_diamond(quad5, DiscreteField.full(quad5, 3.7))
+    g = grad_diamond(quad5, np.full(quad5.n_values, 3.7))
     assert np.abs(g).max() < 1e-13
 
 
@@ -37,9 +37,9 @@ def test_gradient_single_diamond_rational_oracle(quad5, kershaw8, rng):
         return a[0] * b[1] - a[1] * b[0]
 
     for name, mesh in (("quad5", quad5), ("kershaw8", kershaw8)):
-        u = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
+        u = rng.standard_normal(mesh.n_values)
         got = grad_diamond(mesh, u)
-        up, ud = u.primal_all, u.dual
+        up, ud = u, mesh.parts(u)[2]
         centers, verts = mesh.primal_centers, mesh.primal.vertices
         for d in range(mesh.n_diamonds):
             ck, cl = mesh.dia_cell_k[d], mesh.dia_cell_l[d]
@@ -68,9 +68,9 @@ def test_gradient_single_diamond_rational_oracle(quad5, kershaw8, rng):
 def test_gradient_two_formulas_agree(mesh_zoo, rng):
     # the sin(angle)-scaled difference quotients equal the area form
     for name, mesh in mesh_zoo:
-        u = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
+        u = rng.standard_normal(mesh.n_values)
         g = grad_diamond(mesh, u)
-        up, ud = u.primal_all, u.dual
+        up, ud = u, mesh.parts(u)[2]
         alt = (
             ((ud[mesh.dia_vert_l] - ud[mesh.dia_vert_k])
              / mesh.edge_len)[:, None] * mesh.dual_edge_normal
@@ -85,29 +85,30 @@ def test_gradient_two_formulas_agree(mesh_zoo, rng):
 
 def test_divergence_of_zero(quad5):
     d = div_discrete(quad5, np.zeros((quad5.n_diamonds, 2)))
-    assert np.abs(d.values).max() == 0.0
+    assert np.abs(d).max() == 0.0
 
 
 def test_divergence_of_constant_interior(quad5):
     xi = np.tile([0.3, -1.1], (quad5.n_diamonds, 1))
     d = div_discrete(quad5, xi)
     # normals of a closed interior cell sum to zero
-    assert np.abs(d.interior).max() < 1e-12
-    assert np.abs(d.boundary).max() == 0.0
+    interior, boundary, _ = quad5.parts(d)
+    assert np.abs(interior).max() < 1e-12
+    assert np.abs(boundary).max() == 0.0
 
 
 # --- brackets ----------------------------------------------------------------
 
 
 def test_bracket_of_ones(quad5):
-    one = DiscreteField.full(quad5, 1.0)
+    one = np.full(quad5.n_values, 1.0)
     assert bracket(quad5, one, one) == pytest.approx(quad5.domain_area, rel=1e-13)
 
 
 def test_bracket_single_cell_indicator(quad5):
-    u = DiscreteField.zeros(quad5)
-    u.interior[3] = 1.0
-    one = DiscreteField.full(quad5, 1.0)
+    u = np.zeros(quad5.n_values)
+    quad5.parts(u)[0][3] = 1.0
+    one = np.full(quad5.n_values, 1.0)
     assert bracket(quad5, u, one) == pytest.approx(
         0.5 * quad5.cell_areas[3], rel=1e-13)
 
@@ -127,14 +128,14 @@ def test_local_matrices_match_gradient_inner_product(rng):
     mesh = build_ddfv(gen_quad_fvca(4, 0.1))
     lam = TensorSpec.rotated(1.0, 0.2, 0.7)
     mats = local_matrices(mesh, lam)
-    u = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
-    v = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
+    u = rng.standard_normal(mesh.n_values)
+    v = rng.standard_normal(mesh.n_values)
     lhs = 0.0
     for d in range(mesh.n_diamonds):
         du, dv = (np.array([
-            w.primal_all[mesh.dia_cell_k[d]] - w.primal_all[mesh.dia_cell_l[d]],
-            w.dual[mesh.dia_vert_k[d]] - w.dual[mesh.dia_vert_l[d]],
-        ]) for w in (u, v))
+            w[mesh.dia_cell_k[d]] - w[mesh.dia_cell_l[d]],
+            wd[mesh.dia_vert_k[d]] - wd[mesh.dia_vert_l[d]],
+        ]) for w, wd in ((u, mesh.parts(u)[2]), (v, mesh.parts(v)[2])))
         lhs += float(du @ mats.matrix(d) @ dv)
     rhs = _inner_lambda(mesh, lam, grad_diamond(mesh, u), grad_diamond(mesh, v))
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
@@ -157,7 +158,7 @@ def test_assembled_forms_orientation_invariant(rng):
     mesh_b = build_ddfv(PrimalMesh(primal.vertices, primal.cells[::-1]))
     nc = mesh_a.n_cells
     vals = rng.standard_normal(mesh_a.n_values)
-    u_a = DiscreteField(mesh_a, vals)
+    u_a = vals
     # map: cell i -> nc-1-i; boundary cells and vertices keep their ids
     perm = np.concatenate([
         np.arange(nc)[::-1],
@@ -169,7 +170,7 @@ def test_assembled_forms_orientation_invariant(rng):
         perm[nc + i] = nc + key_to_b[tuple(sorted(e))]
     vals_b = np.empty_like(vals)
     vals_b[perm] = vals
-    u_b = DiscreteField(mesh_b, vals_b)
+    u_b = vals_b
     lam = TensorSpec.rotated(1.0, 0.3, 0.2)
     ga, gb = grad_diamond(mesh_a, u_a), grad_diamond(mesh_b, u_b)
     assert _inner_lambda(mesh_a, lam, ga, ga) == pytest.approx(
@@ -185,15 +186,14 @@ def test_assembled_forms_orientation_invariant(rng):
 
 def test_penalization_vanishes_on_matching_values(quad5):
     # equal primal and dual values -> every overlap gap is zero
-    u = DiscreteField.full(quad5, 2.0)
+    u = np.full(quad5.n_values, 2.0)
     assert penalization_bracket(quad5, u, u, 1.0) == 0.0
 
 
 def test_penalization_bracket_primal_dual_split(mesh_zoo):
     for name, mesh in mesh_zoo:
-        u = DiscreteField.from_components(
-            mesh, np.ones(mesh.n_cells), np.zeros(mesh.n_bnd),
-            np.zeros(mesh.n_verts))
+        u = mesh.pack(np.ones(mesh.n_cells), np.zeros(mesh.n_bnd),
+                      np.zeros(mesh.n_verts))
         for beta in (0.5, 1.0, 1.5):
             expected = mesh.domain_area / (2.0 * mesh.h**beta)
             assert penalization_bracket(mesh, u, u, beta) == pytest.approx(
@@ -201,8 +201,8 @@ def test_penalization_bracket_primal_dual_split(mesh_zoo):
 
 
 def test_penalization_symmetry_positivity(quad5, rng):
-    u = DiscreteField(quad5, rng.standard_normal(quad5.n_values))
-    v = DiscreteField(quad5, rng.standard_normal(quad5.n_values))
+    u = rng.standard_normal(quad5.n_values)
+    v = rng.standard_normal(quad5.n_values)
     buv = penalization_bracket(quad5, u, v, 1.0)
     bvu = penalization_bracket(quad5, v, u, 1.0)
     assert buv == pytest.approx(bvu, rel=1e-13)
@@ -210,9 +210,8 @@ def test_penalization_symmetry_positivity(quad5, rng):
 
 
 def test_penalization_scaling_with_h():
-    u_of = lambda mesh: DiscreteField.from_components(
-        mesh, np.ones(mesh.n_cells), np.zeros(mesh.n_bnd),
-        np.zeros(mesh.n_verts))
+    u_of = lambda mesh: mesh.pack(
+        np.ones(mesh.n_cells), np.zeros(mesh.n_bnd), np.zeros(mesh.n_verts))
     beta = 1.2
     m1 = build_ddfv(gen_quad_fvca(4, 0.1))
     m2 = build_ddfv(gen_quad_fvca(8, 0.1))
@@ -222,7 +221,7 @@ def test_penalization_scaling_with_h():
 
 
 def test_penalization_rejects_bad_beta(quad5):
-    u = DiscreteField.full(quad5, 1.0)
+    u = np.full(quad5.n_values, 1.0)
     for beta in (0.0, 2.0, -1.0, 3.0):
         with pytest.raises(BadBeta):
             penalization_bracket(quad5, u, u, beta)
@@ -247,9 +246,9 @@ def test_trace_ratio_bounded_under_refinement(rng):
             np.array([smooth(x) for x in mesh.primal_centers]),
             np.array([smooth(x) for x in mesh.primal.vertices]),
         ])
-        u = DiscreteField(mesh, vals)
+        u = vals
         # boundary l2 trace against the l2 norm plus the gradient l2 norm
-        tr = float(np.dot(mesh.bnd_lengths, u.boundary**2)) ** 0.5
+        tr = float(np.dot(mesh.bnd_lengths, mesh.parts(u)[1]**2)) ** 0.5
         grad = grad_diamond(mesh, u)
         denom = (bracket(mesh, u, u) ** 0.5
                  + float(np.dot(mesh.diamond_area, (grad**2).sum(axis=1))) ** 0.5)

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from ddfv.errors import BadBeta, NonPositiveState, ValidationError
-from ddfv.fields import DiscreteField
 from ddfv.mesh import build_ddfv, gen_quad_fvca
 from ddfv.operators import bracket, local_matrices
 from ddfv.scheme import (
@@ -27,7 +26,7 @@ def _params(dt=0.1, kappa=0.0, potential=None, **kw):
 
 
 def _positive_field(mesh, rng):
-    return DiscreteField(mesh, 0.5 + rng.random(mesh.n_values))
+    return 0.5 + rng.random(mesh.n_values)
 
 
 # --- projections -------------------------------------------------------------
@@ -35,9 +34,10 @@ def _positive_field(mesh, rng):
 
 def test_project_initial_constant(quad5):
     u0 = project_initial(quad5, lambda x: 1.0)
-    assert np.allclose(u0.interior, 1.0)
-    assert np.allclose(u0.dual, 1.0)
-    assert (u0.boundary == 0.0).all()
+    interior, boundary, dual = quad5.parts(u0)
+    assert np.allclose(interior, 1.0)
+    assert np.allclose(dual, 1.0)
+    assert (boundary == 0.0).all()
 
 
 def test_project_initial_affine_exact(quad5):
@@ -46,14 +46,15 @@ def test_project_initial_affine_exact(quad5):
     a = np.array([0.8, -0.4])
     c = 1.5
     u0 = project_initial(quad5, lambda x: a @ x + c)
+    interior, _, dual = quad5.parts(u0)
     verts = quad5.primal.vertices
     for ci, loop in enumerate(quad5.primal.cells):
         exact = float(a @ polygon_centroid(verts[loop]) + c)
-        assert u0.interior[ci] == pytest.approx(exact, rel=1e-12)
+        assert interior[ci] == pytest.approx(exact, rel=1e-12)
     for v in range(quad5.n_verts):
         poly = dual_polygon(quad5, v)
         exact = float(a @ polygon_centroid(poly) + c)
-        assert u0.dual[v] == pytest.approx(exact, rel=1e-11), v
+        assert dual[v] == pytest.approx(exact, rel=1e-11), v
 
 
 def test_project_initial_mass_converges_second_order():
@@ -63,7 +64,7 @@ def test_project_initial_mass_converges_second_order():
     for n in (4, 8, 16):
         mesh = build_ddfv(gen_quad_fvca(n, 0.1))
         field = project_initial(mesh, u0)
-        one = DiscreteField.full(mesh, 1.0)
+        one = np.full(mesh.n_values, 1.0)
         errs.append(abs(bracket(mesh, field, one) - exact))
     assert 2.5 < errs[0] / errs[1] < 6.5
     assert 2.5 < errs[1] / errs[2] < 6.5
@@ -77,19 +78,19 @@ def test_project_initial_rejects_negative_data(quad5):
 
 
 def test_project_potential_values(uniform4, rng):
-    assert np.abs(project_potential(uniform4, lambda x: 0.0).values).max() == 0.0
+    assert np.abs(project_potential(uniform4, lambda x: 0.0)).max() == 0.0
     v = project_potential(uniform4, lambda x: -x[1])
     center = int(np.flatnonzero(
         (np.abs(uniform4.cell_centers - [0.375, 0.375]) < 1e-12).all(axis=1)
     )[0])
-    assert v.interior[center] == pytest.approx(-0.375)
+    assert uniform4.parts(v)[0][center] == pytest.approx(-0.375)
     # nodal values match direct evaluation everywhere
     fn = lambda x: np.sin(x[0]) - 1.3 * x[1] ** 2
     proj = project_potential(uniform4, fn)
     pts = np.vstack([uniform4.primal_centers, uniform4.primal.vertices])
     idx = rng.integers(0, len(pts), size=100)
     direct = np.array([fn(pts[i]) for i in idx])
-    assert np.allclose(proj.values[np.concatenate([
+    assert np.allclose(proj[np.concatenate([
         np.arange(uniform4.n_cells + uniform4.n_bnd),
         uniform4.n_cells + uniform4.n_bnd + np.arange(uniform4.n_verts),
     ])][idx], direct)
@@ -109,23 +110,23 @@ def test_data_must_return_one_value_per_point(uniform4):
 def test_residual_zero_at_stationary_state(quad8):
     params = _params(dt=4e-3, potential=lambda x: -x[1])
     asm = Assembly(quad8, params)
-    u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
+    u_inf = stationary_state(quad8, asm.v, mass=2.0)
     res = residual(quad8, params, u_inf, u_inf, assembly=asm)
-    assert np.abs(res.values).max() < 1e-12
+    assert np.abs(res).max() < 1e-12
 
 
 def test_residual_zero_at_constant_no_potential(quad5):
     params = _params(dt=0.05)
-    u = DiscreteField.full(quad5, 3.0)
+    u = np.full(quad5.n_values, 3.0)
     res = residual(quad5, params, u, u)
-    assert np.abs(res.values).max() < 1e-12
+    assert np.abs(res).max() < 1e-12
 
 
 def test_residual_raises_on_nonpositive_state(quad5):
     params = _params()
-    u = DiscreteField.full(quad5, 1.0)
-    bad = DiscreteField(quad5, u.values.copy())
-    bad.values[0] = 0.0
+    u = np.full(quad5.n_values, 1.0)
+    bad = u.copy()
+    bad[0] = 0.0
     with pytest.raises(NonPositiveState):
         residual(quad5, params, u, bad)
 
@@ -141,18 +142,19 @@ def test_residual_matches_variational_form_brute_force(rng):
     u_prev = _positive_field(mesh, rng)
     u = _positive_field(mesh, rng)
     res = residual(mesh, params, u_prev, u, assembly=asm)
-    g = np.log(u.values) + asm.v_field.values
-    uv = u.values
+    g = np.log(u) + asm.v
+    uv = u
     nc, nb = mesh.n_cells, mesh.n_bnd
     # arithmetic mean of the four corner values per diamond
     rd = 0.25 * (uv[mesh.dia_cell_k] + uv[mesh.dia_cell_l]
                  + uv[nc + nb + mesh.dia_vert_k] + uv[nc + nb + mesh.dia_vert_l])
 
     for _ in range(10):
-        psi = DiscreteField(mesh, rng.standard_normal(mesh.n_values))
+        psi = rng.standard_normal(mesh.n_values)
+        psi_int, psi_bnd, psi_dual = mesh.parts(psi)
         # left side: bracket with the residual plus boundary closure rows
         lhs = bracket(mesh, res, psi)
-        lhs -= 0.5 * float(np.dot(res.boundary, psi.boundary))
+        lhs -= 0.5 * float(np.dot(mesh.parts(res)[1], psi_bnd))
         # right side: time bracket + diamond form + penalization, by loops
         rhs = bracket(mesh, u - u_prev, psi) / params.dt
         gp = np.concatenate([g[:nc + nb]])
@@ -162,15 +164,15 @@ def test_residual_matches_variational_form_brute_force(rng):
                 g[nc + nb + mesh.dia_vert_k[d]] - g[nc + nb + mesh.dia_vert_l[d]],
             ])
             dpsi = np.array([
-                psi.primal_all[mesh.dia_cell_k[d]] - psi.primal_all[mesh.dia_cell_l[d]],
-                psi.dual[mesh.dia_vert_k[d]] - psi.dual[mesh.dia_vert_l[d]],
+                psi[mesh.dia_cell_k[d]] - psi[mesh.dia_cell_l[d]],
+                psi_dual[mesh.dia_vert_k[d]] - psi_dual[mesh.dia_vert_l[d]],
             ])
             rhs += rd[d] * float(dg @ mats.matrix(d) @ dpsi)
         pen = 0.0
         for c, v, w in zip(mesh.overlap_cell, mesh.overlap_vert,
                            mesh.overlap_area):
             pen += w * (g[c] - g[nc + nb + v]) * (
-                psi.interior[c] - psi.dual[v])
+                psi_int[c] - psi_dual[v])
         rhs += params.kappa * pen / (2.0 * mesh.h**params.beta)
         assert lhs == pytest.approx(rhs, abs=1e-11 * max(1.0, abs(rhs)))
 
@@ -183,9 +185,9 @@ def test_mass_conservation_via_constant_test_field(quad5, rng):
     u_prev = _positive_field(quad5, rng)
     u = _positive_field(quad5, rng)
     res = residual(quad5, params, u_prev, u)
-    one = DiscreteField.full(quad5, 1.0)
+    one = np.full(quad5.n_values, 1.0)
     dm = bracket(quad5, u - u_prev, one) / params.dt
-    tested = bracket(quad5, res, one) - 0.5 * float(res.boundary.sum())
+    tested = bracket(quad5, res, one) - 0.5 * float(quad5.parts(res)[1].sum())
     assert tested == pytest.approx(dm, rel=1e-10)
 
 
@@ -197,7 +199,7 @@ def _coo_system_jacobian(asm, u):
     the time diagonal and the penalization blocks as COO triplets, summed by
     scipy's COO -> CSR conversion."""
     col_k, col_l, col_vk, col_vl = asm.corners
-    g = np.log(u) + asm.v_field.values
+    g = np.log(u) + asm.v
     d1, d2 = g[col_k] - g[col_l], g[col_vk] - g[col_vl]
     rd = 0.25 * (u[col_k] + u[col_l] + u[col_vk] + u[col_vl])
     m = asm.mats
@@ -252,8 +254,7 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
         # another order: allow 16 ulps of the largest entry in the row
         tol = 16 * np.finfo(float).eps * abs(ref).max(axis=1).toarray()
         assert (abs(jac - ref).toarray() <= tol).all()
-        field = DiscreteField(kershaw8, u)
-        div = jacobian(kershaw8, params, field, field, assembly=asm)
+        div = jacobian(kershaw8, params, u, u, assembly=asm)
         ref_div = (sp.diags(asm.inv_weight) @ ref).toarray()
         assert (np.abs(div.toarray() - ref_div)
                 <= tol * asm.inv_weight[:, None]).all()
@@ -284,7 +285,7 @@ def test_jacobian_row_sums_at_constant_state(quad5):
     # the flux block has zero row sums and only the time diagonal remains
     # (rows are divergence-scaled, hence 1/dt rather than a mass factor)
     params = _params(dt=0.25)
-    u = DiscreteField.full(quad5, 2.0)
+    u = np.full(quad5.n_values, 2.0)
     jac = jacobian(quad5, params, u, u)
     sums = np.asarray(jac.sum(axis=1)).ravel()
     nc, nb = quad5.n_cells, quad5.n_bnd
@@ -305,45 +306,45 @@ def test_jacobian_sparsity_structurally_symmetric(quad5, rng):
 
 
 def test_energy_reference_values(quad5):
-    zero_v = DiscreteField.zeros(quad5)
-    one = DiscreteField.full(quad5, 1.0)
-    assert energy(quad5, one.values, zero_v.values) == pytest.approx(
+    zero_v = np.zeros(quad5.n_values)
+    one = np.full(quad5.n_values, 1.0)
+    assert energy(quad5, one, zero_v) == pytest.approx(
         0.0, abs=1e-14)
-    ue = DiscreteField.full(quad5, math.e)
-    assert energy(quad5, ue.values, zero_v.values) == pytest.approx(
+    ue = np.full(quad5.n_values, math.e)
+    assert energy(quad5, ue, zero_v) == pytest.approx(
         quad5.domain_area, rel=1e-13)
 
 
 def test_energy_accepts_zeros(quad5):
-    zero_v = DiscreteField.zeros(quad5)
-    u = DiscreteField.zeros(quad5)
+    zero_v = np.zeros(quad5.n_values)
+    u = np.zeros(quad5.n_values)
     # H(0) = 1 with 0*log(0) = 0
-    assert energy(quad5, u.values, zero_v.values) == pytest.approx(
+    assert energy(quad5, u, zero_v) == pytest.approx(
         quad5.domain_area, rel=1e-13)
 
 
 def test_relative_energy_zero_at_reference(quad8):
     v = project_potential(quad8, lambda x: -x[1])
     u_inf = stationary_state(quad8, v, mass=1.7)
-    assert relative_energy(quad8, u_inf.values, u_inf.values) == pytest.approx(
+    assert relative_energy(quad8, u_inf, u_inf) == pytest.approx(
         0.0, abs=1e-13)
 
 
 def test_dissipation_zero_at_stationary_state(quad8):
     params = _params(dt=1e-2, potential=lambda x: -x[1])
     asm = Assembly(quad8, params)
-    u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
+    u_inf = stationary_state(quad8, asm.v, mass=2.0)
     diss, diss_hat = asm.dissipation_vec(
-        asm.system_vec(u_inf.values, u_inf.values)[1])
+        asm.system_vec(u_inf, u_inf)[1])
     assert abs(diss) < 1e-24
     assert diss_hat > 0.0  # log u alone is not piecewise constant here
 
 
 def test_dissipation_hat_zero_at_constant(quad5):
     params = _params(dt=1e-2)
-    u = DiscreteField.full(quad5, 2.5)
+    u = np.full(quad5.n_values, 2.5)
     asm = Assembly(quad5, params)
-    diss, diss_hat = asm.dissipation_vec(asm.system_vec(u.values, u.values)[1])
+    diss, diss_hat = asm.dissipation_vec(asm.system_vec(u, u)[1])
     assert abs(diss) < 1e-28 and abs(diss_hat) < 1e-28
 
 
@@ -364,11 +365,11 @@ def test_dissipation_sandwich(quad8, rng):
     vk, vl = off + quad8.dia_vert_k, off + quad8.dia_vert_l
     for _ in range(20):
         u = _positive_field(quad8, rng)
-        diss, _ = asm.dissipation_vec(asm.system_vec(u.values, u.values)[1])
-        g = np.log(u.values) + asm.v_field.values
+        diss, _ = asm.dissipation_vec(asm.system_vec(u, u)[1])
+        g = np.log(u) + asm.v
         # diagonal differences of g and the corner mean of u per diamond
         dg1, dg2 = g[ck] - g[cl], g[vk] - g[vl]
-        uv = u.values
+        uv = u
         rd = 0.25 * (uv[ck] + uv[cl] + uv[vk] + uv[vl])
         mid = float(np.dot(rd, mats.quad_b(dg1, dg2)))
         assert diss <= mid * (1 + 1e-12)
@@ -379,24 +380,25 @@ def test_dissipation_sandwich(quad8, rng):
 
 
 def test_stationary_state_flat_without_potential(quad5):
-    u_inf = stationary_state(quad5, DiscreteField.zeros(quad5), mass=3.0)
+    u_inf = stationary_state(quad5, np.zeros(quad5.n_values), mass=3.0)
     expect = 3.0 / quad5.domain_area
-    assert np.allclose(u_inf.values, expect)
+    assert np.allclose(u_inf, expect)
 
 
 def test_stationary_state_normalization(quad8):
     v = project_potential(quad8, lambda x: -x[1])
     u_inf = stationary_state(quad8, v, mass=2.0)
-    assert float(np.dot(quad8.cell_areas, u_inf.interior)) == pytest.approx(
+    interior, _, dual = quad8.parts(u_inf)
+    assert float(np.dot(quad8.cell_areas, interior)) == pytest.approx(
         2.0, abs=1e-13)
-    assert float(np.dot(quad8.dual_areas, u_inf.dual)) == pytest.approx(
+    assert float(np.dot(quad8.dual_areas, dual)) == pytest.approx(
         2.0, abs=1e-13)
     # independent evaluation of the primal normalization constant
     rho = 2.0 / sum(
         quad8.cell_areas[i] * math.exp(quad8.cell_centers[i, 1])
         for i in range(quad8.n_cells)
     )
-    assert u_inf.interior[0] == pytest.approx(
+    assert interior[0] == pytest.approx(
         rho * math.exp(quad8.cell_centers[0, 1]), rel=1e-12)
 
 

@@ -430,9 +430,9 @@ def test_projections_match_loop_version(primals):
     for name, primal in primals:
         mesh = build_ddfv(primal)
         for u0 in (case.u0, bump):
-            assert_agree(project_initial(mesh, u0).values,
+            assert_agree(project_initial(mesh, u0),
                          np.clip(loop_project_initial(mesh, u0), 0.0, None), name)
-        assert_agree(project_potential(mesh, case.potential).values,
+        assert_agree(project_potential(mesh, case.potential),
                      loop_project_potential(mesh, case.potential), name)
 
 

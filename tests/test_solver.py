@@ -212,7 +212,7 @@ def test_factor_fill_below_partial_pivoting():
     case = exact_decay_case()
     params = SchemeParams(dt=1e-3, t_final=1e-3, potential=case.potential)
     asm = Assembly(mesh, params)
-    u = _seed_boundary_zeros(mesh, asm, project_initial(mesh, case.u0).values)
+    u = _seed_boundary_zeros(mesh, asm, project_initial(mesh, case.u0))
     jac = asm.system_jacobian(asm.system_vec(u, u)[1])
     row_max = abs(jac).max(axis=1).toarray().ravel()
     scaled = (sp.diags(1.0 / row_max) @ jac).tocsr()
@@ -328,10 +328,10 @@ def test_newton_first_step_reference_case(quad8):
 def test_newton_from_stationary_state_zero_iterations(quad8):
     params = SchemeParams(dt=1e-3, t_final=1e-3, potential=lambda x: -x[1])
     asm = Assembly(quad8, params)
-    u_inf = stationary_state(quad8, asm.v_field, mass=2.0)
+    u_inf = stationary_state(quad8, asm.v, mass=2.0)
     u, stats = newton_solve(
-        lambda x: asm.system_vec(x, u_inf.values),
-        asm.system_jacobian, u_inf.values, params.newton,
+        lambda x: asm.system_vec(x, u_inf),
+        asm.system_jacobian, u_inf, params.newton,
     )
     assert stats.iterations <= 1
     assert stats.residual_l1 < 1e-10
