@@ -18,11 +18,9 @@ from .scheme import (
     SchemeParams,
     StateRecord,
     energy,
-    jacobian,
     project_initial,
     project_potential,
     relative_energy,
-    residual,
     stationary_state,
 )
 from .solver import NewtonConfig, NewtonStats, linear_solve, newton_solve
@@ -35,8 +33,7 @@ __all__ = [
     "build_ddfv", "gen_kershaw", "gen_quad_fvca", "gen_uniform_quad",
     "quality", "read_mesh", "write_mesh",
     "Assembly", "SchemeParams", "StateRecord",
-    "energy", "jacobian",
-    "project_initial", "project_potential", "relative_energy", "residual",
+    "energy", "project_initial", "project_potential", "relative_energy",
     "stationary_state",
     "NewtonConfig", "NewtonStats", "linear_solve", "newton_solve",
     "__version__",

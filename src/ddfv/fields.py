@@ -1,10 +1,5 @@
-"""Anisotropy tensor specifications.
-
-Discrete scalar fields are plain packed vectors, laid out and split by
-``DDFVMesh.parts``/``DDFVMesh.pack``; per-diamond data (gradients, fluxes,
-reconstructions) are numpy arrays of shape (n_diamonds,) or
-(n_diamonds, 2).  This module holds the diffusion tensor that the
-per-diamond data are built from, with its SPD checks.
+"""The diffusion tensor: its specifications, its per-diamond values and
+their SPD checks.  Scalar fields are packed vectors (``DDFVMesh.parts``).
 """
 
 import numpy as np
@@ -12,15 +7,19 @@ import numpy as np
 from .errors import NotSPD, ValidationError, raise_first
 
 
-def _check_spd(mats):
-    """Stack a sequence of 2x2 tensors into an (n, 2, 2) array and return it
-    with the (n, 2) ascending eigenvalues.  NotSPD reports the first tensor
-    that is not a symmetric positive definite 2x2 matrix of finite
-    entries."""
-    mats = [np.asarray(mat, dtype=float) for mat in mats]
-    bad_shape = np.array([mat.shape != (2, 2) for mat in mats], dtype=bool)
-    stack = np.array([np.eye(2) if bad else mat
-                      for mat, bad in zip(mats, bad_shape)]).reshape(-1, 2, 2)
+def _check_spd(values, n=1):
+    """The tensors ``values`` as an (n, 2, 2) stack, with its (n, 2)
+    ascending eigenvalues.  ``values`` is one 2x2 matrix for all n, or
+    broadcasts to (2, 2, n) with tensor d at values[:, :, d].  NotSPD
+    reports another shape, and else the first tensor that is not a
+    symmetric positive definite matrix of finite entries."""
+    try:
+        values = np.atleast_3d(np.asarray(values, dtype=float))
+        stack = np.ascontiguousarray(
+            np.broadcast_to(values, (2, 2, n)).transpose(2, 0, 1))
+    except ValueError as exc:
+        raise NotSPD(f"tensor must be a 2x2 matrix or broadcast to "
+                     f"(2, 2, {n}): {exc}") from None
     finite = np.isfinite(stack)
     nonfinite = ~finite.all(axis=(1, 2))
     # the later checks read the identity in place of a non-finite tensor
@@ -34,7 +33,6 @@ def _check_spd(mats):
         return f"tensor entry ({i}, {j}) is not finite: {stack[d, i, j]}"
 
     raise_first([
-        (bad_shape, NotSPD, lambda d: "tensor must be a 2x2 matrix"),
         (nonfinite, NotSPD, nonfinite_entry),
         (asym, NotSPD, lambda d: "tensor is not symmetric"),
         (evals[:, 0] <= 0.0, NotSPD,
@@ -47,7 +45,11 @@ class TensorSpec:
     """Diffusion tensor: identity, constant SPD, rotated diagonal or callable.
 
     Per-diamond values average the tensor over the diamond; for a callable
-    this is a one-point evaluation at the diamond's area barycenter.
+    this is a one-point evaluation at the diamond's area barycenter.  The
+    callable is called once, on all barycenters, like the other data
+    (``scheme.evaluate``): ``x`` has shape (2, m), and the result
+    broadcasts to (2, 2, m), tensor d at [:, :, d]; a constant 2x2 matrix
+    is broadcast to all points.
     Ellipticity bounds are exact for constant tensors and sampled from the
     evaluation points for callables (unless given explicitly).
     """
@@ -64,7 +66,7 @@ class TensorSpec:
 
     @classmethod
     def constant(cls, matrix):
-        stack, evals = _check_spd([matrix])
+        stack, evals = _check_spd(matrix)
         return cls("constant", matrix=stack[0],
                    bounds=(float(evals[0, 0]), float(evals[0, 1])))
 
@@ -72,7 +74,7 @@ class TensorSpec:
     def rotated(cls, lam1, lam2, angle):
         """R(angle) @ diag(lam1, lam2) @ R(angle).T; diag(lam1, lam2) goes
         through the SPD check, and the angle must be finite."""
-        _check_spd([np.diag([lam1, lam2])])
+        _check_spd(np.diag([lam1, lam2]))
         if not np.isfinite(angle):
             raise NotSPD(f"rotation angle is not finite: {angle}")
         c, s = np.cos(angle), np.sin(angle)
@@ -115,18 +117,13 @@ class TensorSpec:
             return np.broadcast_to(self.matrix, (n, 2, 2)).copy()
         # Area barycenter of the diamond: wedge-weighted mean of the two
         # triangle centroids on either side of the primal edge.
-        centers = mesh.primal_centers
-        xk = centers[mesh.dia_cell_k]
-        xl = centers[mesh.dia_cell_l]
-        xvk = mesh.primal.vertices[mesh.dia_vert_k]
-        xvl = mesh.primal.vertices[mesh.dia_vert_l]
-        ck = (xk + xvk + xvl) / 3.0
-        cl = (xl + xvk + xvl) / 3.0
-        w = (mesh.wedge_cell_k + mesh.wedge_cell_l)
-        bary = (ck * mesh.wedge_cell_k[:, None] + cl * mesh.wedge_cell_l[:, None])
-        bary /= w[:, None]
-        # The tensor is called per point; the checks run on the stack.
-        return _check_spd([self.func(point) for point in bary])[0]
+        centers, verts = mesh.primal_centers, mesh.primal.vertices
+        xvk, xvl = verts[mesh.dia_vert_k], verts[mesh.dia_vert_l]
+        ck = (centers[mesh.dia_cell_k] + xvk + xvl) / 3.0
+        cl = (centers[mesh.dia_cell_l] + xvk + xvl) / 3.0
+        wk, wl = mesh.wedge_cell_k[:, None], mesh.wedge_cell_l[:, None]
+        bary = (ck * wk + cl * wl) / (wk + wl)
+        return _check_spd(self.func(bary.T), n)[0]
 
     def bounds(self, lam_d=None):
         """(lambda_min, lambda_max) ellipticity bounds."""

@@ -422,12 +422,15 @@ def check_convergence(case: TestCase, family: str, levels: int,
                       family_kwargs=None):
     """Raise what ``convergence_study`` would raise before its level 0
     runs (the level count, a case without an exact solution, the mesh
-    family's arguments at n0, level 0's parameters), building nothing."""
+    family's arguments at n0 and the memory bound at the finest n, level
+    0's parameters), building nothing."""
     if levels < 1:
         raise ValidationError("levels must be >= 1")
     if case.u_exact is None:
         raise ValidationError("convergence study needs a case with an exact solution")
     family_map(family, n0, **(family_kwargs or {}))
+    # n0 * 2**64 is beyond any memory: the cap keeps the power small
+    family_map(family, n0 * 2 ** min(levels - 1, 64), **(family_kwargs or {}))
     SchemeParams(dt=dt0, t_final=case.t_final, kappa=kappa, beta=beta)
 
 

@@ -4,7 +4,7 @@ A primal polygonal mesh of a 2D domain induces two companion meshes: a dual
 mesh built around the vertices from the surrounding cell centers, and a
 diamond mesh with one quadrilateral per edge (degenerating to a triangle on
 the boundary).  ``build_ddfv`` assembles all three together with the
-geometric quantities the scheme needs: edge lengths, unit normals/tangents,
+geometric quantities the scheme needs: edge lengths, unit normals,
 diamond areas, quarter-diamond splits and cell/dual-cell overlap areas.
 ``PrimalMesh`` keeps its cells only as flat loop arrays.  The generators
 distort a uniform grid by a family's vertex map; ``family_map`` checks a
@@ -19,11 +19,14 @@ Conventions per diamond (one per primal edge):
 * ``edge_normal`` is the unit normal to the primal edge oriented from
   ``cell_k`` towards ``cell_l``; ``dual_edge_normal`` is the unit normal to
   the dual edge oriented from ``vert_k`` towards ``vert_l``;
-* vertices are labeled so that (edge_tangent, edge_normal) and
-  (dual_edge_normal, dual_edge_tangent) are direct orthonormal bases.
+* vertices are labeled so that, with the unit tangents t from ``vert_k``
+  to ``vert_l`` and t* from ``cell_k`` to ``cell_l``, (t, edge_normal) and
+  (dual_edge_normal, t*) are direct orthonormal bases.
 """
 
 import itertools
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -258,8 +261,6 @@ class DDFVMesh:
     diamond_area: np.ndarray
     edge_normal: np.ndarray       # (n_dia, 2)
     dual_edge_normal: np.ndarray
-    edge_tangent: np.ndarray
-    dual_edge_tangent: np.ndarray
     wedge_cell_k: np.ndarray      # quarter splits of the diamond area
     wedge_cell_l: np.ndarray
     wedge_vert_k: np.ndarray
@@ -306,14 +307,19 @@ class DDFVMesh:
     def n_values(self):
         return self.dual_offset + self.n_verts
 
+    def check(self, *values):
+        """ValidationError unless each of ``values`` has shape (n_values,)."""
+        for value in values:
+            if np.shape(value) != (self.n_values,):
+                raise ValidationError(f"packed vector of shape {np.shape(value)}"
+                                      f" does not match mesh ({self.n_values},)")
+
     def parts(self, values):
         """The interior, boundary and dual views of the packed vector
         ``values`` (writing to a view writes to ``values``); a shape other
         than (n_values,) is a ValidationError."""
         values = np.asarray(values)
-        if values.shape != (self.n_values,):
-            raise ValidationError(f"packed vector of shape {values.shape} "
-                                  f"does not match mesh ({self.n_values},)")
+        self.check(values)
         nc, off = self.n_cells, self.dual_offset
         return values[:nc], values[nc:off], values[off:]
 
@@ -464,8 +470,6 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         diamond_area=area,
         edge_normal=np.column_stack([-tau_e[:, 1], tau_e[:, 0]]),
         dual_edge_normal=np.column_stack([tau_d[:, 1], -tau_d[:, 0]]),
-        edge_tangent=tau_e,
-        dual_edge_tangent=tau_d,
         wedge_cell_k=wck,
         wedge_cell_l=wcl,
         wedge_vert_k=wvk,
@@ -656,10 +660,17 @@ def _kershaw_map(n, distortion=0.8):
 MESH_FAMILIES = {"uniform": _uniform_map, "quad": _quad_map,
                  "kershaw": _kershaw_map}
 
+# Peak memory of a solve per unknown: 1.5 times the growth of peak RSS per
+# unknown measured over short runs (quad: 4312 B at n=32, 3511 B at n=64
+# and n=128, 4253 B at n=256; kershaw: 3489-3505 B).
+SOLVE_BYTES_PER_UNKNOWN = 5268
+
 
 def family_map(family: str, n: int, **kwargs):
     """A family's vertex map (``_distorted_quad``'s ``displace``) after the
-    checks of n and the family's arguments; no grid is made."""
+    checks of n and the family's arguments; no grid is made.  An n whose
+    grid (2 n^2 + 6 n + 1 unknowns) needs more than the physical memory at
+    ``SOLVE_BYTES_PER_UNKNOWN`` is a ValidationError."""
     try:
         make = MESH_FAMILIES[family]
     except KeyError:
@@ -667,9 +678,14 @@ def family_map(family: str, n: int, **kwargs):
             f"unknown mesh family {family!r}; choose from {sorted(MESH_FAMILIES)}"
         ) from None
     displace = make(n, **kwargs)
-    if (int(n) + 1) ** 2 > np.iinfo(np.intp).max:
-        raise ValidationError(f"n = {n} is too large: numpy cannot index "
-                              f"(n + 1)**2 vertices")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # the largest n with 2 n^2 + 6 n + 1 <= memory / SOLVE_BYTES_PER_UNKNOWN
+    n_max = (math.isqrt(8 * (memory // SOLVE_BYTES_PER_UNKNOWN) + 28) - 6) // 4
+    if n > n_max:
+        raise ValidationError(
+            f"n = {n} is too large: a solve needs about "
+            f"{SOLVE_BYTES_PER_UNKNOWN} B per unknown, so n <= {n_max} fits "
+            f"in the {memory / 2**30:.1f} GiB of physical memory")
     return displace
 
 

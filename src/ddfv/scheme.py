@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import TensorSpec
-from .operators import bracket, local_matrices, penalization_bracket
+from .operators import local_matrices, penalization_bracket
 from .solver import NewtonConfig
 
 
@@ -174,11 +174,17 @@ def _entropy(values):
     return xlogy(values, values) - values + 1.0
 
 
+def _mass(mesh, values):
+    """bracket(values, 1), from the interior and dual slices."""
+    return 0.5 * (float(np.dot(mesh.cell_areas, values[:mesh.n_cells]))
+                  + float(np.dot(mesh.dual_areas, values[mesh.dual_offset:])))
+
+
 def energy(mesh, u, v) -> float:
     """Free energy of the packed state ``u`` in the packed potential ``v``:
     entropy plus potential energy (0*log 0 taken as 0)."""
-    mesh.parts(u), mesh.parts(v)    # the length checks
-    return bracket(mesh, _entropy(u) + v * u, np.ones(mesh.n_values))
+    mesh.check(u, v)
+    return _mass(mesh, _entropy(u) + v * u)
 
 
 def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
@@ -186,12 +192,11 @@ def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
     state ``u_inf`` with matching mass.  ``log_u_inf``, when given, is
     log(u_inf), which a caller comparing many states with one reference
     computes once."""
-    mesh.parts(u), mesh.parts(u_inf)    # the length checks
+    mesh.check(u, u_inf)
     if log_u_inf is None:
         log_u_inf = np.log(u_inf)
     uu = np.maximum(u, 0.0)
-    return bracket(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf,
-                   np.ones(mesh.n_values))
+    return _mass(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
 
 
 def stationary_state(mesh, v, mass: float,
@@ -239,12 +244,12 @@ class Iterate:
 class Assembly:
     """Cached index arrays and matrices for residual/Jacobian evaluation.
 
-    The nonlinear system handed to Newton uses mass-scaled (variational)
-    rows: testing the scheme against the indicator of one cell.  In that
-    scaling all flux coefficients are +-1 and the row magnitudes are mesh
+    The residual is the mass-scaled (variational) rows that Newton solves:
+    the scheme tested against the indicator of one cell.  In that scaling
+    all flux coefficients are +-1 and the row magnitudes are mesh
     independent, so the absolute l1 stopping tolerance is meaningful on
-    every refinement level.  The divergence-form residual of the public API
-    is the same vector scaled by the inverse row weights.
+    every refinement level.  A row times 2 / (its cell's measure) is the
+    divergence form, and twice a closure row is the full edge flux.
 
     ``system_vec`` evaluates a packed state into an ``Iterate``; the other
     evaluation methods take that Iterate.
@@ -280,10 +285,6 @@ class Assembly:
                               0.5 * mesh.dual_areas)
         # zero on the closure rows, which have no time derivative
         self.time_coef = np.where(self.time_mask, half_mass / params.dt, 0.0)
-        # Inverse weights mapping variational rows to divergence-form rows:
-        # 2/measure on interior and dual rows, 2 on boundary closure rows
-        # (turning half the edge flux into the full one).
-        self.inv_weight = 1.0 / half_mass
 
         self.pen_scale = params.kappa / (2.0 * mesh.h**params.beta)
         if params.kappa > 0.0:
@@ -388,6 +389,8 @@ class Assembly:
         """Mass-scaled residual rows F(u; u_prev), the vector Newton drives
         to zero, and the Iterate of the packed state ``u``, which the other
         evaluations at ``u`` read."""
+        if u.shape != (self.n,) or u_prev.shape != (self.n,):
+            self.mesh.check(u, u_prev)      # raises the length error
         if u.min() <= 0.0:
             raise NonPositiveState(
                 f"state has nonpositive entry {u.min():.3e}"
@@ -450,30 +453,3 @@ class Assembly:
 
     def penalty_bracket_vec(self, it: Iterate):
         return penalization_bracket(self.mesh, it.g, it.g, self.params.beta)
-
-
-# --- public wrappers ----------------------------------------------------
-
-
-def residual(mesh, params: SchemeParams, u_prev, u,
-             assembly: Assembly | None = None) -> np.ndarray:
-    """Divergence-form residual: d/dt + div(flux) + kappa * penalization on
-    interior and dual rows, the full edge-flux closure on boundary rows
-    (Newton's mass-scaled rows times ``Assembly.inv_weight``)."""
-    mesh.parts(u_prev), mesh.parts(u)    # the length checks
-    assembly = assembly or Assembly(mesh, params)
-    res, _ = assembly.system_vec(u, u_prev)
-    return assembly.inv_weight * res
-
-
-def jacobian(mesh, params: SchemeParams, u_prev, u,
-             assembly: Assembly | None = None):
-    """Analytic Jacobian of the residual as a CSR matrix."""
-    mesh.parts(u_prev), mesh.parts(u)    # the length checks
-    assembly = assembly or Assembly(mesh, params)
-    _, it = assembly.system_vec(u, u_prev)
-    jac = assembly.system_jacobian(it)
-    # scaling the values in place keeps the pattern, explicit zeros included
-    jac.data *= np.repeat(assembly.inv_weight, np.diff(jac.indptr))
-    return jac
-

@@ -20,7 +20,7 @@ from .operators import (
     grad_diamond,
     local_matrices,
 )
-from .scheme import Assembly, SchemeParams, jacobian, residual
+from .scheme import Assembly, SchemeParams
 
 
 @dataclass
@@ -161,13 +161,14 @@ def check_quadratic_sandwich(rng):
 
 
 def check_jacobian_fd(rng):
-    """Analytic Jacobian against central finite differences on a 3x3 mesh,
-    and against the exact identity of the scheme's homogeneity.
+    """Newton's Jacobian against central finite differences of Newton's
+    rows ``Assembly.system_vec`` on a 3x3 mesh, and against the exact
+    identity of the scheme's homogeneity.
 
     The flux is degree-1 homogeneous in u (the reconstruction is linear and
     log-differences are scale-free) and the penalization rows P(u) are
-    degree 0, so J(u) u = R(u; u_prev = 0) - P(u) holds up to rounding;
-    P(u) is the kappa residual minus the kappa = 0 residual at u_prev = u.
+    degree 0, so J(u) u = F(u; u_prev = 0) - P(u) holds up to rounding;
+    P(u) is the kappa rows minus the kappa = 0 rows at u_prev = u.
     The difference quotients cannot see a relative error in J below their
     1e-6 tolerance; the identity sees one of 1e-9.
     """
@@ -175,15 +176,16 @@ def check_jacobian_fd(rng):
     params = SchemeParams(dt=0.1, t_final=0.1, kappa=0.05, beta=1.0,
                           potential=lambda x: -x[1])
     assembly = Assembly(mesh, params)
+    no_penalty = Assembly(mesh, dataclasses.replace(params, kappa=0.0))
     u_prev = 0.5 + rng.random(mesh.n_values)
     u = 0.5 + rng.random(mesh.n_values)
-    jac = jacobian(mesh, params, u_prev, u, assembly).toarray()
 
-    no_penalty = dataclasses.replace(params, kappa=0.0)
-    penalty = (residual(mesh, params, u, u, assembly)
-               - residual(mesh, no_penalty, u, u))
-    homogeneous = (residual(mesh, params, np.zeros(mesh.n_values), u,
-                            assembly) - penalty)
+    def rows(x, x_prev, asm=assembly):
+        return asm.system_vec(x, x_prev)[0]
+
+    jac = assembly.system_jacobian(assembly.system_vec(u, u_prev)[1]).toarray()
+    penalty = rows(u, u) - rows(u, u, no_penalty)
+    homogeneous = rows(u, np.zeros(mesh.n_values)) - penalty
     identity = float(np.abs(jac @ u - homogeneous).max()
                      / (np.abs(jac) @ u).max())
 
@@ -193,8 +195,7 @@ def check_jacobian_fd(rng):
         up, um = u.copy(), u.copy()
         up[j] += step
         um[j] -= step
-        fd[:, j] = (residual(mesh, params, u_prev, up, assembly)
-                    - residual(mesh, params, u_prev, um, assembly)) / (2 * step)
+        fd[:, j] = (rows(up, u_prev) - rows(um, u_prev)) / (2 * step)
     denom = np.maximum(1.0, np.abs(jac))
     worst = float((np.abs(jac - fd) / denom).max())
     return CheckResult("jacobian vs finite differences",

@@ -80,7 +80,7 @@ the guard picks it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,7 +148,6 @@ class NewtonStats:
     floor_activated: bool
     factorizations: int = 0
     krylov_iterations: int = 0
-    residual_history: list = field(default_factory=list)
     residual: np.ndarray | None = None  # the residual at the returned iterate
     state: object = None                # what residual_fn returned with it
 
@@ -375,7 +374,6 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
             u, res, state, l1, floor_activated = start(other)
 
     backtracks_total = 0
-    history = [l1]
     for iteration in range(config.max_iter + 1):
         if l1 < tol:
             return u, NewtonStats(
@@ -385,7 +383,6 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
                 floor_activated=floor_activated,
                 factorizations=solver.factorizations - factorizations0,
                 krylov_iterations=solver.krylov_iterations - krylov0,
-                residual_history=history,
                 residual=res,
                 state=state,
             )
@@ -411,9 +408,8 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
         u = trial
         res, state = residual_fn(u)
         l1 = float(np.abs(res).sum())
-        history.append(l1)
 
     raise NoConvergence(
         f"Newton did not reach {tol:.1e} within "
-        f"{config.max_iter} iterations (last residual {history[-1]:.3e})"
+        f"{config.max_iter} iterations (last residual {l1:.3e})"
     )

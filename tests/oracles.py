@@ -2,7 +2,8 @@
 
 Plain float pairs and numpy arrays in, plain values out: the cell areas
 and centroids, the primal/dual edge crossings and the dual cells that
-``build_ddfv`` computes in vectorised form.
+``build_ddfv`` computes in vectorised form, and a callable tensor at the
+diamonds, which ``TensorSpec.on_diamonds`` evaluates in one call.
 """
 
 import numpy as np
@@ -76,3 +77,16 @@ def dual_polygon(mesh, v):
     start = (int(np.argmax(gaps)) + 1) % len(pts)
     pts = pts[start:] + pts[:start]
     return np.array([x0] + pts)
+
+
+def diamond_tensors(mesh, func):
+    """(n_diamonds, 2, 2) values of the tensor ``func`` at the area
+    centroid of each diamond's quadrilateral (cell k, vertex k, cell l,
+    vertex l), called once per diamond with one point x of shape (2,)."""
+    centers, verts = mesh.primal_centers, mesh.primal.vertices
+    out = np.empty((mesh.n_diamonds, 2, 2))
+    for d in range(mesh.n_diamonds):
+        quad = [centers[mesh.dia_cell_k[d]], verts[mesh.dia_vert_k[d]],
+                centers[mesh.dia_cell_l[d]], verts[mesh.dia_vert_l[d]]]
+        out[d] = func(polygon_centroid(quad))
+    return out

@@ -11,13 +11,13 @@ from ddfv.operators import (
     penalization_bracket,
 )
 from ddfv.scheme import (
+    Assembly,
     SchemeParams,
     energy,
-    jacobian,
     relative_energy,
-    residual,
     stationary_state,
 )
+from oracles import diamond_tensors
 
 
 def test_field_layout_and_views(quad5):
@@ -45,14 +45,22 @@ def test_field_shape_mismatch(quad5):
 
 _PARAMS = SchemeParams(dt=0.1, t_final=0.1)
 
+
+def _jacobian(mesh, u, u_prev):
+    asm = Assembly(mesh, _PARAMS)
+    return asm.system_jacobian(asm.system_vec(u, u_prev)[1])
+
+
 # Every public function that takes packed vectors, called with the bad
 # vector x in one argument and a valid positive vector ok in the others.
+# The residual is Newton's rows, Assembly.system_vec, and the Jacobian
+# reads the Iterate that system_vec returns.
 ENTRY_POINTS = {
     "simulate": lambda m, x, ok: simulate(m, _PARAMS, x),
-    "residual_u": lambda m, x, ok: residual(m, _PARAMS, ok, x),
-    "residual_u_prev": lambda m, x, ok: residual(m, _PARAMS, x, ok),
-    "jacobian_u": lambda m, x, ok: jacobian(m, _PARAMS, ok, x),
-    "jacobian_u_prev": lambda m, x, ok: jacobian(m, _PARAMS, x, ok),
+    "residual_u": lambda m, x, ok: Assembly(m, _PARAMS).system_vec(x, ok),
+    "residual_u_prev": lambda m, x, ok: Assembly(m, _PARAMS).system_vec(ok, x),
+    "jacobian_u": lambda m, x, ok: _jacobian(m, x, ok),
+    "jacobian_u_prev": lambda m, x, ok: _jacobian(m, ok, x),
     "bracket_u": lambda m, x, ok: bracket(m, x, ok),
     "bracket_v": lambda m, x, ok: bracket(m, ok, x),
     "penalization_bracket": lambda m, x, ok: penalization_bracket(m, ok, x, 1.0),
@@ -128,8 +136,10 @@ def test_tensor_callable_matches_constant(quad5):
 
 def test_tensor_callable_spatially_varying(quad5, rng):
     def lam(x):
+        # one (2, 2, m) array for all m points
         s = 1.0 + 0.5 * x[0]
-        return np.array([[s, 0.0], [0.0, 1.0]])
+        one, zero = np.ones_like(s), np.zeros_like(s)
+        return np.array([[s, zero], [zero, one]])
 
     spec = TensorSpec.from_callable(lam, bounds=(1.0, 1.5))
     mats = local_matrices(quad5, spec)
@@ -143,13 +153,46 @@ def test_tensor_callable_spatially_varying(quad5, rng):
     assert lo * norm2 <= val <= hi * norm2 * (1 + 1e-12)
 
 
+def test_tensor_callable_is_called_once_on_all_diamonds(kershaw8):
+    calls = []
+
+    def lam(x):
+        calls.append(np.shape(x))
+        s = 1.0 + 0.5 * x[0] * x[1]
+        c = 0.1 * np.sin(3.0 * x[0])
+        return np.array([[s, c], [c, 2.0 + x[1]]])
+
+    spec = TensorSpec.from_callable(lam)
+    values = spec.on_diamonds(kershaw8)
+    assert calls == [(2, kershaw8.n_diamonds)]
+    assert values.shape == (kershaw8.n_diamonds, 2, 2)
+    # the oracle calls the tensor per diamond, at the centroid of its
+    # quadrilateral
+    assert np.allclose(values, diamond_tensors(kershaw8, lam),
+                       rtol=1e-13, atol=0.0)
+
+
+def test_tensor_callable_must_broadcast_to_the_points(quad5):
+    n = quad5.n_diamonds
+    for bad in (lambda x: np.eye(3), lambda x: np.ones((2, 2, n + 1)),
+                lambda x: np.ones(3)):
+        with pytest.raises(NotSPD, match=r"2x2 matrix or broadcast to "
+                                         rf"\(2, 2, {n}\)"):
+            TensorSpec.from_callable(bad).on_diamonds(quad5)
+    # a 2x2 matrix, and a (2, 2, 1) array, are broadcast to all points
+    for good in (lambda x: np.eye(2), lambda x: np.eye(2)[:, :, None]):
+        values = TensorSpec.from_callable(good).on_diamonds(quad5)
+        assert np.array_equal(values, np.broadcast_to(np.eye(2), (n, 2, 2)))
+
+
 def _loop_check_spd(mats):
     """The per-diamond check the batched one replaced: the (class, message)
     of the first failing tensor, or None."""
     for mat in mats:
         mat = np.asarray(mat, dtype=float)
-        if mat.shape != (2, 2):
-            return NotSPD, "tensor must be a 2x2 matrix"
+        if not np.isfinite(mat).all():
+            i, j = np.argwhere(~np.isfinite(mat))[0]
+            return NotSPD, f"tensor entry ({i}, {j}) is not finite: {mat[i, j]}"
         if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * (1.0 + abs(mat).max()):
             return NotSPD, "tensor is not symmetric"
         evals = np.linalg.eigvalsh(mat)
@@ -159,10 +202,11 @@ def _loop_check_spd(mats):
 
 
 @pytest.mark.parametrize("bad", [
-    np.eye(3),                                  # shape
+    np.array([[1.0, 0.0], [0.0, np.nan]]),      # non-finite
     np.array([[1.0, 0.3], [0.0, 1.0]]),         # symmetry
     np.array([[1.0, 2.0], [2.0, 1.0]]),         # eigenvalue -1
     np.array([[1.0, 2.0], [0.0, -1.0]]),        # symmetry and eigenvalue
+    np.array([[1.0, np.inf], [0.0, -1.0]]),     # all three
 ])
 def test_tensor_callable_reports_first_failing_diamond(kershaw8, rng, bad):
     # The tensor fails at the middle diamond, and with another kind of
@@ -175,8 +219,8 @@ def test_tensor_callable_reports_first_failing_diamond(kershaw8, rng, bad):
     old = _loop_check_spd(mats)
     assert old is not None
 
-    calls = iter(mats)
-    spec = TensorSpec.from_callable(lambda x: next(calls))
+    # one call on all diamonds, tensor d at [:, :, d]
+    spec = TensorSpec.from_callable(lambda x: np.array(mats).transpose(1, 2, 0))
     with pytest.raises(NotSPD) as err:
         spec.on_diamonds(kershaw8)
     assert (type(err.value), str(err.value)) == old

@@ -79,20 +79,22 @@ def test_sin_angle_bounded_by_theta(mesh_zoo):
 
 def test_bases_unit_and_direct(mesh_zoo):
     for name, mesh in mesh_zoo:
-        for arr in (mesh.edge_normal, mesh.dual_edge_normal,
-                    mesh.edge_tangent, mesh.dual_edge_tangent):
-            assert np.abs(np.hypot(arr[:, 0], arr[:, 1]) - 1.0).max() < 1e-12
-        det1 = (mesh.edge_tangent[:, 0] * mesh.edge_normal[:, 1]
-                - mesh.edge_tangent[:, 1] * mesh.edge_normal[:, 0])
-        det2 = (mesh.dual_edge_normal[:, 0] * mesh.dual_edge_tangent[:, 1]
-                - mesh.dual_edge_normal[:, 1] * mesh.dual_edge_tangent[:, 0])
-        assert np.allclose(det1, 1.0) and np.allclose(det2, 1.0), name
-        # normals point from cell k to cell l / vertex k to vertex l
         centers = mesh.primal_centers
         verts = mesh.primal.vertices
-        dvec = centers[mesh.dia_cell_l] - centers[mesh.dia_cell_k]
-        assert (np.einsum("ij,ij->i", mesh.edge_normal, dvec) > 0).all()
+        # unit tangents from vertex k to vertex l and from cell k to cell l
         evec = verts[mesh.dia_vert_l] - verts[mesh.dia_vert_k]
+        dvec = centers[mesh.dia_cell_l] - centers[mesh.dia_cell_k]
+        tangent = evec / np.hypot(*evec.T)[:, None]
+        dual_tangent = dvec / np.hypot(*dvec.T)[:, None]
+        for arr in (mesh.edge_normal, mesh.dual_edge_normal):
+            assert np.abs(np.hypot(arr[:, 0], arr[:, 1]) - 1.0).max() < 1e-12
+        det1 = (tangent[:, 0] * mesh.edge_normal[:, 1]
+                - tangent[:, 1] * mesh.edge_normal[:, 0])
+        det2 = (mesh.dual_edge_normal[:, 0] * dual_tangent[:, 1]
+                - mesh.dual_edge_normal[:, 1] * dual_tangent[:, 0])
+        assert np.allclose(det1, 1.0) and np.allclose(det2, 1.0), name
+        # normals point from cell k to cell l / vertex k to vertex l
+        assert (np.einsum("ij,ij->i", mesh.edge_normal, dvec) > 0).all()
         assert (np.einsum("ij,ij->i", mesh.dual_edge_normal, evec) > 0).all()
 
 

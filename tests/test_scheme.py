@@ -11,11 +11,9 @@ from ddfv.scheme import (
     Assembly,
     SchemeParams,
     energy,
-    jacobian,
     project_initial,
     project_potential,
     relative_energy,
-    residual,
     stationary_state,
 )
 from oracles import dual_polygon, polygon_centroid
@@ -27,6 +25,23 @@ def _params(dt=0.1, kappa=0.0, potential=None, **kw):
 
 def _positive_field(mesh, rng):
     return 0.5 + rng.random(mesh.n_values)
+
+
+def residual(mesh, params, u_prev, u, assembly=None):
+    """The divergence form of the residual: d/dt + div(flux) + kappa *
+    penalization on interior and dual rows, the full edge flux on the
+    closure rows, i.e. Newton's rows times 2 / measure (2 on the closure
+    rows)."""
+    assembly = assembly or Assembly(mesh, params)
+    half_measure = mesh.pack(0.5 * mesh.cell_areas, np.full(mesh.n_bnd, 0.5),
+                             0.5 * mesh.dual_areas)
+    return assembly.system_vec(u, u_prev)[0] / half_measure
+
+
+def _jacobian(mesh, params, u):
+    """Newton's Jacobian at u_prev = u."""
+    asm = Assembly(mesh, params)
+    return asm.system_jacobian(asm.system_vec(u, u)[1])
 
 
 # --- projections -------------------------------------------------------------
@@ -254,10 +269,6 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
         # another order: allow 16 ulps of the largest entry in the row
         tol = 16 * np.finfo(float).eps * abs(ref).max(axis=1).toarray()
         assert (abs(jac - ref).toarray() <= tol).all()
-        div = jacobian(kershaw8, params, u, u, assembly=asm)
-        ref_div = (sp.diags(asm.inv_weight) @ ref).toarray()
-        assert (np.abs(div.toarray() - ref_div)
-                <= tol * asm.inv_weight[:, None]).all()
         # the cached pattern survives in-place edits of a returned matrix
         jac.data[:] = 0.0
         jac.eliminate_zeros()
@@ -283,21 +294,22 @@ def test_jacobian_does_not_alias_assembly_buffers(kappa, quad5, rng):
 def test_jacobian_row_sums_at_constant_state(quad5):
     # at a constant state with no potential all log-differences vanish, so
     # the flux block has zero row sums and only the time diagonal remains
-    # (rows are divergence-scaled, hence 1/dt rather than a mass factor)
+    # (rows are mass-scaled, hence half the measure over dt)
     params = _params(dt=0.25)
     u = np.full(quad5.n_values, 2.0)
-    jac = jacobian(quad5, params, u, u)
+    jac = _jacobian(quad5, params, u)
     sums = np.asarray(jac.sum(axis=1)).ravel()
-    nc, nb = quad5.n_cells, quad5.n_bnd
-    assert np.allclose(sums[:nc], 1.0 / params.dt, atol=1e-12)
-    assert np.allclose(sums[nc + nb:], 1.0 / params.dt, atol=1e-12)
-    assert np.abs(sums[nc:nc + nb]).max() < 1e-12
+    interior, boundary, dual = quad5.parts(sums)
+    assert np.allclose(interior, 0.5 * quad5.cell_areas / params.dt,
+                       atol=1e-12)
+    assert np.allclose(dual, 0.5 * quad5.dual_areas / params.dt, atol=1e-12)
+    assert np.abs(boundary).max() < 1e-12
 
 
 def test_jacobian_sparsity_structurally_symmetric(quad5, rng):
     params = _params(dt=0.1, kappa=0.1, potential=lambda x: x[0])
     u = _positive_field(quad5, rng)
-    jac = jacobian(quad5, params, u, u)
+    jac = _jacobian(quad5, params, u)
     pattern = (jac != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
 

@@ -124,8 +124,8 @@ def loop_build_ddfv(primal):
     names = ("dia_cell_k", "dia_cell_l", "dia_vert_k", "dia_vert_l",
              "dia_is_boundary", "cross_point", "edge_len", "dual_edge_len",
              "sin_angle", "diamond_area", "edge_normal", "dual_edge_normal",
-             "edge_tangent", "dual_edge_tangent", "wedge_cell_k",
-             "wedge_cell_l", "wedge_vert_k", "wedge_vert_l", "diamond_diam")
+             "wedge_cell_k", "wedge_cell_l", "wedge_vert_k", "wedge_vert_l",
+             "diamond_diam")
     dia = {name: [] for name in names}
     dual_areas = np.zeros(primal.n_vertices)
     overlaps = {}
@@ -200,7 +200,7 @@ def loop_build_ddfv(primal):
         for name, value in zip(names, (
                 ck, cl_glob, vk, vl, is_bnd, xd, m_edge, m_dual, sin_a, area,
                 np.array([-tau_e[1], tau_e[0]]), np.array([tau_d[1], -tau_d[0]]),
-                tau_e, tau_d, wck, wcl, wvk, wvl, diam)):
+                wck, wcl, wvk, wvl, diam)):
             dia[name].append(value)
 
     ov_keys = sorted(overlaps)
