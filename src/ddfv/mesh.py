@@ -272,40 +272,28 @@ class DDFVMesh:
     overlap_area: np.ndarray
     h: float = field(init=False)
     domain_area: float = field(init=False)
+    # sizes and packed-vector layout, computed once
+    n_cells: int = field(init=False)
+    n_bnd: int = field(init=False)
+    n_verts: int = field(init=False)
+    n_diamonds: int = field(init=False)
+    dual_offset: int = field(init=False)  # first dual index: primal count
+    n_values: int = field(init=False)
 
     def __post_init__(self):
         self.h = float(self.diamond_diam.max())
         self.domain_area = float(self.cell_areas.sum())
+        self.n_cells = len(self.cell_areas)
+        self.n_bnd = len(self.bnd_lengths)
+        self.n_verts = len(self.dual_areas)
+        self.n_diamonds = len(self.diamond_area)
+        self.dual_offset = self.n_cells + self.n_bnd
+        self.n_values = self.dual_offset + self.n_verts
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    # --- sizes and packed-vector layout -------------------------------
-
-    @property
-    def n_cells(self):
-        return len(self.cell_areas)
-
-    @property
-    def n_bnd(self):
-        return len(self.bnd_lengths)
-
-    @property
-    def n_verts(self):
-        return len(self.dual_areas)
-
-    @property
-    def n_diamonds(self):
-        return len(self.diamond_area)
-
-    @property
-    def dual_offset(self):
-        """Index of the first dual value: the number of primal values."""
-        return self.n_cells + self.n_bnd
-
-    @property
-    def n_values(self):
-        return self.dual_offset + self.n_verts
+    # --- packed-vector layout -------------------------------------------
 
     def check(self, *values):
         """ValidationError unless each of ``values`` has shape (n_values,)."""
@@ -578,9 +566,9 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
     if lam is not None:
         from .operators import local_matrices
 
-        mats = local_matrices(mesh, lam)
-        report.cond2_max = float(mats.cond2().max())
         lam_d = lam.on_diamonds(mesh)
+        mats = local_matrices(mesh, lam, lam_d)
+        report.cond2_max = float(mats.cond2().max())
         lam_min, lam_max = lam.bounds(lam_d)
         report.cond2_bound = 4.0 * report.theta_star**2 * lam_max / lam_min
     return report

@@ -105,9 +105,11 @@ class LocalMatrices:
         return (tr + disc) / (tr - disc)
 
 
-def local_matrices(mesh, lam) -> LocalMatrices:
-    """Assemble the per-diamond gradient-form matrices for a ``TensorSpec``."""
-    lam_d = lam.on_diamonds(mesh)
+def local_matrices(mesh, lam, lam_d=None) -> LocalMatrices:
+    """Assemble the per-diamond gradient-form matrices for a ``TensorSpec``;
+    ``lam_d``, when given, is its ``on_diamonds`` value already at hand."""
+    if lam_d is None:
+        lam_d = lam.on_diamonds(mesh)
     ne, nd = mesh.edge_normal, mesh.dual_edge_normal
     lam_ne = np.einsum("dij,dj->di", lam_d, ne)
     lam_nd = np.einsum("dij,dj->di", lam_d, nd)

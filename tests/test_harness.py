@@ -21,6 +21,8 @@ from ddfv.harness import (
     rows_to_csv,
     rows_to_text,
     simulate,
+    U_EXTRAPOLATION,
+    _extrapolate,
     _seed_boundary_zeros,
 )
 from ddfv.mesh import build_ddfv, gen_family, triangle_area
@@ -240,7 +242,7 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
     import ddfv.harness as hm
 
     case = exact_decay_case()
-    params = SchemeParams(dt=4e-3, t_final=0.02, potential=case.potential)
+    params = SchemeParams(dt=4e-3, t_final=0.028, potential=case.potential)
     u0 = project_initial(quad8, case.u0)
     calls = []
     newton = hm.newton_solve
@@ -253,7 +255,7 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
     monkeypatch.setattr(hm, "newton_solve", spy)
     states = []
     simulate(quad8, params, u0, lambda rec, u_vec: states.append(u_vec))
-    assert len(calls) == 5
+    assert len(calls) == 7
     asm = Assembly(quad8, params)
     # step 1: u0 with its zero boundary values seeded; step 2: u1, since u0
     # has zeros
@@ -261,19 +263,58 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
                           _seed_boundary_zeros(quad8, asm, u0))
     assert calls[0][1] is None
     assert calls[1][0] is states[1] and calls[1][1] is None
-    # step 3: linear in log u from u2 and u1; steps 4-5: quadratic
-    logs = [np.log(u) for u in states[1:]]
-    assert np.allclose(calls[2][0], np.exp(2 * logs[1] - logs[0]),
-                       rtol=1e-14, atol=0.0)
-    for n in (3, 4):
-        expected = np.exp(3 * logs[n - 1] - 3 * logs[n - 2] + logs[n - 3])
-        assert np.allclose(calls[n][0], expected, rtol=1e-14, atol=0.0)
-    assert all(calls[n][1] is states[n] for n in (2, 3, 4))
+    # step 3: linear in u from u2 and u1; step 4: quadratic; steps 5-7:
+    # cubic, from the last four states.  All are positive on this run, so
+    # none falls back to the extrapolation in log u.
+    u = states[1:]
+    expected = {
+        2: 2 * u[1] - u[0],
+        3: 3 * u[2] - 3 * u[1] + u[0],
+        4: 4 * u[3] - 6 * u[2] + 4 * u[1] - u[0],
+        5: 4 * u[4] - 6 * u[3] + 4 * u[2] - u[1],
+        6: 4 * u[5] - 6 * u[4] + 4 * u[3] - u[2],
+    }
+    for n, start in expected.items():
+        assert start.min() > 0.0
+        assert np.allclose(calls[n][0], start, rtol=1e-14, atol=0.0), n
+        # the guard's alternative is u^n
+        assert calls[n][1] is states[n]
+
+
+def test_extrapolate_falls_back_to_log_u_when_the_polynomial_is_not_positive():
+    # A fast decaying entry makes every polynomial in u nonpositive there;
+    # the start is then the extrapolation in log u from the newest one or
+    # two older states, positive by construction.
+    u_n = np.array([1.0, 0.01])
+    history = [np.array([1.0, 0.1]), np.array([1.0, 0.2]),
+               np.array([1.0, 0.3])]
+    logs = [np.log(u) for u in [u_n] + history]
+    for count in (1, 2, 3):
+        older = history[:count]
+        coefs = U_EXTRAPOLATION[count]
+        poly = coefs[0] * u_n + sum(c * s for c, s in zip(coefs[1:], older))
+        assert poly.min() <= 0.0
+        if count == 1:
+            log_start = 2 * logs[0] - logs[1]
+        else:
+            log_start = 3 * logs[0] - 3 * logs[1] + logs[2]
+        start = _extrapolate(u_n, older)
+        assert start.min() > 0.0
+        assert np.allclose(start, np.exp(log_start), rtol=1e-14, atol=0.0)
+    # a positive polynomial is the start: each degree continues an affine
+    # history exactly
+    u_n = np.array([1.0, 0.4])
+    history = [np.array([1.0, 0.3]), np.array([1.0, 0.2]),
+               np.array([1.0, 0.1])]
+    for count in (1, 2, 3):
+        assert np.allclose(_extrapolate(u_n, history[:count]), [1.0, 0.5],
+                           rtol=1e-14, atol=0.0)
 
 
 def test_extrapolated_start_makes_one_newton_iteration_common(quad8):
     # 1000 steps of 1e-3 on quad n=8: 1.78 Newton iterations per step from
-    # u^n, 1.07 from the extrapolated start value
+    # u^n, 1.07 from the extrapolation in log u, 1.025 from the cubic one
+    # in u
     case = exact_decay_case()
     params = SchemeParams(dt=1e-3, t_final=1.0, potential=case.potential)
     result = simulate(quad8, params, project_initial(quad8, case.u0))

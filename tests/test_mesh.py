@@ -186,6 +186,21 @@ def test_quality_condition_bound_kershaw(kershaw8):
     assert q.cond_ok
 
 
+def test_quality_calls_a_callable_tensor_once(kershaw8):
+    # the condition numbers and the ellipticity bounds share one
+    # evaluation of the tensor on the diamonds
+    calls = []
+
+    def lam(x):
+        calls.append(x.shape)
+        return np.array([[2.0 + x[0], 0.1 * x[1]],
+                         [0.1 * x[1], np.ones_like(x[0])]])
+
+    q = quality(kershaw8, TensorSpec.from_callable(lam))
+    assert calls == [(2, kershaw8.n_diamonds)]
+    assert q.cond_ok
+
+
 # --- invalid meshes -------------------------------------------------------
 
 

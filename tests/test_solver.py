@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +23,16 @@ from ddfv.mesh import build_ddfv, gen_kershaw, gen_quad_fvca
 from ddfv.scheme import Assembly, SchemeParams, project_initial, stationary_state
 from ddfv.solver import (
     DIRECT_BOUND,
+    FORCING_MAX,
+    FORCING_SLOPE,
     GMRES_RESTART,
     INNER_ETA,
     KRYLOV_BOUND,
+    PROJECTION_DEPTH,
     REFRESH_COST,
     LinearSolver,
     NewtonConfig,
+    inner_tolerance,
     linear_solve,
     newton_solve,
 )
@@ -134,8 +139,11 @@ def test_linear_solver_accepts_answers_within_the_inner_tolerance(quad8, rng):
 
 def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
     # Jacobians along a slow drift u_k = u_0 exp(k drift w): the cycles a
-    # factor needs lengthen with its age.  The counts of the rule are
-    # rebuilt from the solver's public counters alone, and before every
+    # factor needs lengthen with its age.  Each solve has a fresh random
+    # right-hand side, which the stored answers cannot predict (a repeated
+    # b, or one drifting smoothly with u, is answered mostly by the
+    # projected start, so the factor ages slower).  The counts of the rule
+    # are rebuilt from the solver's public counters alone, and before every
     # solve the documented inequality last > (REFRESH_COST + served) /
     # solves decides whether the solve factorizes directly (no GMRES
     # iteration) or runs a cycle that the factor answers.
@@ -144,12 +152,12 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
                                        potential=lambda x: -x[1]))
     base = 0.5 + rng.random(quad8.n_values)
     w = rng.standard_normal(quad8.n_values)
-    b = rng.standard_normal(quad8.n_values)
     solver = LinearSolver()
     solves = served = last = 0
     refreshed_by_rule = []
     for k in range(40):
         u = base * np.exp(2e-3 * k * w)
+        b = rng.standard_normal(quad8.n_values)
         a = asm.system_jacobian(asm.system_vec(u, u)[1])
         before = solver.factorizations, solver.krylov_iterations
         x = linear_solve(a, b, solver)
@@ -174,6 +182,157 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
         before = solver.factorizations
         linear_solve(a, b, solver)
         assert solver.factorizations - before == refreshes
+
+
+def test_linear_solver_keeps_the_last_answers_as_copies(quad8, rng):
+    # the history starts empty, holds copies of the accepted answers,
+    # newest first, and never more than PROJECTION_DEPTH of them
+    solver = LinearSolver()
+    assert solver.history == []
+    answers = []
+    for a in _jacobians(quad8, rng, 6, 0.01):
+        x = linear_solve(a, rng.standard_normal(a.shape[0]), solver)
+        answers.insert(0, x)
+        kept = answers[:PROJECTION_DEPTH]
+        assert len(solver.history) == len(kept) <= PROJECTION_DEPTH
+        for h, x in zip(solver.history, kept):
+            assert np.array_equal(h, x) and h is not x
+    # an answer of another size replaces them all
+    linear_solve(sp.identity(3, format="csr"), np.ones(3), solver)
+    assert len(solver.history) == 1 and solver.history[0].shape == (3,)
+
+
+def test_projected_start_answers_a_right_hand_side_in_the_span(quad8, rng):
+    # b = A (x1 - 2 x2) lies in the span of A times the stored answers, so
+    # the projection alone leaves a residual at rounding level and the
+    # cycle stops after at most one iteration
+    a0, a1 = _jacobians(quad8, rng, 2, 0.05)
+    solver = LinearSolver()
+    for _ in range(2):
+        linear_solve(a0, rng.standard_normal(a0.shape[0]), solver)
+    b = a1 @ (solver.history[1] - 2.0 * solver.history[0])
+    x0, r0 = solver.project(a1, b)
+    assert np.linalg.norm(r0) <= 1e-13 * np.linalg.norm(b)
+    before = solver.krylov_iterations
+    x = linear_solve(a1, b, solver)
+    assert solver.krylov_iterations - before <= 1
+    assert solver.factorizations == 1
+    assert _backward_error(a1, x, b) <= KRYLOV_BOUND
+
+
+def test_projection_stops_at_an_answer_in_the_span_of_newer_ones(quad8,
+                                                                   rng):
+    # a repeated answer adds nothing but rounding to the span of the newer
+    # ones, so it and every older one are left out of the start
+    a = _jacobians(quad8, rng, 1, 0.0)[0]
+    x, z = rng.standard_normal((2, a.shape[0]))
+    b = rng.standard_normal(a.shape[0])
+    solver = LinearSolver()
+    solver.history = [x]
+    alone = solver.project(a, b)
+    solver.history = [x, 3.0 * x, z]
+    for got, expected in zip(solver.project(a, b), alone):
+        assert np.array_equal(got, expected)
+    # an independent answer is used
+    solver.history = [x, z]
+    assert np.linalg.norm(solver.project(a, b)[1]) < np.linalg.norm(alone[1])
+    # a zero answer gives the zero start
+    solver.history = [np.zeros(a.shape[0]), x]
+    x0, r0 = solver.project(a, b)
+    assert not x0.any() and r0 is b
+
+
+def test_projected_answers_are_checked_on_the_full_right_hand_side(
+        quad8, rng, monkeypatch):
+    # A projection that misreports its residual as zero hands the cycle
+    # nothing to do, so the cycle returns the start itself; the check on
+    # the full b rejects it and the matrix is factorized and solved
+    # directly.  The same start with its true residual is completed by the
+    # cycle and accepted.
+    a0, a1 = _jacobians(quad8, rng, 2, 0.05)
+    b = rng.standard_normal(a0.shape[0])
+    project = LinearSolver.project
+    for lie, factorizations in ((True, 2), (False, 1)):
+        solver = LinearSolver()
+        linear_solve(a0, rng.standard_normal(a0.shape[0]), solver)
+
+        def claimed(self, matrix, rhs):
+            x0, r0 = project(self, matrix, rhs)
+            assert x0.any()
+            return x0, (np.zeros_like(r0) if lie else r0)
+
+        monkeypatch.setattr(LinearSolver, "project", claimed)
+        x = linear_solve(a1, b, solver)
+        monkeypatch.undo()
+        assert solver.factorizations == factorizations
+        if lie:
+            assert np.array_equal(x, linear_solve(a1, b))
+        else:
+            assert _backward_error(a1, x, b) <= KRYLOV_BOUND
+
+
+def test_simulate_starts_each_run_with_an_empty_history(quad8, monkeypatch):
+    # one LinearSolver per run: its first solve sees no stored answers,
+    # and no solve sees more than PROJECTION_DEPTH
+    seen = []
+    linear = solver_mod.linear_solve
+
+    def spy(matrix, rhs, solver=None, tol_l1=0.0):
+        seen.append((solver, len(solver.history)))
+        return linear(matrix, rhs, solver, tol_l1)
+
+    monkeypatch.setattr(solver_mod, "linear_solve", spy)
+    case = exact_decay_case()
+    params = SchemeParams(dt=1e-3, t_final=0.01, potential=case.potential)
+    u0 = project_initial(quad8, case.u0)
+    for _ in range(2):
+        simulate(quad8, params, u0)
+    runs = []
+    for solver, depth in seen:
+        if not runs or solver is not runs[-1][0]:
+            runs.append((solver, []))
+        runs[-1][1].append(depth)
+    assert len(runs) == 2
+    for _, depths in runs:
+        assert depths[0] == 0
+        assert max(depths) == PROJECTION_DEPTH
+
+
+def test_inner_tolerance_follows_the_forcing_term():
+    tol = NewtonConfig().tol_residual_l1
+    floor = INNER_ETA * tol
+    # near convergence: INNER_ETA times the Newton tolerance, up to where
+    # FORCING_SLOPE l1**2 reaches it (l1 = 3.16e-4)
+    knee = math.sqrt(floor / FORCING_SLOPE)
+    for l1 in (0.0, 1e-10, 1e-6, 3e-4, 0.999 * knee):
+        assert inner_tolerance(l1, tol) == floor
+    # in between: eta = FORCING_SLOPE l1
+    for l1 in (1e-3, 1.0, 82.0):
+        assert inner_tolerance(l1, tol) == pytest.approx(
+            FORCING_SLOPE * l1 * l1, rel=1e-15)
+    # far from the root: eta = FORCING_MAX
+    cap = FORCING_MAX / FORCING_SLOPE
+    for l1 in (cap, 1e4, 1e8):
+        assert inner_tolerance(l1, tol) == pytest.approx(FORCING_MAX * l1,
+                                                         rel=1e-15)
+
+
+def test_newton_sizes_each_inner_solve_to_its_residual(quad8, monkeypatch):
+    tols = []
+    linear = solver_mod.linear_solve
+
+    def spy(matrix, rhs, solver=None, tol_l1=0.0):
+        tols.append((tol_l1, float(np.abs(rhs).sum())))
+        return linear(matrix, rhs, solver, tol_l1)
+
+    monkeypatch.setattr(solver_mod, "linear_solve", spy)
+    case = exact_decay_case()
+    params = SchemeParams(dt=4e-3, t_final=8e-3, potential=case.potential)
+    simulate(quad8, params, project_initial(quad8, case.u0))
+    tol = params.newton.tol_residual_l1
+    assert all(t == inner_tolerance(l1, tol) for t, l1 in tols)
+    # the transient first steps get looser solves than near convergence
+    assert max(t for t, _ in tols) > 1e3 * INNER_ETA * tol
 
 
 def test_linear_solver_singular_matrix():
@@ -421,8 +580,9 @@ def test_simulate_refactors_an_aged_factor(monkeypatch):
     # 20-iteration cycle misses serves the whole run at about 15 GMRES
     # iterations per Newton iteration.  Refreshing the factor once its
     # last cycle costs more than its mean cost per solve, with cycles of
-    # at most 8 iterations, keeps the mean at about 3.7, with more than one
-    # factorization but fewer than one per Newton iteration.
+    # at most 8 iterations, keeps the mean at about 3.7 (2.8 with cycles
+    # started from the projection on the last answers), with more than
+    # one factorization but fewer than one per Newton iteration.
     mesh = build_ddfv(gen_quad_fvca(16, 0.1))
     case = exact_decay_case()
     params = SchemeParams(dt=1e-3, t_final=0.1, potential=case.potential)
