@@ -192,9 +192,9 @@ def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
     state ``u_inf`` with matching mass.  ``log_u_inf``, when given, is
     log(u_inf), which a caller comparing many states with one reference
     computes once."""
-    mesh.check(u, u_inf)
     if log_u_inf is None:
         log_u_inf = np.log(u_inf)
+    mesh.check(u, u_inf, log_u_inf)
     uu = np.maximum(u, 0.0)
     return _mass(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
 
@@ -204,8 +204,9 @@ def stationary_state(mesh, v, mass: float,
     """Discrete steady state u = rho * exp(-v), normalized to the given
     mass on the interior cells and on the dual cells (the dual
     normalization reuses ``mass`` unless ``dual_mass`` is given)."""
-    if mass <= 0.0:
-        raise ValidationError("mass must be positive")
+    for value in (mass, dual_mass):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValidationError("mass must be finite and positive")
     exp_int, exp_bnd, exp_dual = (np.exp(-x) for x in mesh.parts(v))
     rho = mass / float(np.dot(mesh.cell_areas, exp_int))
     rho_star = (mass if dual_mass is None else dual_mass) / float(

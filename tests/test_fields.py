@@ -70,6 +70,7 @@ ENTRY_POINTS = {
     "energy_v": lambda m, x, ok: energy(m, ok, x),
     "relative_energy_u": lambda m, x, ok: relative_energy(m, x, ok),
     "relative_energy_u_inf": lambda m, x, ok: relative_energy(m, ok, x),
+    "relative_energy_log_u_inf": lambda m, x, ok: relative_energy(m, ok, ok, x),
 }
 
 

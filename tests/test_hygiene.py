@@ -63,6 +63,27 @@ def test_every_definition_is_referenced():
     assert not stale, f"allowlisted but referenced or gone: {stale}"
 
 
+def test_every_constant_is_read():
+    """Fail on a module-level UPPER_CASE constant of src/ddfv that no code
+    in src/ddfv reads, as a name or an attribute: a setting nothing obeys,
+    or a leftover of a rule that is gone.  Re-exports in ``__init__.py``
+    do not count as a read."""
+    constants, read = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        constants += [(path.name, node.lineno, t.id) for node in tree.body
+                      if isinstance(node, ast.Assign) for t in node.targets
+                      if isinstance(t, ast.Name) and t.id.isupper()]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert constants
+    unread = [c for c in constants if c[2] not in read]
+    assert not unread, f"never read in src/ddfv (file, line, name): {unread}"
+
+
 def test_benchmark_tracer_finds_every_wrapped_function():
     # perfbench/tracer.py wraps package functions by name; a renamed one
     # would make its instrument() fail with AttributeError.

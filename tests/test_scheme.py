@@ -414,6 +414,18 @@ def test_stationary_state_normalization(quad8):
         rho * math.exp(quad8.cell_centers[0, 1]), rel=1e-12)
 
 
+@pytest.mark.parametrize("masses", [
+    {"mass": 0.0}, {"mass": -1.0}, {"mass": float("nan")},
+    {"mass": float("inf")}, {"mass": 1.0, "dual_mass": 0.0},
+    {"mass": 1.0, "dual_mass": -1.0}, {"mass": 1.0, "dual_mass": float("nan")},
+    {"mass": 1.0, "dual_mass": float("inf")},
+], ids=lambda m: ",".join(f"{k}={v}" for k, v in m.items()))
+def test_stationary_state_rejects_a_mass_that_is_not_finite_and_positive(
+        quad5, masses):
+    with pytest.raises(ValidationError, match="mass must be finite"):
+        stationary_state(quad5, np.zeros(quad5.n_values), **masses)
+
+
 # --- parameter validation -----------------------------------------------------------
 
 

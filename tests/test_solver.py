@@ -27,7 +27,6 @@ from ddfv.solver import (
     FORCING_SLOPE,
     GMRES_RESTART,
     INNER_ETA,
-    KRYLOV_BOUND,
     PROJECTION_DEPTH,
     REFRESH_COST,
     LinearSolver,
@@ -77,6 +76,15 @@ def _backward_error(a, x, b):
     return np.abs(a @ x - b).max() / (a_inf * np.abs(x).max() + np.abs(b).max())
 
 
+def _l1_tolerance(b):
+    """An inner tolerance of 1e-12 relative to b in l1."""
+    return 1e-12 * np.abs(b).sum()
+
+
+def _within(a, x, b, tol_l1):
+    return np.abs(a @ x - b).sum() <= tol_l1
+
+
 def _jacobians(mesh, rng, count, spread):
     """Jacobians of one run's system at nearby positive states."""
     params = SchemeParams(dt=1e-2, t_final=1e-2, kappa=0.1,
@@ -92,9 +100,10 @@ def test_linear_solver_matches_direct_oracle(quad8, rng):
     solver = LinearSolver()
     for a in _jacobians(quad8, rng, 5, 0.05):
         b = rng.standard_normal(a.shape[0])
-        x = linear_solve(a, b, solver)
+        tol_l1 = _l1_tolerance(b)
+        x = linear_solve(a, b, solver, tol_l1)
         ref = linear_solve(a, b)
-        assert _backward_error(a, x, b) <= KRYLOV_BOUND
+        assert _within(a, x, b, tol_l1)
         assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
     # the first system is factorized, the nearby ones reuse its factor
     assert solver.factorizations == 1
@@ -103,25 +112,41 @@ def test_linear_solver_matches_direct_oracle(quad8, rng):
 def test_linear_solver_refactors_on_a_different_matrix(quad8, rng):
     a = _jacobians(quad8, rng, 1, 0.0)[0]
     b = rng.standard_normal(a.shape[0])
+    tol_l1 = _l1_tolerance(b)
     solver = LinearSolver()
     linear_solve(a, b, solver)
     stale = solver.factor
-    linear_solve(a, 2.0 * b, solver)
+    x = linear_solve(a, 2.0 * b, solver, 2.0 * tol_l1)
     assert solver.factorizations == 1 and solver.factor is stale
+    assert _within(a, x, 2.0 * b, 2.0 * tol_l1)
 
     other = (a + sp.diags(50.0 * rng.random(a.shape[0]) * abs(a).max(axis=1)
                           .toarray().ravel())).tocsr()
-    x = linear_solve(other, b, solver)
+    x = linear_solve(other, b, solver, tol_l1)
     assert solver.factorizations == 2 and solver.factor is not stale
     assert np.array_equal(x, linear_solve(other, b))
+
+
+def test_linear_solve_without_a_tolerance_is_the_direct_solve(quad8, rng):
+    # a factor in hand preconditions no cycle when the caller gives no
+    # positive l1 tolerance: the matrix is factorized and solved directly
+    a0, a1 = _jacobians(quad8, rng, 2, 0.05)
+    b = rng.standard_normal(a0.shape[0])
+    solver = LinearSolver()
+    linear_solve(a0, b, solver)
+    for tolerance in ({}, {"tol_l1": 0.0}, {"tol_l1": -1.0}):
+        x = linear_solve(a1, b, solver, **tolerance)
+        assert solver.krylov_iterations == 0
+        assert np.array_equal(x, linear_solve(a1, b))
+    assert solver.factorizations == 4
 
 
 def test_linear_solver_accepts_answers_within_the_inner_tolerance(quad8, rng):
     # A factor of one Jacobian preconditions a Jacobian at a state moved by
     # up to 50%.  On a right-hand side of 1e-8 (a late Newton correction)
-    # the Krylov answer meets INNER_ETA times the Newton tolerance in l1
-    # long before it meets KRYLOV_BOUND, and is kept; on one of 1e-6 it
-    # meets neither within the cycle, and the matrix is refactorized.
+    # the Krylov answer meets INNER_ETA times the Newton tolerance in l1,
+    # and is kept; on one of 1e-6 it misses it within the cycle, and the
+    # matrix is refactorized.
     a0, a1 = _jacobians(quad8, rng, 2, 0.5)
     b = rng.standard_normal(a0.shape[0])
     tol_l1 = INNER_ETA * NewtonConfig().tol_residual_l1
@@ -131,7 +156,6 @@ def test_linear_solver_accepts_answers_within_the_inner_tolerance(quad8, rng):
         x = linear_solve(a1, scale * b, solver, tol_l1=tol_l1)
         assert solver.factorizations == factorizations
         if factorizations == 1:
-            assert _backward_error(a1, x, scale * b) > KRYLOV_BOUND
             assert np.abs(a1 @ x - scale * b).sum() <= tol_l1
         else:
             assert np.array_equal(x, linear_solve(a1, scale * b))
@@ -158,9 +182,10 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
     for k in range(40):
         u = base * np.exp(2e-3 * k * w)
         b = rng.standard_normal(quad8.n_values)
+        tol_l1 = _l1_tolerance(b)
         a = asm.system_jacobian(asm.system_vec(u, u)[1])
         before = solver.factorizations, solver.krylov_iterations
-        x = linear_solve(a, b, solver)
+        x = linear_solve(a, b, solver, tol_l1)
         refreshed = solver.factorizations - before[0]
         cycle = solver.krylov_iterations - before[1]
         if k == 0 or last > Fraction(REFRESH_COST + served, solves):
@@ -170,7 +195,7 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
             solves, served, last = 1, 0, 0
         else:
             assert 0 < cycle <= GMRES_RESTART and refreshed == 0, k
-            assert _backward_error(a, x, b) <= KRYLOV_BOUND
+            assert _within(a, x, b, tol_l1)
             solves, served, last = solves + 1, served + cycle, cycle
         assert (solver.solves, solver.served, solver.last) == (solves, served,
                                                                last)
@@ -180,7 +205,7 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
     for last, refreshes in ((REFRESH_COST, 0), (REFRESH_COST + 1, 1)):
         solver.solves, solver.served, solver.last = 1, 0, last
         before = solver.factorizations
-        linear_solve(a, b, solver)
+        linear_solve(a, b, solver, tol_l1)
         assert solver.factorizations - before == refreshes
 
 
@@ -213,11 +238,12 @@ def test_projected_start_answers_a_right_hand_side_in_the_span(quad8, rng):
     b = a1 @ (solver.history[1] - 2.0 * solver.history[0])
     x0, r0 = solver.project(a1, b)
     assert np.linalg.norm(r0) <= 1e-13 * np.linalg.norm(b)
-    before = solver.krylov_iterations
-    x = linear_solve(a1, b, solver)
-    assert solver.krylov_iterations - before <= 1
-    assert solver.factorizations == 1
-    assert _backward_error(a1, x, b) <= KRYLOV_BOUND
+    before = solver.krylov_iterations, solver.factorizations
+    tol_l1 = _l1_tolerance(b)
+    x = linear_solve(a1, b, solver, tol_l1)
+    assert solver.krylov_iterations - before[0] <= 1
+    assert solver.factorizations == before[1]
+    assert _within(a1, x, b, tol_l1)
 
 
 def test_projection_stops_at_an_answer_in_the_span_of_newer_ones(quad8,
@@ -251,6 +277,7 @@ def test_projected_answers_are_checked_on_the_full_right_hand_side(
     # cycle and accepted.
     a0, a1 = _jacobians(quad8, rng, 2, 0.05)
     b = rng.standard_normal(a0.shape[0])
+    tol_l1 = _l1_tolerance(b)
     project = LinearSolver.project
     for lie, factorizations in ((True, 2), (False, 1)):
         solver = LinearSolver()
@@ -262,13 +289,13 @@ def test_projected_answers_are_checked_on_the_full_right_hand_side(
             return x0, (np.zeros_like(r0) if lie else r0)
 
         monkeypatch.setattr(LinearSolver, "project", claimed)
-        x = linear_solve(a1, b, solver)
+        x = linear_solve(a1, b, solver, tol_l1)
         monkeypatch.undo()
         assert solver.factorizations == factorizations
         if lie:
             assert np.array_equal(x, linear_solve(a1, b))
         else:
-            assert _backward_error(a1, x, b) <= KRYLOV_BOUND
+            assert _within(a1, x, b, tol_l1)
 
 
 def test_simulate_starts_each_run_with_an_empty_history(quad8, monkeypatch):
