@@ -121,7 +121,6 @@ def get_case(name: str) -> TestCase:
 @dataclass
 class RunResult:
     records: list
-    mass0: float
     dt: float
     h: float
 
@@ -175,29 +174,18 @@ U_EXTRAPOLATION = {1: (2.0, -1.0), 2: (3.0, -3.0, 1.0),
                    3: (4.0, -6.0, 4.0, -1.0)}
 
 
-def _log_extrapolate(u_vec, older):
-    """Extrapolation in log u from the current state and one or two
-    positive states before it (``older``, newest first): linear from one,
-    quadratic from two.  Positive by construction."""
-    ratio = u_vec / older[0]
-    if len(older) == 1:
-        return u_vec * ratio
-    # u^n (u^n / u^{n-1})^2 (u^{n-2} / u^{n-1})
-    return u_vec * ratio * ratio * (older[1] / older[0])
-
-
 def _extrapolate(u_vec, older):
-    """Newton's start value from the current state and one to three
+    """Newton's start value from the current state and the zero to three
     positive states before it (``older``, newest first): the polynomial
-    extrapolation in u of ``U_EXTRAPOLATION`` when it is positive, else the
-    extrapolation in log u from the newest one or two."""
+    extrapolation in u of ``U_EXTRAPOLATION`` when there is one and it is
+    positive, else ``u_vec`` itself."""
+    if not older:
+        return u_vec
     coefs = U_EXTRAPOLATION[len(older)]
     start = coefs[0] * u_vec
     for coef, state in zip(coefs[1:], older):
         start += coef * state
-    if start.min() > 0.0:
-        return start
-    return _log_extrapolate(u_vec, older[:2])
+    return start if start.min() > 0.0 else u_vec
 
 
 def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
@@ -217,20 +205,17 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
       (quadratic);
     - when u^{n-3} > 0 as well, from
       u* = 4 u^n - 6 u^{n-1} + 4 u^{n-2} - u^{n-3} (cubic);
-    - otherwise (step 2 after initial data with zeros) from u^n.
+    - otherwise (step 2 after initial data with zeros), or when u* has an
+      entry <= 0, from u^n.
 
-    When u* has an entry <= 0 the start is instead the extrapolation in
-    log u (the scheme's variable is g = log u + V) from u^n and the newest
-    one or two of those states, positive by construction: u^n (u^n /
-    u^{n-1}), or exp(3 log u^n - 3 log u^{n-1} + log u^{n-2}).  Why cubic
-    in u: on ``converge_quad_k01`` the Newton iterations are 355 (linear
-    in u), 247 (quadratic), 227 (cubic) and 283 (the extrapolation in
-    log u alone); a quartic takes 221 there, and 520 instead of 522 on
-    ``longtime_n16``.  States before a nonpositive one are not kept, so
-    the zeros of the initial data never enter.
+    Why cubic in u: on ``converge_quad_k01`` the Newton iterations are 355
+    (linear in u), 247 (quadratic) and 227 (cubic); a quartic takes 221
+    there, and 520 instead of 522 on ``longtime_n16``.  States before a
+    nonpositive one are not kept, so the zeros of the initial data never
+    enter.
 
-    Newton starts from u^n instead whenever u^n has the smaller l1
-    residual.  That residual, F(u^n; u^n),
+    When the start is u* rather than u^n, Newton starts from u^n instead
+    whenever u^n has the smaller l1 residual.  That residual, F(u^n; u^n),
     is derived from the previous step's final residual F(u^n; u^{n-1}) by
     changing its time rows (``Assembly.next_step_vec``), so the comparison
     evaluates nothing; u^n is evaluated only when it is picked.
@@ -247,13 +232,12 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
     """
     one = np.ones(mesh.n_values)
     u_vec = np.array(u0, dtype=float)
-    mass0 = bracket(mesh, u_vec, one)
     assembly = Assembly(mesh, params)
     linear_solver = LinearSolver()
     en_prev = energy(mesh, u_vec, assembly.v)
     interior, _, dual = mesh.parts(u_vec)
     records = [StateRecord(
-        n=0, t=0.0, mass=mass0, energy=en_prev,
+        n=0, t=0.0, mass=bracket(mesh, u_vec, one), energy=en_prev,
         dissipation=None, dissipation_hat=None, penalty_bracket=None,
         min_u=float(min(interior.min(), dual.min())),
     )]
@@ -263,15 +247,12 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
     older = []      # up to three positive states before u_vec, newest first
     res = None      # F(u_vec; the state before it), from step 1 on
     for n in range(1, params.n_steps + 1):
-        fallback = None
         if n == 1:
-            start = _seed_boundary_zeros(mesh, assembly, u_vec)
-        elif older:
-            start = _extrapolate(u_vec, older)
-            fallback = (u_vec, float(np.abs(
-                assembly.next_step_vec(res, u_vec, older[0])).sum()))
+            start, fallback = _seed_boundary_zeros(mesh, assembly, u_vec), None
         else:
-            start = u_vec
+            start = _extrapolate(u_vec, older)
+            fallback = None if start is u_vec else (u_vec, float(np.abs(
+                assembly.next_step_vec(res, u_vec, older[0])).sum()))
 
         u_next, stats = newton_solve(
             lambda x: assembly.system_vec(x, u_vec),
@@ -296,7 +277,7 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
             krylov_iterations=stats.krylov_iterations,
             floor_activated=stats.floor_activated,
         )
-        _check_step(rec, mass0, en_prev, diss, pen, params)
+        _check_step(rec, records[0].mass, en_prev, diss, pen, params)
         records.append(rec)
         if observe is not None:
             observe(rec, u_next)
@@ -306,7 +287,7 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
         en_prev = en
         del stats   # frees the accepted Iterate before the next solve
 
-    return RunResult(records=records, mass0=mass0, dt=params.dt, h=mesh.h)
+    return RunResult(records=records, dt=params.dt, h=mesh.h)
 
 
 def _check_step(rec, mass0, en_prev, diss, pen, params):
@@ -340,24 +321,11 @@ def error_u(mesh, u_vec, t, u_exact) -> float:
                         + np.dot(mesh.dual_areas, dd * dd)))
 
 
-def _exact_gradient_at(grad_u_exact, points, t):
-    """(2, m) values of the exact gradient, called once on all points."""
-    values = np.asarray(grad_u_exact(points.T, t), dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    try:
-        return np.broadcast_to(values, (2, len(points)))
-    except ValueError as exc:
-        raise ValidationError(
-            f"grad_u_exact must return shape (2, m) or (2,): {exc}"
-        ) from None
-
-
 def error_gradient(mesh, u_vec, t, grad_u_exact) -> float:
     """Squared L2 distance at time t of the discrete gradient to the exact
     one evaluated at the diamond crossing points."""
     diff = (grad_diamond(mesh, u_vec).T
-            - _exact_gradient_at(grad_u_exact, mesh.cross_point, t))
+            - evaluate(grad_u_exact, mesh.cross_point, t, shape=(2,)))
     diff *= diff
     return float(np.dot(mesh.diamond_area, diff[0] + diff[1]))
 

@@ -243,7 +243,6 @@ class DDFVMesh:
     primal: PrimalMesh
     cell_centers: np.ndarray      # (n_cells, 2) polygon centroids
     cell_areas: np.ndarray        # (n_cells,)
-    bnd_edges: np.ndarray         # (n_bnd, 2) directed vertex pairs
     bnd_centers: np.ndarray       # (n_bnd, 2) edge midpoints
     bnd_lengths: np.ndarray       # (n_bnd,)
     vertex_is_boundary: np.ndarray
@@ -340,7 +339,7 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         primal.cell_sums((a[:, 1] + b[:, 1]) * w),
     ]) / (6.0 * cell_areas)[:, None]
 
-    bnd_edges = primal.boundary_edges.copy()
+    bnd_edges = primal.boundary_edges
     bnd_centers = 0.5 * (verts[bnd_edges[:, 0]] + verts[bnd_edges[:, 1]])
     bnd_lengths = np.hypot(*(verts[bnd_edges[:, 1]] - verts[bnd_edges[:, 0]]).T)
 
@@ -441,7 +440,6 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         primal=primal,
         cell_centers=cell_centers,
         cell_areas=cell_areas,
-        bnd_edges=bnd_edges,
         bnd_centers=bnd_centers,
         bnd_lengths=bnd_lengths,
         vertex_is_boundary=vertex_is_boundary,

@@ -51,19 +51,23 @@ def div_discrete(mesh, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def half_mass(mesh, values) -> float:
+    """Half primal plus half dual mass of the packed vector ``values``
+    (its length unchecked): the one sum behind ``bracket``, ``energy`` and
+    ``relative_energy``.  Boundary cells carry no measure."""
+    return 0.5 * (float(np.dot(mesh.cell_areas, values[:mesh.n_cells]))
+                  + float(np.dot(mesh.dual_areas, values[mesh.dual_offset:])))
+
+
 def bracket(mesh, u, v) -> float:
     """Half primal plus half dual mass-weighted product of two packed
-    vectors; bracket(u, 1) is the mass of u.
+    vectors, ``half_mass(u * v)``; bracket(u, 1) is the mass of u.
 
     Boundary cells carry no measure and do not contribute, so this is only
     positive semi-definite on the full set of values.
     """
-    u_int, _, u_dual = mesh.parts(u)
-    v_int, _, v_dual = mesh.parts(v)
-    return 0.5 * (
-        float(np.dot(mesh.cell_areas, u_int * v_int))
-        + float(np.dot(mesh.dual_areas, u_dual * v_dual))
-    )
+    mesh.check(u, v)
+    return half_mass(mesh, np.multiply(u, v))
 
 
 class LocalMatrices:

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import TensorSpec
-from .operators import local_matrices, penalization_bracket
+from .operators import half_mass, local_matrices, penalization_bracket
 from .solver import NewtonConfig
 
 
@@ -95,21 +95,30 @@ class StateRecord:
 # --- projections -------------------------------------------------------
 
 
-def evaluate(fn, points, *args):
-    """Values of the data ``fn`` at an (m, 2) array of points.
+def evaluate(fn, points, *args, shape=()):
+    """Values of the data ``fn`` at an (m, 2) array of points, as an
+    array of shape ``shape + (m,)``.
 
     ``fn`` is called once, with the coordinates as ``x`` of shape (2, m)
-    (``x[0]`` and ``x[1]`` are arrays) followed by ``args``, and returns m
-    values; a scalar is broadcast to all points.
+    (``x[0]`` and ``x[1]`` are arrays) followed by ``args``; a result of
+    shape ``shape`` (a scalar for values, a (2,) vector for a gradient) is
+    broadcast to all points.  Another shape, or a value that is not
+    finite, is a ValidationError.
     """
     result = fn(np.asarray(points, dtype=float).T, *args)
-    values = np.empty(len(points))
+    values = np.empty(shape + (len(points),))
     try:
-        values[...] = result
+        result = np.asarray(result, dtype=float)
+        values[...] = result[..., None] if result.ndim == len(shape) else result
     except ValueError as exc:
+        raise ValidationError(f"data must return shape {values.shape} or "
+                              f"{shape}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        x, y = points[bad[0][-1]]
         raise ValidationError(
-            f"data must return one value per point or a scalar: {exc}"
-        ) from None
+            f"data of shape {values.shape} has the non-finite value "
+            f"{values[tuple(bad[0])]} at point ({x:.6g}, {y:.6g})")
     return values
 
 
@@ -174,29 +183,27 @@ def _entropy(values):
     return xlogy(values, values) - values + 1.0
 
 
-def _mass(mesh, values):
-    """bracket(values, 1), from the interior and dual slices."""
-    return 0.5 * (float(np.dot(mesh.cell_areas, values[:mesh.n_cells]))
-                  + float(np.dot(mesh.dual_areas, values[mesh.dual_offset:])))
-
-
 def energy(mesh, u, v) -> float:
     """Free energy of the packed state ``u`` in the packed potential ``v``:
     entropy plus potential energy (0*log 0 taken as 0)."""
     mesh.check(u, v)
-    return _mass(mesh, _entropy(u) + v * u)
+    return half_mass(mesh, _entropy(u) + v * u)
 
 
 def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
     """Energy gap of the packed state ``u`` to a positive packed reference
-    state ``u_inf`` with matching mass.  ``log_u_inf``, when given, is
+    state ``u_inf`` with matching mass; a ``u_inf`` that is not finite
+    and positive is a ValidationError.  ``log_u_inf``, when given, is
     log(u_inf), which a caller comparing many states with one reference
     computes once."""
+    mesh.check(u, u_inf)
+    if not (np.min(u_inf) > 0.0 and np.max(u_inf) < math.inf):
+        raise ValidationError("u_inf must be finite and positive")
     if log_u_inf is None:
         log_u_inf = np.log(u_inf)
-    mesh.check(u, u_inf, log_u_inf)
+    mesh.check(log_u_inf)
     uu = np.maximum(u, 0.0)
-    return _mass(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
+    return half_mass(mesh, xlogy(uu, uu) - uu * log_u_inf - uu + u_inf)
 
 
 def stationary_state(mesh, v, mass: float,
@@ -280,12 +287,10 @@ class Assembly:
         # summing in the order of four np.add.at passes.
         self.flux_rows = self.corners.ravel()
 
-        self.time_mask = np.ones(self.n, dtype=bool)
-        mesh.parts(self.time_mask)[1][:] = False    # the closure rows
-        half_mass = mesh.pack(0.5 * mesh.cell_areas, np.full(mesh.n_bnd, 0.5),
-                              0.5 * mesh.dual_areas)
         # zero on the closure rows, which have no time derivative
-        self.time_coef = np.where(self.time_mask, half_mass / params.dt, 0.0)
+        self.time_coef = mesh.pack(0.5 * mesh.cell_areas / params.dt,
+                                   np.zeros(mesh.n_bnd),
+                                   0.5 * mesh.dual_areas / params.dt)
 
         self.pen_scale = params.kappa / (2.0 * mesh.h**params.beta)
         if params.kappa > 0.0:
@@ -323,7 +328,7 @@ class Assembly:
         # diagonal and, for kappa > 0, the overlap blocks with rows c, c,
         # v, v and columns c, v, v, c; their sorted unique keys row * n +
         # column are the pattern's slots.
-        diag = np.flatnonzero(self.time_mask).astype(np.int32)
+        diag = np.flatnonzero(self.time_coef).astype(np.int32)
         nb16, n_diag = 16 * nd, len(diag)
         rows = [np.repeat(cols, 4, axis=1).ravel(), diag]
         columns = [np.tile(cols, (1, 4)).ravel(), diag]

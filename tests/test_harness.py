@@ -165,6 +165,34 @@ def test_norm_gap_brute_force_integration(uniform2, rng):
     assert got == pytest.approx(total**0.5, rel=1e-12)
 
 
+# One call per data function of a case, each reaching it through
+# scheme.evaluate; _with_bad(bad) is 1 except at points with x[0] > 0.5.
+def _with_bad(bad):
+    return lambda x, *t: np.where(x[0] > 0.5, bad, 1.0)
+
+
+DATA_CALLS = {
+    "u0": lambda mesh, fn: simulate(
+        mesh, SchemeParams(dt=4e-3, t_final=4e-3), project_initial(mesh, fn)),
+    "potential": lambda mesh, fn: simulate(
+        mesh, SchemeParams(dt=4e-3, t_final=4e-3, potential=fn),
+        np.ones(mesh.n_values)),
+    "u_exact": lambda mesh, fn: error_u(mesh, np.ones(mesh.n_values), 0.0, fn),
+    "grad_u_exact": lambda mesh, fn: error_gradient(
+        mesh, np.ones(mesh.n_values), 0.0,
+        lambda x, t: np.stack([fn(x), fn(x)])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("data", sorted(DATA_CALLS))
+def test_non_finite_data_is_a_validation_error(quad5, data, bad):
+    shape = r"\(2, \d+\)" if data == "grad_u_exact" else r"\(\d+,\)"
+    with pytest.raises(ValidationError, match=f"data of shape {shape} has "
+                       f"the non-finite value {bad} at point"):
+        DATA_CALLS[data](quad5, _with_bad(bad))
+
+
 # --- simulate -----------------------------------------------------------------
 
 
@@ -190,8 +218,9 @@ def test_simulate_records_and_invariants(quad8):
     params = SchemeParams(dt=4e-3, t_final=0.04, potential=case.potential)
     result = simulate(quad8, params, project_initial(quad8, case.u0))
     assert len(result.records) == 11
+    mass0 = result.records[0].mass
     for rec in result.records[1:]:
-        assert abs(rec.mass - result.mass0) <= 1e-11 * result.mass0
+        assert abs(rec.mass - mass0) <= 1e-11 * mass0
         assert rec.min_u > 0.0
         assert rec.dissipation >= 0.0
     energies = [r.energy for r in result.records]
@@ -265,7 +294,7 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
     assert calls[1][0] is states[1] and calls[1][1] is None
     # step 3: linear in u from u2 and u1; step 4: quadratic; steps 5-7:
     # cubic, from the last four states.  All are positive on this run, so
-    # none falls back to the extrapolation in log u.
+    # none falls back to u^n.
     u = states[1:]
     expected = {
         2: 2 * u[1] - u[0],
@@ -281,26 +310,19 @@ def test_simulate_start_values_follow_the_extrapolation_rule(quad8,
         assert calls[n][1] is states[n]
 
 
-def test_extrapolate_falls_back_to_log_u_when_the_polynomial_is_not_positive():
+def test_extrapolate_returns_u_n_when_the_polynomial_is_not_positive():
     # A fast decaying entry makes every polynomial in u nonpositive there;
-    # the start is then the extrapolation in log u from the newest one or
-    # two older states, positive by construction.
+    # the start is then u^n itself, as it is with no older state.
     u_n = np.array([1.0, 0.01])
     history = [np.array([1.0, 0.1]), np.array([1.0, 0.2]),
                np.array([1.0, 0.3])]
-    logs = [np.log(u) for u in [u_n] + history]
+    assert _extrapolate(u_n, []) is u_n
     for count in (1, 2, 3):
         older = history[:count]
         coefs = U_EXTRAPOLATION[count]
         poly = coefs[0] * u_n + sum(c * s for c, s in zip(coefs[1:], older))
         assert poly.min() <= 0.0
-        if count == 1:
-            log_start = 2 * logs[0] - logs[1]
-        else:
-            log_start = 3 * logs[0] - 3 * logs[1] + logs[2]
-        start = _extrapolate(u_n, older)
-        assert start.min() > 0.0
-        assert np.allclose(start, np.exp(log_start), rtol=1e-14, atol=0.0)
+        assert _extrapolate(u_n, older) is u_n
     # a positive polynomial is the start: each degree continues an affine
     # history exactly
     u_n = np.array([1.0, 0.4])
@@ -311,10 +333,37 @@ def test_extrapolate_falls_back_to_log_u_when_the_polynomial_is_not_positive():
                            rtol=1e-14, atol=0.0)
 
 
+def test_simulate_passes_no_fallback_when_the_start_is_u_n(quad8,
+                                                           monkeypatch):
+    # With every polynomial zero, each step from step 2 on starts from u^n,
+    # and the residual guard has no other start to offer.
+    import ddfv.harness as hm
+
+    case = exact_decay_case()
+    params = SchemeParams(dt=4e-3, t_final=0.02, potential=case.potential)
+    calls = []
+    newton = hm.newton_solve
+
+    def spy(residual_fn, jacobian_fn, u_init, config, solver, fallback):
+        calls.append((u_init, fallback))
+        return newton(residual_fn, jacobian_fn, u_init, config, solver,
+                      fallback)
+
+    monkeypatch.setattr(hm, "newton_solve", spy)
+    monkeypatch.setattr(hm, "U_EXTRAPOLATION", {
+        k: (0.0,) * (k + 1) for k in hm.U_EXTRAPOLATION})
+    states = []
+    simulate(quad8, params, project_initial(quad8, case.u0),
+             lambda rec, u_vec: states.append(u_vec))
+    assert len(calls) == 5
+    for n in range(1, 5):
+        assert calls[n][0] is states[n]
+        assert calls[n][1] is None
+
+
 def test_extrapolated_start_makes_one_newton_iteration_common(quad8):
     # 1000 steps of 1e-3 on quad n=8: 1.78 Newton iterations per step from
-    # u^n, 1.07 from the extrapolation in log u, 1.025 from the cubic one
-    # in u
+    # u^n, 1.025 from the cubic extrapolation in u
     case = exact_decay_case()
     params = SchemeParams(dt=1e-3, t_final=1.0, potential=case.potential)
     result = simulate(quad8, params, project_initial(quad8, case.u0))

@@ -84,6 +84,46 @@ def test_every_constant_is_read():
     assert not unread, f"never read in src/ddfv (file, line, name): {unread}"
 
 
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def test_every_stored_field_is_read():
+    """Fail on a dataclass field or a ``self.<name>`` attribute of a
+    src/ddfv class that no code in src/ddfv reads by name (an attribute
+    load, or the target of an augmented assignment): state a class keeps
+    for nobody.  Like the other guards, the check is by name only."""
+    stored, read = [], set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    stored += [(path.name, st.lineno, node.name, st.target.id)
+                               for st in node.body
+                               if isinstance(st, ast.AnnAssign)
+                               and isinstance(st.target, ast.Name)]
+                stored += [(path.name, e.lineno, node.name, e.attr)
+                           for sub in ast.walk(node)
+                           if isinstance(sub, (ast.Assign, ast.AnnAssign))
+                           for target in (sub.targets if isinstance(
+                               sub, ast.Assign) else [sub.target])
+                           for e in ast.walk(target)
+                           if isinstance(e, ast.Attribute)
+                           and isinstance(e.ctx, ast.Store)
+                           and getattr(e.value, "id", None) == "self"]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign):
+                read.add(getattr(node.target, "attr", None))
+    assert stored
+    unread = sorted({s for s in stored if s[3] not in read})
+    assert not unread, ("stored but never read in src/ddfv "
+                        f"(file, line, class, name): {unread}")
+
+
 def test_benchmark_tracer_finds_every_wrapped_function():
     # perfbench/tracer.py wraps package functions by name; a renamed one
     # would make its instrument() fail with AttributeError.

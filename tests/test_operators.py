@@ -165,8 +165,9 @@ def test_assembled_forms_orientation_invariant(rng):
         nc + np.arange(mesh_a.n_bnd + mesh_a.n_verts),
     ])
     # boundary-cell discovery order also changes; map via edge keys
-    key_to_b = {tuple(sorted(e)): i for i, e in enumerate(map(tuple, mesh_b.bnd_edges))}
-    for i, e in enumerate(map(tuple, mesh_a.bnd_edges)):
+    bnd_a, bnd_b = mesh_a.primal.boundary_edges, mesh_b.primal.boundary_edges
+    key_to_b = {tuple(sorted(e)): i for i, e in enumerate(map(tuple, bnd_b))}
+    for i, e in enumerate(map(tuple, bnd_a)):
         perm[nc + i] = nc + key_to_b[tuple(sorted(e))]
     vals_b = np.empty_like(vals)
     vals_b[perm] = vals

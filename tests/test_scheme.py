@@ -240,7 +240,7 @@ def _coo_system_jacobian(asm, u):
         values[:, i, :] = row_coef[:, i, None] * src
 
     cols = asm.corners.T
-    diag_idx = np.flatnonzero(asm.time_mask)
+    diag_idx = np.flatnonzero(asm.time_coef)
     rows = [np.repeat(cols, 4, axis=1).ravel(), diag_idx]
     cols_ = [np.tile(cols, (1, 4)).ravel(), diag_idx]
     vals = [values.ravel(), asm.time_coef[diag_idx]]
@@ -424,6 +424,16 @@ def test_stationary_state_rejects_a_mass_that_is_not_finite_and_positive(
         quad5, masses):
     with pytest.raises(ValidationError, match="mass must be finite"):
         stationary_state(quad5, np.zeros(quad5.n_values), **masses)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_relative_energy_rejects_a_u_inf_that_is_not_finite_and_positive(
+        quad5, bad):
+    u_inf = np.ones(quad5.n_values)
+    u_inf[quad5.n_values // 2] = bad
+    for log_u_inf in (None, np.zeros(quad5.n_values)):
+        with pytest.raises(ValidationError, match="u_inf must be finite"):
+            relative_energy(quad5, np.ones(quad5.n_values), u_inf, log_u_inf)
 
 
 # --- parameter validation -----------------------------------------------------------

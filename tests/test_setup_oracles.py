@@ -206,7 +206,7 @@ def loop_build_ddfv(primal):
     ov_keys = sorted(overlaps)
     out = {name: np.array(values) for name, values in dia.items()}
     out.update(primal=primal,
-        cell_centers=cell_centers, cell_areas=cell_areas, bnd_edges=bnd_edges,
+        cell_centers=cell_centers, cell_areas=cell_areas,
         bnd_centers=bnd_centers, bnd_lengths=bnd_lengths,
         vertex_is_boundary=vertex_is_boundary, dual_areas=dual_areas,
         overlap_cell=np.array([k[0] for k in ov_keys], dtype=int),
