@@ -114,20 +114,24 @@ def write_effective_config(cfg, out_dir):
 
 
 def _family_kwargs(cfg):
+    """The family arguments given, as keywords of ``mesh.gen_family``:
+    --amplitude is read only with --family quad and --distortion only with
+    kershaw, neither with --mesh; another one is a ValidationError."""
     kw = {}
-    if cfg["family"] == "quad" and cfg["amplitude"] is not None:
-        kw["amplitude"] = cfg["amplitude"]
-    if cfg["family"] == "kershaw" and cfg["distortion"] is not None:
-        kw["distortion"] = cfg["distortion"]
+    for key, family in (("amplitude", "quad"), ("distortion", "kershaw")):
+        if cfg[key] is not None:
+            if cfg.get("mesh") or cfg["family"] != family:
+                raise ValidationError(f"--{key} is read only with --family "
+                                      f"{family} and no --mesh")
+            kw[key] = cfg[key]
     return kw
 
 
 def _load_mesh(cfg):
-    if cfg["mesh"]:
-        return meshmod.build_ddfv(meshmod.read_mesh(cfg["mesh"]))
-    return meshmod.build_ddfv(
-        meshmod.gen_family(cfg["family"], cfg["n"], **_family_kwargs(cfg))
-    )
+    kwargs = _family_kwargs(cfg)
+    primal = (meshmod.read_mesh(cfg["mesh"]) if cfg["mesh"] else
+              meshmod.gen_family(cfg["family"], cfg["n"], **kwargs))
+    return meshmod.build_ddfv(primal)
 
 
 def _case(cfg):
@@ -235,7 +239,7 @@ def cmd_run(args):
     print(f"final energy     {last.energy:.12e}")
     print(f"min u (n>=1)     {result.min_u:.6e}")
     print(f"newton max/mean  {result.newton_max}/{result.newton_mean:.2f}")
-    print(f"dt/h             {result.dt_over_h:.6g}")
+    print(f"dt/h             {params.dt / mesh.h:.6g}")
     print(f"floor activated  {result.floor_ever_activated}")
     return EXIT_OK
 

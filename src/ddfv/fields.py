@@ -42,7 +42,7 @@ def _check_spd(values, n=1):
 
 
 class TensorSpec:
-    """Diffusion tensor: identity, constant SPD, rotated diagonal or callable.
+    """Diffusion tensor: a constant SPD ``matrix``, or a callable ``func``.
 
     Per-diamond values average the tensor over the diamond; for a callable
     this is a one-point evaluation at the diamond's area barycenter.  The
@@ -54,20 +54,19 @@ class TensorSpec:
     evaluation points for callables (unless given explicitly).
     """
 
-    def __init__(self, kind, matrix=None, func=None, bounds=None):
-        self.kind = kind
+    def __init__(self, matrix=None, func=None, bounds=None):
         self.matrix = matrix
         self.func = func
         self._bounds = bounds
 
     @classmethod
     def identity(cls):
-        return cls("identity", matrix=np.eye(2), bounds=(1.0, 1.0))
+        return cls(matrix=np.eye(2), bounds=(1.0, 1.0))
 
     @classmethod
     def constant(cls, matrix):
         stack, evals = _check_spd(matrix)
-        return cls("constant", matrix=stack[0],
+        return cls(matrix=stack[0],
                    bounds=(float(evals[0, 0]), float(evals[0, 1])))
 
     @classmethod
@@ -80,12 +79,11 @@ class TensorSpec:
         c, s = np.cos(angle), np.sin(angle)
         rot = np.array([[c, -s], [s, c]])
         mat = rot @ np.diag([float(lam1), float(lam2)]) @ rot.T
-        return cls("constant", matrix=mat,
-                   bounds=(min(lam1, lam2), max(lam1, lam2)))
+        return cls(matrix=mat, bounds=(min(lam1, lam2), max(lam1, lam2)))
 
     @classmethod
     def from_callable(cls, func, bounds=None):
-        return cls("callable", func=func, bounds=bounds)
+        return cls(func=func, bounds=bounds)
 
     @classmethod
     def parse(cls, text):
@@ -113,7 +111,7 @@ class TensorSpec:
     def on_diamonds(self, mesh):
         """Per-diamond tensors as an (n_diamonds, 2, 2) array."""
         n = mesh.n_diamonds
-        if self.kind in ("identity", "constant"):
+        if self.func is None:
             return np.broadcast_to(self.matrix, (n, 2, 2)).copy()
         # Area barycenter of the diamond: wedge-weighted mean of the two
         # triangle centroids on either side of the primal edge.

@@ -43,10 +43,9 @@ class TestCase:
     ``x[0]`` and ``x[1]`` are coordinate arrays (see ``scheme.evaluate``).
     ``u0``, ``potential`` and ``u_exact`` return shape (m,) and
     ``grad_u_exact`` shape (2, m); a scalar, or a constant (2,) gradient,
-    is broadcast.
+    is broadcast.  ``CASES`` names the cases.
     """
 
-    name: str
     u0: object                      # callable(x) -> (m,)
     potential: object = None        # callable(x) -> (m,)
     lam: TensorSpec = dataclass_field(default_factory=TensorSpec.identity)
@@ -79,7 +78,6 @@ def exact_decay_case() -> TestCase:
     steady state; the initial data vanishes on the top edge.
     """
     return TestCase(
-        name="decay",
         u0=lambda x: _exact_value(x, 0.0),
         potential=lambda x: -x[1],
         t_final=0.25,
@@ -91,7 +89,6 @@ def exact_decay_case() -> TestCase:
 def uniform_case() -> TestCase:
     """Constant state with no potential; an exact fixed point of the scheme."""
     return TestCase(
-        name="uniform",
         u0=lambda x: 1.0,
         potential=None,
         t_final=0.25,
@@ -120,9 +117,10 @@ def get_case(name: str) -> TestCase:
 
 @dataclass
 class RunResult:
+    """The StateRecords of step 0 and of each accepted step, in order; a
+    run's dt and h are its ``params.dt`` and ``mesh.h``."""
+
     records: list
-    dt: float
-    h: float
 
     @property
     def newton_max(self):
@@ -141,10 +139,6 @@ class RunResult:
     @property
     def floor_ever_activated(self):
         return any(r.floor_activated for r in self.records[1:])
-
-    @property
-    def dt_over_h(self):
-        return self.dt / self.h
 
 
 def _seed_boundary_zeros(mesh, assembly, u_vec):
@@ -287,7 +281,7 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
         en_prev = en
         del stats   # frees the accepted Iterate before the next solve
 
-    return RunResult(records=records, dt=params.dt, h=mesh.h)
+    return RunResult(records=records)
 
 
 def _check_step(rec, mass0, en_prev, diss, pen, params):

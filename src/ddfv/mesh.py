@@ -41,6 +41,7 @@ from .errors import (
     ValidationError,
     raise_first,
 )
+from .operators import local_matrices
 
 _SIN_TOL = 1e-10
 _PARAM_TOL = 1e-12
@@ -57,24 +58,18 @@ def triangle_area(a, b, c):
     return 0.5 * abs(cross2(np.asarray(b) - a, np.asarray(c) - a))
 
 
-def _flatten(cells):
-    """A sequence of vertex-index loops as one array of the loops back to
-    back, and the offset of each loop in it followed by the total length."""
+def _loop_table(cells):
+    """``loop_vert``, ``loop_start``, ``loop_cell`` and ``loop_next`` (see
+    ``PrimalMesh``) of a sequence of vertex-index loops."""
     sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
     loop_start = np.concatenate([[0], np.cumsum(sizes)])
     loop_vert = np.fromiter(itertools.chain.from_iterable(cells),
                             dtype=np.int64, count=int(loop_start[-1]))
-    return loop_vert, loop_start
-
-
-def _loop_next(loop_vert, loop_start):
-    """The vertex after each entry of back-to-back loops starting at the
-    given offsets, wrapping around at the end of each loop."""
-    starts, ends = loop_start[:-1], loop_start[1:]
-    full = ends > starts
+    full = sizes > 0
     nxt = np.arange(1, len(loop_vert) + 1)
-    nxt[ends[full] - 1] = starts[full]
-    return loop_vert[nxt]
+    nxt[loop_start[1:][full] - 1] = loop_start[:-1][full]
+    return (loop_vert, loop_start, np.repeat(np.arange(len(cells)), sizes),
+            loop_vert[nxt])
 
 
 def _shoelace(vertices, loop_vert, loop_next):
@@ -128,11 +123,9 @@ class PrimalMesh:
                 f"vertex {int(np.argmax(bad))} has a non-finite coordinate")
         if not len(cells):
             raise ValidationError("mesh has no cells")
-        self.loop_vert, self.loop_start = _flatten(cells)
-        sizes = np.diff(self.loop_start)
-        self.loop_cell = np.repeat(np.arange(len(sizes)), sizes)
-        self.loop_next = _loop_next(self.loop_vert, self.loop_start)
-        self._check_cells(sizes)
+        (self.loop_vert, self.loop_start, self.loop_cell,
+         self.loop_next) = _loop_table(cells)
+        self._check_cells(np.diff(self.loop_start))
         self._build_edges()
 
     def _check_cells(self, sizes):
@@ -238,6 +231,8 @@ class DDFVMesh:
     one value per interior cell, per boundary (degenerate) cell and per
     vertex (dual cell); ``parts`` splits it into views and ``pack`` joins
     them.  Primal indices are packed indices; dual ones add ``dual_offset``.
+    ``primal_centers`` (the cell centroids, then the boundary-edge
+    midpoints), ``h`` and the sizes are computed once, in ``__post_init__``.
     """
 
     primal: PrimalMesh
@@ -269,6 +264,7 @@ class DDFVMesh:
     overlap_cell: np.ndarray
     overlap_vert: np.ndarray
     overlap_area: np.ndarray
+    primal_centers: np.ndarray = field(init=False)
     h: float = field(init=False)
     domain_area: float = field(init=False)
     # sizes and packed-vector layout, computed once
@@ -280,6 +276,7 @@ class DDFVMesh:
     n_values: int = field(init=False)
 
     def __post_init__(self):
+        self.primal_centers = np.vstack([self.cell_centers, self.bnd_centers])
         self.h = float(self.diamond_diam.max())
         self.domain_area = float(self.cell_areas.sum())
         self.n_cells = len(self.cell_areas)
@@ -315,11 +312,6 @@ class DDFVMesh:
         values = np.concatenate([interior, boundary, dual], dtype=float)
         self.parts(values)
         return values
-
-    @property
-    def primal_centers(self):
-        """Interior cell centroids stacked with boundary-edge midpoints."""
-        return np.vstack([self.cell_centers, self.bnd_centers])
 
 
 def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
@@ -490,16 +482,15 @@ def _validate_partitions(mesh):
 
 @dataclass
 class QualityReport:
+    """The diamonds' regularity factors from ``quality``; ``summary``
+    reads the sizes and h from ``mesh``."""
+
+    mesh: DDFVMesh
     theta: np.ndarray
     theta_tilde: np.ndarray
     theta_star: float
     theta_interior_max: float
     min_sin_angle: float
-    h: float
-    n_cells: int
-    n_bnd_edges: int
-    n_verts: int
-    n_diamonds: int
     cond2_max: float | None = None
     cond2_bound: float | None = None
 
@@ -510,12 +501,13 @@ class QualityReport:
         return self.cond2_max < self.cond2_bound
 
     def summary(self):
+        mesh = self.mesh
         lines = [
-            f"cells              {self.n_cells}",
-            f"boundary edges     {self.n_bnd_edges}",
-            f"vertices           {self.n_verts}",
-            f"diamonds           {self.n_diamonds}",
-            f"h                  {self.h:.6e}",
+            f"cells              {mesh.n_cells}",
+            f"boundary edges     {mesh.n_bnd}",
+            f"vertices           {mesh.n_verts}",
+            f"diamonds           {mesh.n_diamonds}",
+            f"h                  {mesh.h:.6e}",
             f"min sin(angle)     {self.min_sin_angle:.6e}",
             f"theta interior max {self.theta_interior_max:.6f}",
             f"theta max          {self.theta.max():.6f}",
@@ -550,20 +542,14 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
     interior = ~mesh.dia_is_boundary
     theta_interior_max = float(theta[interior].max()) if interior.any() else float("nan")
     report = QualityReport(
+        mesh=mesh,
         theta=theta,
         theta_tilde=theta_tilde,
         theta_star=float(max(theta.max(), theta_tilde.max())),
         theta_interior_max=theta_interior_max,
         min_sin_angle=float(mesh.sin_angle.min()),
-        h=mesh.h,
-        n_cells=mesh.n_cells,
-        n_bnd_edges=mesh.n_bnd,
-        n_verts=mesh.n_verts,
-        n_diamonds=mesh.n_diamonds,
     )
     if lam is not None:
-        from .operators import local_matrices
-
         lam_d = lam.on_diamonds(mesh)
         mats = local_matrices(mesh, lam, lam_d)
         report.cond2_max = float(mats.cond2().max())
@@ -605,7 +591,7 @@ def gen_kershaw(n: int, distortion: float = 0.8) -> PrimalMesh:
     return gen_family("kershaw", n, distortion=distortion)
 
 
-def _uniform_map(n, **_):
+def _uniform_map(n):
     if n < 1:
         raise ValidationError("n must be >= 1")
     return lambda i, j, p: p
@@ -801,10 +787,8 @@ def read_mesh(path) -> PrimalMesh:
     if pos < len(lines):
         raise ParseError("trailing content after last cell", line=lines[pos][0])
 
-    loop_vert, loop_start = _flatten(cells)
-    areas = _signed_areas(vertices, loop_vert, _loop_next(loop_vert, loop_start),
-                          np.repeat(np.arange(len(cells)), np.diff(loop_start)),
-                          len(cells))
+    loop_vert, _, loop_cell, loop_next = _loop_table(cells)
+    areas = _signed_areas(vertices, loop_vert, loop_next, loop_cell, len(cells))
     for i in np.flatnonzero(areas < 0.0):
         warnings.warn(f"cell {i} was clockwise; reoriented", stacklevel=2)
         cells[i] = cells[i][::-1]

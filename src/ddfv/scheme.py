@@ -283,9 +283,6 @@ class Assembly:
         # coef_l, +1, -1, where coef_l is -1, or +1 into the closure row of
         # a boundary cell (its row is half the outgoing edge flux).
         self.coef_l = np.where(mesh.dia_is_boundary, 1.0, -1.0)
-        # The flux rows of the residual are one bincount over the corners,
-        # summing in the order of four np.add.at passes.
-        self.flux_rows = self.corners.ravel()
 
         # zero on the closure rows, which have no time derivative
         self.time_coef = mesh.pack(0.5 * mesh.cell_areas / params.dt,
@@ -411,7 +408,8 @@ class Assembly:
         weights = (rd * s)[[0, 0, 1, 1]]
         weights[1] *= self.coef_l
         weights[3] *= -1.0
-        res = np.bincount(self.flux_rows, weights=weights.ravel(),
+        # one bincount sums in the order of four np.add.at passes
+        res = np.bincount(self.corners.ravel(), weights=weights.ravel(),
                           minlength=self.n)
         res += self.time_coef * (u - u_prev)
         if self.params.kappa > 0.0:

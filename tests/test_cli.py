@@ -3,7 +3,7 @@ import pytest
 
 from ddfv.cli import EXIT_CONFIG, main
 from ddfv.harness import CSV_HEADER
-from ddfv.mesh import read_mesh
+from ddfv.mesh import build_ddfv, gen_family, read_mesh, write_mesh
 
 
 def run_cli(capsys, *args):
@@ -188,15 +188,33 @@ def test_file_and_value_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
     ["run", "--n", "4", "--tfinal", "0.004", "--seed", "1"],
     ["check", "--kappa", "5"],
     ["mesh", "gen", "--n", "2", "--dt", "1"],
+    # a family argument is read only by its family, and not with --mesh
+    ["run", "--family", "uniform", "--n", "4", "--tfinal", "0.008",
+     "--amplitude", "0.2"],
+    ["run", "--family", "kershaw", "--n", "5", "--tfinal", "0.004",
+     "--amplitude", "0.24"],
+    ["mesh", "gen", "--family", "quad", "--n", "4", "--distortion", "5"],
+    ["converge", "--family", "uniform", "--levels", "1", "--n0", "4",
+     "--tfinal", "0.008", "--amplitude", "0.1"],
+    ["longtime", "--mesh", "../quad_3.mesh", "--tfinal", "0.01",
+     "--distortion", "0.5"],
+    # the same, as a config-file key (the message names its flag)
+    ["run", "--family", "uniform", "--n", "4", "--tfinal", "0.008",
+     "--config", "../amplitude.cfg"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_rejects_flag_the_command_does_not_read(tmp_path, capsys, monkeypatch,
                                                 argv):
-    monkeypatch.chdir(tmp_path)
+    # the inputs sit next to the working directory, which stays empty
+    write_mesh(gen_family("quad", 3), tmp_path / "quad_3.mesh")
+    (tmp_path / "amplitude.cfg").write_text("amplitude = 0.2\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and "Traceback" not in err
-    assert argv[-2] in err
-    assert out == "" and list(tmp_path.iterdir()) == []
+    assert ("--amplitude" if argv[-2] == "--config" else argv[-2]) in err
+    assert out == "" and list(work.iterdir()) == []
 
 
 @pytest.mark.parametrize("line, message", [
@@ -270,6 +288,8 @@ def test_run_reference_case_invariants(tmp_path, capsys):
     assert max(mass) - min(mass) <= 1e-11 * abs(mass[0])
     assert min(mins) > 0.0
     assert "floor activated  False" in out
+    h = build_ddfv(gen_family("quad", 8)).h
+    assert f"dt/h             {4e-3 / h:.6g}\n" in out
 
     def column(name):
         return [int(r.split(",")[header.index(name)]) for r in rows[1:]]

@@ -114,7 +114,7 @@ def test_tensor_rejects_non_finite_entries(quad5):
 
 
 def test_tensor_parse():
-    assert TensorSpec.parse("identity").kind == "identity"
+    assert np.array_equal(TensorSpec.parse("identity").matrix, np.eye(2))
     d = TensorSpec.parse("diag:1,1e-2")
     assert d.matrix[1, 1] == pytest.approx(1e-2)
     r = TensorSpec.parse("rotated:2,1,0.5")

@@ -90,14 +90,27 @@ def _is_dataclass(node):
                == "dataclass" for d in node.decorator_list)
 
 
+def _is_self(node):
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
 def test_every_stored_field_is_read():
     """Fail on a dataclass field or a ``self.<name>`` attribute of a
     src/ddfv class that no code in src/ddfv reads by name (an attribute
     load, or the target of an augmented assignment): state a class keeps
-    for nobody.  Like the other guards, the check is by name only."""
-    stored, read = [], set()
+    for nobody.  A ``self.<name>`` read counts only for the class whose
+    body holds it; any other attribute read counts for every class, so
+    across objects the check is still by name only."""
+    stored, read = [], set()    # read: (class, or None for every class, name)
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        owner = {}      # id of a self.<name> node -> its innermost class
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((id(sub), node.name) for sub in ast.walk(node)
+                             if isinstance(sub, ast.Attribute)
+                             and _is_self(sub))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 if _is_dataclass(node):
                     stored += [(path.name, st.lineno, node.name, st.target.id)
@@ -112,14 +125,17 @@ def test_every_stored_field_is_read():
                            for e in ast.walk(target)
                            if isinstance(e, ast.Attribute)
                            and isinstance(e.ctx, ast.Store)
-                           and getattr(e.value, "id", None) == "self"]
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                                ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.AugAssign):
-                read.add(getattr(node.target, "attr", None))
+                           and _is_self(e)]
+                continue
+            if isinstance(node, ast.AugAssign):
+                node = node.target
+            elif not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Attribute):
+                read.add((owner.get(id(node)), node.attr))
     assert stored
-    unread = sorted({s for s in stored if s[3] not in read})
+    unread = sorted({s for s in stored if (None, s[3]) not in read
+                     and (s[2], s[3]) not in read})
     assert not unread, ("stored but never read in src/ddfv "
                         f"(file, line, class, name): {unread}")
 

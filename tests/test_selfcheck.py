@@ -34,3 +34,20 @@ def test_jacobian_check_sees_a_tiny_scaling(seed, monkeypatch):
     line = result.line()
     assert line.startswith("FAIL")
     assert float(line.rsplit("homogeneity defect ", 1)[1]) > 1e-12, line
+
+
+def test_partition_check_sees_areas_scaled_together(monkeypatch):
+    # every area scaled alike keeps the four sums equal to each other and
+    # the quarter splits exact; only the area the boundary encloses shows it
+    import dataclasses
+
+    meshes = selfcheck._meshes()
+    areas = ("cell_areas", "dual_areas", "diamond_area", "overlap_area",
+             "wedge_cell_k", "wedge_cell_l", "wedge_vert_k", "wedge_vert_l")
+    scaled = [(name, dataclasses.replace(
+        mesh, **{a: getattr(mesh, a) * 1.001 for a in areas}))
+        for name, mesh in meshes]
+    monkeypatch.setattr(selfcheck, "_meshes", lambda: scaled)
+    result = selfcheck.check_partitions(np.random.default_rng(0))
+    assert not result.passed, result.line()
+    assert result.line().endswith("worst relative defect 1.00e-03")
