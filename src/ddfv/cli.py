@@ -11,7 +11,7 @@ output directory, so a run can be reproduced bit-identically from it and a
 config error leaves no file.
 
 Exit codes: 0 ok, 2 config/mesh/file error, 3 solver failure, 4 property
-failure.
+failure (``check``, or a runtime invariant that stops a time loop).
 """
 
 import argparse
@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import harness, mesh as meshmod, selfcheck
-from .errors import DDFVError, MeshError, SolverError, ValidationError
+from .errors import (DDFVError, InvariantViolation, MeshError, SolverError,
+                     ValidationError)
 from .fields import TensorSpec
 from .scheme import SchemeParams, project_initial
 from .solver import NewtonConfig
@@ -379,6 +380,9 @@ def main(argv=None):
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except InvariantViolation as exc:
+        print(f"property failure: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
     except DDFVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

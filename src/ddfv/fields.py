@@ -8,11 +8,11 @@ from .errors import NotSPD, ValidationError, raise_first
 
 
 def _check_spd(values, n=1):
-    """The tensors ``values`` as an (n, 2, 2) stack, with its (n, 2)
-    ascending eigenvalues.  ``values`` is one 2x2 matrix for all n, or
-    broadcasts to (2, 2, n) with tensor d at values[:, :, d].  NotSPD
-    reports another shape, and else the first tensor that is not a
-    symmetric positive definite matrix of finite entries."""
+    """The tensors ``values`` as an (n, 2, 2) stack.  ``values`` is one
+    2x2 matrix for all n, or broadcasts to (2, 2, n) with tensor d at
+    values[:, :, d].  NotSPD reports another shape, and else the first
+    tensor that is not a symmetric positive definite matrix of finite
+    entries."""
     try:
         values = np.atleast_3d(np.asarray(values, dtype=float))
         stack = np.ascontiguousarray(
@@ -38,7 +38,7 @@ def _check_spd(values, n=1):
         (evals[:, 0] <= 0.0, NotSPD,
          lambda d: f"tensor has nonpositive eigenvalue {evals[d, 0]:.3e}"),
     ])
-    return stack, evals
+    return stack
 
 
 class TensorSpec:
@@ -49,25 +49,21 @@ class TensorSpec:
     callable is called once, on all barycenters, like the other data
     (``scheme.evaluate``): ``x`` has shape (2, m), and the result
     broadcasts to (2, 2, m), tensor d at [:, :, d]; a constant 2x2 matrix
-    is broadcast to all points.
-    Ellipticity bounds are exact for constant tensors and sampled from the
-    evaluation points for callables (unless given explicitly).
+    is broadcast to all points.  No ellipticity bounds are stored:
+    ``mesh.quality`` reads them from the per-diamond tensors.
     """
 
-    def __init__(self, matrix=None, func=None, bounds=None):
+    def __init__(self, matrix=None, func=None):
         self.matrix = matrix
         self.func = func
-        self._bounds = bounds
 
     @classmethod
     def identity(cls):
-        return cls(matrix=np.eye(2), bounds=(1.0, 1.0))
+        return cls(matrix=np.eye(2))
 
     @classmethod
     def constant(cls, matrix):
-        stack, evals = _check_spd(matrix)
-        return cls(matrix=stack[0],
-                   bounds=(float(evals[0, 0]), float(evals[0, 1])))
+        return cls(matrix=_check_spd(matrix)[0])
 
     @classmethod
     def rotated(cls, lam1, lam2, angle):
@@ -79,11 +75,11 @@ class TensorSpec:
         c, s = np.cos(angle), np.sin(angle)
         rot = np.array([[c, -s], [s, c]])
         mat = rot @ np.diag([float(lam1), float(lam2)]) @ rot.T
-        return cls(matrix=mat, bounds=(min(lam1, lam2), max(lam1, lam2)))
+        return cls(matrix=mat)
 
     @classmethod
-    def from_callable(cls, func, bounds=None):
-        return cls(func=func, bounds=bounds)
+    def from_callable(cls, func):
+        return cls(func=func)
 
     @classmethod
     def parse(cls, text):
@@ -115,21 +111,10 @@ class TensorSpec:
             return np.broadcast_to(self.matrix, (n, 2, 2)).copy()
         # Area barycenter of the diamond: wedge-weighted mean of the two
         # triangle centroids on either side of the primal edge.
-        centers, verts = mesh.primal_centers, mesh.primal.vertices
+        nodes, verts = mesh.nodes, mesh.primal.vertices
         xvk, xvl = verts[mesh.dia_vert_k], verts[mesh.dia_vert_l]
-        ck = (centers[mesh.dia_cell_k] + xvk + xvl) / 3.0
-        cl = (centers[mesh.dia_cell_l] + xvk + xvl) / 3.0
+        ck = (nodes[mesh.dia_cell_k] + xvk + xvl) / 3.0
+        cl = (nodes[mesh.dia_cell_l] + xvk + xvl) / 3.0
         wk, wl = mesh.wedge_cell_k[:, None], mesh.wedge_cell_l[:, None]
         bary = (ck * wk + cl * wl) / (wk + wl)
-        return _check_spd(self.func(bary.T), n)[0]
-
-    def bounds(self, lam_d=None):
-        """(lambda_min, lambda_max) ellipticity bounds."""
-        if self._bounds is not None:
-            return self._bounds
-        if lam_d is None:
-            raise ValidationError(
-                "callable tensor without stored bounds needs sampled values"
-            )
-        evals = np.linalg.eigvalsh(lam_d)
-        return float(evals.min()), float(evals.max())
+        return _check_spd(self.func(bary.T), n)

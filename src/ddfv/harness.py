@@ -259,10 +259,10 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
         mass = bracket(mesh, u_next, one)
         en = energy(mesh, u_next, assembly.v)
         diss, diss_hat = assembly.dissipation_vec(stats.state)
-        pen = assembly.penalty_bracket_vec(stats.state)
         rec = StateRecord(
             n=n, t=n * params.dt, mass=mass, energy=en,
-            dissipation=diss, dissipation_hat=diss_hat, penalty_bracket=pen,
+            dissipation=diss, dissipation_hat=diss_hat,
+            penalty_bracket=assembly.penalty_bracket_vec(stats.state),
             min_u=float(u_next.min()),
             newton_iterations=stats.iterations,
             newton_residual=stats.residual_l1,
@@ -271,7 +271,7 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
             krylov_iterations=stats.krylov_iterations,
             floor_activated=stats.floor_activated,
         )
-        _check_step(rec, records[0].mass, en_prev, diss, pen, params)
+        _check_step(rec, records[0].mass, en_prev, params)
         records.append(rec)
         if observe is not None:
             observe(rec, u_next)
@@ -284,13 +284,14 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
     return RunResult(records=records)
 
 
-def _check_step(rec, mass0, en_prev, diss, pen, params):
+def _check_step(rec, mass0, en_prev, params):
     drift = abs(rec.mass - mass0) / max(abs(mass0), 1e-300)
     if drift > MASS_DRIFT_TOL:
         raise InvariantViolation(
             f"step {rec.n}: relative mass drift {drift:.3e}"
         )
-    budget = rec.energy - en_prev + params.dt * (diss + params.kappa * pen)
+    budget = rec.energy - en_prev + params.dt * (
+        rec.dissipation + params.kappa * rec.penalty_bracket)
     if budget > ENERGY_DECAY_SLACK * (1.0 + abs(en_prev)):
         raise InvariantViolation(
             f"step {rec.n}: energy decay violated by {budget:.3e}"
@@ -305,12 +306,10 @@ def _check_step(rec, mass0, en_prev, diss, pen, params):
 def error_u(mesh, u_vec, t, u_exact) -> float:
     """Squared mass-weighted L2 distance at time t to the nodally sampled
     exact solution."""
-    nc = mesh.n_cells
-    nodes = np.vstack([mesh.cell_centers, mesh.primal.vertices])
-    exact = evaluate(u_exact, nodes, t)
     interior, _, dual = mesh.parts(u_vec)
-    di = interior - exact[:nc]
-    dd = dual - exact[nc:]
+    exact_i, _, exact_d = mesh.parts(evaluate(u_exact, mesh.nodes, t))
+    di = interior - exact_i
+    dd = dual - exact_d
     return float(0.5 * (np.dot(mesh.cell_areas, di * di)
                         + np.dot(mesh.dual_areas, dd * dd)))
 
@@ -342,10 +341,9 @@ def nodal_initial(mesh, u0) -> np.ndarray:
     floors the nodally sampled solution error at O(h**1.5).
     """
     u = project_initial(mesh, u0)
-    nodal = evaluate(u0, np.vstack([mesh.cell_centers, mesh.primal.vertices]))
     interior, _, dual = mesh.parts(u)
-    for means, samples in ((interior, nodal[:mesh.n_cells]),
-                           (dual, nodal[mesh.n_cells:])):
+    nodal_i, _, nodal_d = mesh.parts(evaluate(u0, mesh.nodes))
+    for means, samples in ((interior, nodal_i), (dual, nodal_d)):
         np.copyto(means, samples, where=samples > 0.0)
     return u
 

@@ -24,6 +24,7 @@ Conventions per diamond (one per primal edge):
   (dual_edge_normal, t*) are direct orthonormal bases.
 """
 
+import inspect
 import itertools
 import math
 import os
@@ -110,7 +111,8 @@ class PrimalMesh:
     the cells' loops first meets them.  ``edges`` holds each edge's sorted
     vertex pair and ``edge_cells`` its first and second incident cell (-1
     for a boundary edge).  ``boundary_edges`` lists the boundary edges in
-    that order, directed as traversed by their cell.
+    that order, directed as traversed by their cell.  Every vertex must
+    belong to a cell.
     """
 
     def __init__(self, vertices, cells):
@@ -127,6 +129,10 @@ class PrimalMesh:
          self.loop_next) = _loop_table(cells)
         self._check_cells(np.diff(self.loop_start))
         self._build_edges()
+        unused = np.bincount(self.loop_vert, minlength=self.n_vertices) == 0
+        if unused.any():
+            raise ValidationError(
+                f"vertex {int(np.argmax(unused))} belongs to no cell")
 
     def _check_cells(self, sizes):
         n_cells = len(sizes)
@@ -231,15 +237,15 @@ class DDFVMesh:
     one value per interior cell, per boundary (degenerate) cell and per
     vertex (dual cell); ``parts`` splits it into views and ``pack`` joins
     them.  Primal indices are packed indices; dual ones add ``dual_offset``.
-    ``primal_centers`` (the cell centroids, then the boundary-edge
-    midpoints), ``h`` and the sizes are computed once, in ``__post_init__``.
+    Row i of ``nodes`` is the position of packed value i: the cell
+    centroids, the boundary-edge midpoints, then the vertices.  ``h`` is
+    the largest diamond diameter; the sizes are computed once, in
+    ``__post_init__``.
     """
 
     primal: PrimalMesh
-    cell_centers: np.ndarray      # (n_cells, 2) polygon centroids
+    nodes: np.ndarray             # (n_values, 2)
     cell_areas: np.ndarray        # (n_cells,)
-    bnd_centers: np.ndarray       # (n_bnd, 2) edge midpoints
-    bnd_lengths: np.ndarray       # (n_bnd,)
     vertex_is_boundary: np.ndarray
     dual_areas: np.ndarray        # (n_verts,)
     # diamonds
@@ -259,13 +265,11 @@ class DDFVMesh:
     wedge_cell_l: np.ndarray
     wedge_vert_k: np.ndarray
     wedge_vert_l: np.ndarray
-    diamond_diam: np.ndarray
     # overlaps between interior cells and dual cells
     overlap_cell: np.ndarray
     overlap_vert: np.ndarray
     overlap_area: np.ndarray
-    primal_centers: np.ndarray = field(init=False)
-    h: float = field(init=False)
+    h: float
     domain_area: float = field(init=False)
     # sizes and packed-vector layout, computed once
     n_cells: int = field(init=False)
@@ -276,11 +280,9 @@ class DDFVMesh:
     n_values: int = field(init=False)
 
     def __post_init__(self):
-        self.primal_centers = np.vstack([self.cell_centers, self.bnd_centers])
-        self.h = float(self.diamond_diam.max())
         self.domain_area = float(self.cell_areas.sum())
         self.n_cells = len(self.cell_areas)
-        self.n_bnd = len(self.bnd_lengths)
+        self.n_bnd = len(self.primal.boundary_edges)
         self.n_verts = len(self.dual_areas)
         self.n_diamonds = len(self.diamond_area)
         self.dual_offset = self.n_cells + self.n_bnd
@@ -332,8 +334,9 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     ]) / (6.0 * cell_areas)[:, None]
 
     bnd_edges = primal.boundary_edges
-    bnd_centers = 0.5 * (verts[bnd_edges[:, 0]] + verts[bnd_edges[:, 1]])
-    bnd_lengths = np.hypot(*(verts[bnd_edges[:, 1]] - verts[bnd_edges[:, 0]]).T)
+    nodes = np.vstack([cell_centers,
+                       0.5 * (verts[bnd_edges[:, 0]] + verts[bnd_edges[:, 1]]),
+                       verts])
 
     vertex_is_boundary = np.zeros(primal.n_vertices, dtype=bool)
     vertex_is_boundary[bnd_edges.ravel()] = True
@@ -344,8 +347,7 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     cell_k, cell_l = primal.edge_cells.T.copy()
     is_bnd = cell_l < 0
     cell_l = np.where(is_bnd, n_cells + np.cumsum(is_bnd) - 1, cell_l)
-    centers = np.vstack([cell_centers, bnd_centers])
-    xk, xl = centers[cell_k], centers[cell_l]
+    xk, xl = nodes[cell_k], nodes[cell_l]
 
     # Label the edge endpoints so both local bases come out direct.
     va, vb = primal.edges.T
@@ -422,18 +424,13 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     pairs, slot = np.unique(ov_cell[keep] * primal.n_vertices + ov_vert[keep],
                             return_inverse=True)
 
-    corners = (xk, xvk, xl, xvl)
-    diamond_diam = np.max([
-        np.hypot(*(corners[i] - corners[j]).T)
-        for i in range(4) for j in range(i + 1, 4)
-    ], axis=0)
-
+    # h: the largest distance between two corners of one diamond
+    h = max(float(np.hypot(*(p - q).T).max())
+            for p, q in itertools.combinations((xk, xvk, xl, xvl), 2))
     mesh = DDFVMesh(
         primal=primal,
-        cell_centers=cell_centers,
+        nodes=nodes,
         cell_areas=cell_areas,
-        bnd_centers=bnd_centers,
-        bnd_lengths=bnd_lengths,
         vertex_is_boundary=vertex_is_boundary,
         dual_areas=dual_areas,
         dia_cell_k=cell_k,
@@ -452,10 +449,10 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         wedge_cell_l=wcl,
         wedge_vert_k=wvk,
         wedge_vert_l=wvl,
-        diamond_diam=diamond_diam,
         overlap_cell=pairs // primal.n_vertices,
         overlap_vert=pairs % primal.n_vertices,
         overlap_area=np.bincount(slot, weights=ov_area[keep]),
+        h=h,
     )
     _validate_partitions(mesh)
     return mesh
@@ -553,8 +550,9 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
         lam_d = lam.on_diamonds(mesh)
         mats = local_matrices(mesh, lam, lam_d)
         report.cond2_max = float(mats.cond2().max())
-        lam_min, lam_max = lam.bounds(lam_d)
-        report.cond2_bound = 4.0 * report.theta_star**2 * lam_max / lam_min
+        evals = np.linalg.eigvalsh(lam_d)
+        report.cond2_bound = (4.0 * report.theta_star**2 * float(evals.max())
+                              / float(evals.min()))
     return report
 
 
@@ -640,7 +638,8 @@ SOLVE_BYTES_PER_UNKNOWN = 5268
 
 def family_map(family: str, n: int, **kwargs):
     """A family's vertex map (``_distorted_quad``'s ``displace``) after the
-    checks of n and the family's arguments; no grid is made.  An n whose
+    checks of n and the family's arguments (an argument the family does
+    not take is a ValidationError); no grid is made.  An n whose
     grid (2 n^2 + 6 n + 1 unknowns) needs more than the physical memory at
     ``SOLVE_BYTES_PER_UNKNOWN`` is a ValidationError."""
     try:
@@ -649,6 +648,10 @@ def family_map(family: str, n: int, **kwargs):
         raise ValidationError(
             f"unknown mesh family {family!r}; choose from {sorted(MESH_FAMILIES)}"
         ) from None
+    for key in kwargs:
+        if key not in inspect.signature(make).parameters:
+            raise ValidationError(f"mesh family {family!r} takes no "
+                                  f"argument {key!r}")
     displace = make(n, **kwargs)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     # the largest n with 2 n^2 + 6 n + 1 <= memory / SOLVE_BYTES_PER_UNKNOWN

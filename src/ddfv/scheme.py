@@ -127,8 +127,7 @@ def project_potential(mesh, potential) -> np.ndarray:
     midpoints and vertices, from one evaluation on all of them."""
     if potential is None:
         return np.zeros(mesh.n_values)
-    points = np.vstack([mesh.cell_centers, mesh.bnd_centers, mesh.primal.vertices])
-    return evaluate(potential, points)
+    return evaluate(potential, mesh.nodes)
 
 
 def project_initial(mesh, u0) -> np.ndarray:
@@ -145,15 +144,14 @@ def project_initial(mesh, u0) -> np.ndarray:
     primal = mesh.primal
     verts = primal.vertices
     a, b = verts[primal.loop_vert], verts[primal.loop_next]
-    c = mesh.cell_centers[primal.loop_cell]
+    c = mesh.nodes[primal.loop_cell]
     w = 0.5 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
                - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0]))
 
-    centers = mesh.primal_centers
     wedge_vert = np.column_stack([mesh.dia_vert_k, mesh.dia_vert_l]).ravel()
     wedge_area = np.column_stack([mesh.wedge_vert_k, mesh.wedge_vert_l]).ravel()
-    xk = np.repeat(centers[mesh.dia_cell_k], 2, axis=0)
-    xl = np.repeat(centers[mesh.dia_cell_l], 2, axis=0)
+    xk = np.repeat(mesh.nodes[mesh.dia_cell_k], 2, axis=0)
+    xl = np.repeat(mesh.nodes[mesh.dia_cell_l], 2, axis=0)
 
     values = evaluate(u0, np.vstack([(a + b + c) / 3.0,
                                      (verts[wedge_vert] + xk + xl) / 3.0]))

@@ -62,7 +62,7 @@ def dual_polygon(mesh, v):
         ):
             if vert == v:
                 for g in cells:
-                    pts.append(tuple(mesh.primal_centers[g]))
+                    pts.append(tuple(mesh.nodes[g]))
     pts = [np.array(p) for p in sorted(set(pts))]
     angles = np.array([np.arctan2(p[1] - x0[1], p[0] - x0[0]) for p in pts])
     order = np.argsort(angles)
@@ -83,7 +83,7 @@ def diamond_tensors(mesh, func):
     """(n_diamonds, 2, 2) values of the tensor ``func`` at the area
     centroid of each diamond's quadrilateral (cell k, vertex k, cell l,
     vertex l), called once per diamond with one point x of shape (2,)."""
-    centers, verts = mesh.primal_centers, mesh.primal.vertices
+    centers, verts = mesh.nodes, mesh.primal.vertices
     out = np.empty((mesh.n_diamonds, 2, 2))
     for d in range(mesh.n_diamonds):
         quad = [centers[mesh.dia_cell_k[d]], verts[mesh.dia_vert_k[d]],

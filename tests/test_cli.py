@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddfv.cli import EXIT_CONFIG, main
+from ddfv.cli import EXIT_CONFIG, EXIT_PROPERTY, main
 from ddfv.harness import CSV_HEADER
 from ddfv.mesh import build_ddfv, gen_family, read_mesh, write_mesh
 
@@ -78,6 +78,20 @@ def test_mesh_inspect_missing_file(capsys):
     code, _, err = run_cli(capsys, "mesh", "inspect", "--mesh", "/nope.mesh")
     assert code == 2
     assert "error" in err
+
+
+def test_mesh_with_an_unused_vertex_exits_2(tmp_path, capsys):
+    # four corners and a centre vertex that no cell uses
+    path = tmp_path / "unused.mesh"
+    path.write_text("vertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+                    "cells 1\n4 0 1 2 3\n")
+    out_dir = tmp_path / "out"
+    for argv in (["mesh", "inspect", "--mesh", str(path)],
+                 ["run", "--mesh", str(path), "--out", str(out_dir)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == "", argv
+        assert err == "error: vertex 4 belongs to no cell\n", argv
+    assert not out_dir.exists()
 
 
 def test_mesh_inspect_bad_count(tmp_path, capsys):
@@ -335,6 +349,19 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
                            "--out", str(tmp_path))
     assert code == 3
     assert "solver failure" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tfinal", "0.04", "--newton-tol", "100"],
+     "step 1: energy decay violated by"),
+    (["--dt", "1e300", "--tfinal", "1e300"], "step 1: relative mass drift"),
+])
+def test_run_invariant_violation_exit_code(tmp_path, capsys, flags, message):
+    code, out, err = run_cli(capsys, "run", "--n", "4", *flags,
+                             "--out", str(tmp_path))
+    assert code == EXIT_PROPERTY and out == ""
+    assert err.startswith("property failure: " + message), err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 # ROADMAP item 3: Newton's l1 test cannot pass below the rounding floor of

@@ -86,12 +86,11 @@ def test_entry_points_reject_wrong_length(quad5, entry, shape):
 
 def test_tensor_constant_and_rotated():
     t = TensorSpec.constant(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    lo, hi = t.bounds()
+    lo, hi = np.linalg.eigvalsh(t.matrix)
     assert lo > 0 and hi > lo
     r = TensorSpec.rotated(4.0, 1.0, 0.3)
     evals = np.linalg.eigvalsh(r.matrix)
     assert evals == pytest.approx([1.0, 4.0], rel=1e-12)
-    assert r.bounds() == (1.0, 4.0)
 
 
 def test_tensor_rejects_non_spd():
@@ -131,8 +130,9 @@ def test_tensor_callable_matches_constant(quad5):
     const = TensorSpec.constant(mat)
     var = TensorSpec.from_callable(lambda x: mat)
     assert np.allclose(var.on_diamonds(quad5), const.on_diamonds(quad5))
-    lo, hi = var.bounds(var.on_diamonds(quad5))
-    assert (lo, hi) == pytest.approx(const.bounds(), rel=1e-12)
+    evals = np.linalg.eigvalsh(var.on_diamonds(quad5))
+    assert (evals.min(), evals.max()) == pytest.approx(
+        tuple(np.linalg.eigvalsh(const.matrix)), rel=1e-12)
 
 
 def test_tensor_callable_spatially_varying(quad5, rng):
@@ -142,13 +142,13 @@ def test_tensor_callable_spatially_varying(quad5, rng):
         one, zero = np.ones_like(s), np.zeros_like(s)
         return np.array([[s, zero], [zero, one]])
 
-    spec = TensorSpec.from_callable(lam, bounds=(1.0, 1.5))
+    spec = TensorSpec.from_callable(lam)
     mats = local_matrices(quad5, spec)
     assert (mats.a_edge > 0).all() and (mats.a_dual > 0).all()
     xi = rng.standard_normal((quad5.n_diamonds, 2))
     val = float(np.dot(quad5.diamond_area, np.einsum(
         "di,dij,dj->d", xi, spec.on_diamonds(quad5), xi)))
-    lo, hi = spec.bounds()
+    lo, hi = 1.0, 1.5
     norm2 = float(np.dot(quad5.diamond_area,
                          np.einsum("ij,ij->i", xi, xi)))
     assert lo * norm2 <= val <= hi * norm2 * (1 + 1e-12)

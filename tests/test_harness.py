@@ -11,6 +11,7 @@ from ddfv.harness import (
     exact_decay_case,
     uniform_case,
     get_case,
+    check_convergence,
     convergence_study,
     error_gradient,
     error_u,
@@ -63,7 +64,8 @@ def test_error_u_zero_for_sampled_exact(quad5):
     case = exact_decay_case()
     dt = 0.01
     for n in range(3):
-        interior = np.array([case.u_exact(x, n * dt) for x in quad5.cell_centers])
+        interior = np.array([case.u_exact(x, n * dt)
+                             for x in quad5.nodes[:quad5.n_cells]])
         dual = np.array([case.u_exact(x, n * dt) for x in quad5.primal.vertices])
         vec = np.concatenate([interior, np.zeros(quad5.n_bnd), dual])
         assert error_u(quad5, vec, n * dt, case.u_exact) == 0.0
@@ -92,7 +94,7 @@ def test_error_gradient_affine_exact(quad5):
     exact = lambda x, t: a @ x
     grad_exact = lambda x, t: a
     vals = np.concatenate([
-        quad5.primal_centers @ a, quad5.primal.vertices @ a,
+        quad5.nodes[:quad5.dual_offset] @ a, quad5.primal.vertices @ a,
     ])
     dt = 0.05
     total = sum(dt * error_gradient(quad5, vals, n * dt, grad_exact)
@@ -150,7 +152,7 @@ def test_norm_gap_brute_force_integration(uniform2, rng):
     dt = 0.3
     mesh = uniform2
     verts = mesh.primal.vertices
-    centers = mesh.primal_centers
+    centers = mesh.nodes
     total = 0.0
     for d in range(mesh.n_diamonds):
         xd = mesh.cross_point[d]
@@ -200,7 +202,7 @@ def test_nodal_initial_sampling_and_fallback(quad8):
     case = exact_decay_case()
     field = nodal_initial(quad8, case.u0)
     means = project_initial(quad8, case.u0)
-    direct = np.array([case.u0(x) for x in quad8.cell_centers])
+    direct = np.array([case.u0(x) for x in quad8.nodes[:quad8.n_cells]])
     inside = direct > 0
     interior, boundary, dual = quad8.parts(field)
     assert np.allclose(interior[inside], direct[inside])
@@ -431,6 +433,20 @@ def test_convergence_study_orders_positive():
     assert rows[1].h < rows[0].h
 
 
+@pytest.mark.parametrize("family, key", [
+    ("uniform", "amplitude"), ("uniform", "distortion"),
+    ("quad", "distortion"), ("kershaw", "amplitude"),
+])
+def test_family_argument_the_family_does_not_take(family, key):
+    message = f"mesh family '{family}' takes no argument '{key}'"
+    with pytest.raises(ValidationError, match=message):
+        gen_family(family, 6, **{key: 0.1})
+    for study in (check_convergence, convergence_study):
+        with pytest.raises(ValidationError, match=message):
+            study(exact_decay_case(), family, 2, n0=6,
+                  family_kwargs={key: 0.1})
+
+
 def test_csv_and_text_formatting():
     rows = convergence_study(uniform_case(), "uniform", levels=2,
                              n0=3, dt0=0.05)
@@ -530,7 +546,7 @@ def test_simulate_observer_sees_every_state_in_order(quad8):
 def _list_error_u(mesh, trajectory, dt, u_exact):
     worst = 0.0
     nc, nb = mesh.n_cells, mesh.n_bnd
-    nodes = np.vstack([mesh.cell_centers, mesh.primal.vertices])
+    nodes = np.vstack([mesh.nodes[:nc], mesh.primal.vertices])
     for n, vec in enumerate(trajectory):
         exact = evaluate(u_exact, nodes, n * dt)
         di = vec[:nc] - exact[:nc]

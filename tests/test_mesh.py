@@ -79,7 +79,7 @@ def test_sin_angle_bounded_by_theta(mesh_zoo):
 
 def test_bases_unit_and_direct(mesh_zoo):
     for name, mesh in mesh_zoo:
-        centers = mesh.primal_centers
+        centers = mesh.nodes
         verts = mesh.primal.vertices
         # unit tangents from vertex k to vertex l and from cell k to cell l
         evec = verts[mesh.dia_vert_l] - verts[mesh.dia_vert_k]
@@ -222,6 +222,14 @@ def test_disconnected_mesh_rejected():
              (2, 0), (3, 0), (3, 1), (2, 1)]
     with pytest.raises(ValidationError):
         PrimalMesh(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def test_read_mesh_rejects_unused_vertex(tmp_path):
+    path = tmp_path / "unused.mesh"
+    path.write_text("vertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+                    "cells 1\n4 0 1 2 3\n")
+    with pytest.raises(ValidationError, match="^vertex 4 belongs to no cell$"):
+        read_mesh(path)
 
 
 def test_non_crossing_diagonals_rejected():

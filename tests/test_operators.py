@@ -40,7 +40,7 @@ def test_gradient_single_diamond_rational_oracle(quad5, kershaw8, rng):
         u = rng.standard_normal(mesh.n_values)
         got = grad_diamond(mesh, u)
         up, ud = u, mesh.parts(u)[2]
-        centers, verts = mesh.primal_centers, mesh.primal.vertices
+        centers, verts = mesh.nodes, mesh.primal.vertices
         for d in range(mesh.n_diamonds):
             ck, cl = mesh.dia_cell_k[d], mesh.dia_cell_l[d]
             vk, vl = mesh.dia_vert_k[d], mesh.dia_vert_l[d]
@@ -145,7 +145,7 @@ def test_condition_number_bound(kershaw8):
     lam = TensorSpec.rotated(1.0, 0.1, 0.9)
     mats = local_matrices(kershaw8, lam)
     q = quality(kershaw8)
-    lam_min, lam_max = lam.bounds()
+    lam_min, lam_max = np.linalg.eigvalsh(lam.matrix)
     bound = 4.0 * q.theta_star**2 * lam_max / lam_min
     assert (mats.cond2() < bound).all()
 
@@ -244,12 +244,14 @@ def test_trace_ratio_bounded_under_refinement(rng):
     for n in (4, 8, 16):
         mesh = build_ddfv(gen_quad_fvca(n, 0.1))
         vals = np.concatenate([
-            np.array([smooth(x) for x in mesh.primal_centers]),
+            np.array([smooth(x) for x in mesh.nodes[:mesh.dual_offset]]),
             np.array([smooth(x) for x in mesh.primal.vertices]),
         ])
         u = vals
         # boundary l2 trace against the l2 norm plus the gradient l2 norm
-        tr = float(np.dot(mesh.bnd_lengths, mesh.parts(u)[1]**2)) ** 0.5
+        verts, bnd = mesh.primal.vertices, mesh.primal.boundary_edges
+        bnd_lengths = np.hypot(*(verts[bnd[:, 1]] - verts[bnd[:, 0]]).T)
+        tr = float(np.dot(bnd_lengths, mesh.parts(u)[1]**2)) ** 0.5
         grad = grad_diamond(mesh, u)
         denom = (bracket(mesh, u, u) ** 0.5
                  + float(np.dot(mesh.diamond_area, (grad**2).sum(axis=1))) ** 0.5)

@@ -95,14 +95,16 @@ def test_project_initial_rejects_negative_data(quad5):
 def test_project_potential_values(uniform4, rng):
     assert np.abs(project_potential(uniform4, lambda x: 0.0)).max() == 0.0
     v = project_potential(uniform4, lambda x: -x[1])
+    cell_centers = uniform4.nodes[:uniform4.n_cells]
     center = int(np.flatnonzero(
-        (np.abs(uniform4.cell_centers - [0.375, 0.375]) < 1e-12).all(axis=1)
+        (np.abs(cell_centers - [0.375, 0.375]) < 1e-12).all(axis=1)
     )[0])
     assert uniform4.parts(v)[0][center] == pytest.approx(-0.375)
     # nodal values match direct evaluation everywhere
     fn = lambda x: np.sin(x[0]) - 1.3 * x[1] ** 2
     proj = project_potential(uniform4, fn)
-    pts = np.vstack([uniform4.primal_centers, uniform4.primal.vertices])
+    pts = np.vstack([uniform4.nodes[:uniform4.dual_offset],
+                     uniform4.primal.vertices])
     idx = rng.integers(0, len(pts), size=100)
     direct = np.array([fn(pts[i]) for i in idx])
     assert np.allclose(proj[np.concatenate([
@@ -407,11 +409,11 @@ def test_stationary_state_normalization(quad8):
         2.0, abs=1e-13)
     # independent evaluation of the primal normalization constant
     rho = 2.0 / sum(
-        quad8.cell_areas[i] * math.exp(quad8.cell_centers[i, 1])
+        quad8.cell_areas[i] * math.exp(quad8.nodes[i, 1])
         for i in range(quad8.n_cells)
     )
     assert interior[0] == pytest.approx(
-        rho * math.exp(quad8.cell_centers[0, 1]), rel=1e-12)
+        rho * math.exp(quad8.nodes[0, 1]), rel=1e-12)
 
 
 @pytest.mark.parametrize("masses", [

@@ -102,6 +102,10 @@ def loop_primal(vertices, cells):
             parent[find(inc[0][0])] = find(inc[1][0])
     if cells and len({find(i) for i in range(len(cells))}) != 1:
         raise ValidationError("cells do not form a connected domain")
+    used = {v for loop in cells for v in loop}
+    for v in range(len(vertices)):
+        if v not in used:
+            raise ValidationError(f"vertex {v} belongs to no cell")
     boundary = [incidence[key][0][1:] for key in edge_order
                 if len(incidence[key]) == 1]
     return edge_order, incidence, boundary
@@ -116,7 +120,6 @@ def loop_build_ddfv(primal):
     cell_centers = np.array([polygon_centroid(verts[c]) for c in primal.cells])
     bnd_edges = np.array(boundary, dtype=int).reshape(-1, 2)
     bnd_centers = 0.5 * (verts[bnd_edges[:, 0]] + verts[bnd_edges[:, 1]])
-    bnd_lengths = np.hypot(*(verts[bnd_edges[:, 1]] - verts[bnd_edges[:, 0]]).T)
     bnd_index = {tuple(sorted(e)): i for i, e in enumerate(map(tuple, bnd_edges))}
     vertex_is_boundary = np.zeros(primal.n_vertices, dtype=bool)
     vertex_is_boundary[bnd_edges.ravel()] = True
@@ -124,11 +127,11 @@ def loop_build_ddfv(primal):
     names = ("dia_cell_k", "dia_cell_l", "dia_vert_k", "dia_vert_l",
              "dia_is_boundary", "cross_point", "edge_len", "dual_edge_len",
              "sin_angle", "diamond_area", "edge_normal", "dual_edge_normal",
-             "wedge_cell_k", "wedge_cell_l", "wedge_vert_k", "wedge_vert_l",
-             "diamond_diam")
+             "wedge_cell_k", "wedge_cell_l", "wedge_vert_k", "wedge_vert_l")
     dia = {name: [] for name in names}
     dual_areas = np.zeros(primal.n_vertices)
     overlaps = {}
+    h = 0.0
 
     def add_overlap(cell, vert, area):
         overlaps[(cell, vert)] = overlaps.get((cell, vert), 0.0) + area
@@ -195,19 +198,19 @@ def loop_build_ddfv(primal):
             add_overlap(cl_glob, vk, triangle_area(xl, xd, xvk))
             add_overlap(cl_glob, vl, triangle_area(xl, xd, xvl))
         corners = np.array([xk, xvk, xl, xvl])
-        diam = max(float(np.hypot(*(corners[i] - corners[j])))
-                   for i in range(4) for j in range(i + 1, 4))
+        h = max([h] + [float(np.hypot(*(corners[i] - corners[j])))
+                       for i in range(4) for j in range(i + 1, 4)])
         for name, value in zip(names, (
                 ck, cl_glob, vk, vl, is_bnd, xd, m_edge, m_dual, sin_a, area,
                 np.array([-tau_e[1], tau_e[0]]), np.array([tau_d[1], -tau_d[0]]),
-                wck, wcl, wvk, wvl, diam)):
+                wck, wcl, wvk, wvl)):
             dia[name].append(value)
 
     ov_keys = sorted(overlaps)
     out = {name: np.array(values) for name, values in dia.items()}
     out.update(primal=primal,
-        cell_centers=cell_centers, cell_areas=cell_areas,
-        bnd_centers=bnd_centers, bnd_lengths=bnd_lengths,
+        nodes=np.vstack([cell_centers, bnd_centers, verts]),
+        cell_areas=cell_areas, h=h,
         vertex_is_boundary=vertex_is_boundary, dual_areas=dual_areas,
         overlap_cell=np.array([k[0] for k in ov_keys], dtype=int),
         overlap_vert=np.array([k[1] for k in ov_keys], dtype=int),
@@ -260,9 +263,10 @@ def loop_kershaw(n, distortion=0.8):
 
 
 def loop_project_potential(mesh, potential):
+    nc, off = mesh.n_cells, mesh.dual_offset
     return np.concatenate([
-        [float(potential(x)) for x in mesh.cell_centers],
-        [float(potential(x)) for x in mesh.bnd_centers],
+        [float(potential(x)) for x in mesh.nodes[:nc]],
+        [float(potential(x)) for x in mesh.nodes[nc:off]],
         [float(potential(x)) for x in mesh.primal.vertices],
     ])
 
@@ -282,7 +286,7 @@ def loop_project_initial(mesh, u0):
             acc += w * float(u0((a + b + c) / 3.0))
             area += w
         interior[ci] = acc / area
-    centers = mesh.primal_centers
+    centers = mesh.nodes
     acc = np.zeros(mesh.n_verts)
     for d in range(mesh.n_diamonds):
         xk = centers[mesh.dia_cell_k[d]]
@@ -455,6 +459,11 @@ BAD_PRIMALS = {
         FAN, [[0, 1, 2], [0, 1, 3], [1, 3, 2], [1, 4, 2], [0, 1, 5]]),
     "disconnected": (SQUARE + [(2, 0), (3, 0), (3, 1), (2, 1)],
                      [[0, 1, 2, 3], [4, 5, 6, 7]]),
+    "unused vertex": (SQUARE + [(0.5, 0.5)], [[0, 1, 2, 3]]),
+    # vertex 8 is unused too, but connectivity is checked first
+    "disconnected before unused": (
+        SQUARE + [(2, 0), (3, 0), (3, 1), (2, 1), (5, 5)],
+        [[0, 1, 2, 3], [4, 5, 6, 7]]),
 }
 
 
