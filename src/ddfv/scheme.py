@@ -59,6 +59,8 @@ class SchemeParams:
             raise ValidationError("t_final must be finite and positive")
         if not math.isfinite(self.t_final / self.dt):
             raise ValidationError("dt too small: t_final / dt is not finite")
+        if not math.isfinite(1.0 / self.dt):
+            raise ValidationError("dt too small: 1 / dt is not finite")
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValidationError("kappa must be finite and nonnegative")
         if not 0.0 < self.beta < 2.0:

@@ -42,9 +42,9 @@ Numer. Anal. 19, 1982; see also Eisenstat & Walker, SIAM J. Sci. Comput.
 tol = 1e-10) that is ``INNER_ETA`` (0.01) times Newton's l1 tolerance, far
 below what Newton asks of the nonlinear residual.  On transient iterates it
 is far looser: at |F_k|_1 = 82, 0.067 instead of 1e-12.  With eta_k
-proportional to |F_k|, Newton keeps its quadratic rate.  The GMRES cycle
-stops once its residual 2-norm is at most tol_l1 / sqrt(N), which bounds
-the l1 norm by tol_l1.  That is the only acceptance test: a second one, a
+proportional to |F_k|, Newton keeps its quadratic rate.  The cycle stops
+once its residual 2-norm is at most tol_l1 / sqrt(N), which bounds the l1
+norm by tol_l1.  That is the only acceptance test: a second one, a
 backward error 100 times below the direct solve's bound, accepted nothing
 more on the benchmark workloads and convergence studies.
 
@@ -59,24 +59,31 @@ binds above |F_k|_1 = 1e3, which no benchmark workload reaches (1e-3 and
 Each cycle starts from the span of the last answers.  The solver keeps the
 last ``PROJECTION_DEPTH`` (3) accepted answers x_j, newest first, as the
 columns of V; the Newton corrections of successive steps change smoothly,
-so a combination of them is close to the next one.  Before a cycle it sets
-x0 = V y, with y minimising |b - A V y|_2, and the cycle solves for
-r0 = b - A V y.  That costs k sparse products, a QR factorization A V = Q R
-by the cycle's own reorthogonalized Gram-Schmidt (no normal equations, whose
-condition number reaches 1e12 on ``longtime_n16``), and a k x k triangular
-solve.  Its answer x0 + dx is checked against the full b.  This is
-the projection onto previous solutions of Fischer (Comput. Methods Appl.
-Mech. Engrg. 163, 1998).  Only a cycle projects: the direct path, and a
-solve the refresh rule sends there, factorizes and solves b as before, and
-the counts of the refresh rule are those of the cycles.  The history
+so a combination of them is close to the next one.  The cycle is GMRES
+computed as GCR (generalized conjugate residual; Eisenstat, Elman & Schultz,
+SIAM J. Numer. Anal. 20, 1983): one loop over directions p, each kept with
+its image A p, which reorthogonalized Gram-Schmidt orthonormalizes against
+the earlier images (p alike); x and the explicit residual r move along it.
+There is no Hessenberg matrix, no rotation and no triangular solve, and no
+normal equations, whose condition number reaches 1e12 on ``longtime_n16``.
+The stored answers come first, at no solve: they give x0 = V y with y
+minimising |b - A V y|_2, the projection onto previous solutions of Fischer
+(Comput. Methods Appl. Mech. Engrg. 163, 1998).  Then come M^-1 r, one LU
+solve each; their images are orthogonalized against each other only, so
+the start stays fixed and the iterates are those of GMRES from x0 (against
+all images, kershaw n=64 took 13 Newton iterations instead of 12).  The
+residual is tested before every direction, so a start within the bound
+costs no solve.  The answer is checked against the full b.  Only a cycle
+projects: the direct path factorizes and solves b as before.  The history
 belongs to the solver, so it starts empty with each run.
 
 Why 3.  On the benchmark workloads depths 1, 2, 3, 4 and 5 leave 1069,
 965, 817, 811 and 720 GMRES iterations on ``converge_quad_k01`` and 1682,
 1127, 838, 803 and 734 on ``longtime_n16`` (2233 without the projection),
-with the same Newton counts.  Past 3 the Gram-Schmidt work grows with k^2
-and eats the saving: depth 5 against 3 ran 0.99x on ``converge_quad_k01``
-and 1.02x on ``longtime_n16`` in 10 in-process pairs each.
+with the same Newton counts (820 and 842 at 3 in the GCR form, from
+rounding).  Past 3 the Gram-Schmidt work grows with k^2 and eats the
+saving: depth 5 against 3 ran 0.99x on ``converge_quad_k01`` and 1.02x on
+``longtime_n16`` in 10 in-process pairs each.
 
 A factor also is refreshed before it fails, by its amortised cost.  Since
 its factorization the solver counts ``solves`` (the direct solve counts as
@@ -125,7 +132,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     LinearSolveFailure,
@@ -151,9 +157,10 @@ FORCING_SLOPE = 1e-5
 # Number of accepted answers a LinearSolver keeps to start its GMRES cycle
 # from their best combination (see the module docstring).
 PROJECTION_DEPTH = 3
-# An answer whose image A x_j keeps less than this fraction of its norm
-# outside the span of the newer answers' images is not used for the start
-# (a repeated answer keeps about 1e-16; the benchmark's least 3.9e-6).
+# An answer whose image A x_j keeps at most this fraction of its norm
+# outside the span of the newer answers' images ends the start: it and the
+# older answers are not used (a repeated answer keeps about 1e-16; the
+# benchmark's least 3.9e-6).
 PROJECTION_RANK = 1e-8
 # Largest Krylov basis of the single GMRES cycle tried before refactorizing.
 GMRES_RESTART = 8
@@ -224,100 +231,61 @@ class LinearSolver:
                 if h.shape == x.shape]
         self.history = [x.copy()] + kept
 
-    def project(self, matrix, rhs):
-        """The start x0 = V y of a cycle, with V the stored answers and y
-        minimising |rhs - A V y|_2, and its residual rhs - A V y.
-
-        A V = Q R is factorized by classical Gram-Schmidt, reorthogonalized
-        (as in the cycle), newest answer first; y = R^-1 Q^T rhs, and the
-        residual is rhs - Q Q^T rhs.  An answer whose image is numerically
-        in the span of the newer ones' ends the factorization, and the
-        older answers are not used; the start is 0 when no answer of this
-        size is stored."""
-        if not self.history or self.history[0].shape != rhs.shape:
-            return np.zeros_like(rhs), rhs
-        q = np.array([matrix @ x for x in self.history])
-        r = np.zeros((len(q), len(q)))
-        k = 0
-        for w in q:
-            norm_w = norm_aw = math.sqrt(w.dot(w))
-            if k:
-                r[:k, k] = _orthogonalize(q[:k], w)
-                norm_w = math.sqrt(w.dot(w))
-            if norm_w <= PROJECTION_RANK * norm_aw:
-                break
-            r[k, k] = norm_w
-            w /= norm_w
-            k += 1
-        if k == 0:
-            return np.zeros_like(rhs), rhs
-        c = q[:k].dot(rhs)
-        y, _ = dtrtrs(r[:k, :k], c)
-        return y.dot(self.history[:k]), rhs - c.dot(q[:k])
-
     def krylov(self, matrix, rhs, tol_l1=0.0):
-        """One cycle of right-preconditioned GMRES from the projected start
-        x0 (``project``), with the stored factor as the preconditioner, on
-        the residual r0 = rhs - A x0.
-
-        The cycle stops once the residual 2-norm is at most
-        tol_l1 / sqrt(N), which keeps its l1 norm within tol_l1.  The
-        preconditioned vectors are kept, so forming the answer costs no
-        extra solve.  Returns None when ``tol_l1`` is not positive, there
-        is no factor of this size, the refresh rule drops the factor
+        """One cycle of right-preconditioned GMRES from the projected start,
+        computed as GCR with the stored factor as the preconditioner M (see
+        the module docstring).  Its directions are the stored answers,
+        newest first, then M^-1 r, one LU solve each, at most
+        min(GMRES_RESTART, N); it returns x once |rhs - A x|_2 <=
+        tol_l1 / sqrt(N).  Returns None when ``tol_l1`` is not positive,
+        there is no factor of this size, the refresh rule drops the factor
         (last > (REFRESH_COST + served) / solves, compared as integers), the
-        cycle ends short of the bound, or the least-squares problem turns
-        singular (a singular matrix, which the direct solve then reports).
-        """
+        cycle ends short of the bound, or a cycle image keeps at most
+        ``EPS`` of its norm (a singular matrix, which the direct solve then
+        reports)."""
         if (tol_l1 <= 0.0 or self.factor is None
                 or self.factor.shape != matrix.shape
                 or self.last * self.solves > REFRESH_COST + self.served):
             return None
         self.solves += 1
         self.last = 0
-        x0, r0 = self.project(matrix, rhs)
-        beta = math.sqrt(r0.dot(r0))
-        if beta == 0.0:
-            return x0
         size = rhs.shape[0]
         m = min(GMRES_RESTART, size)
         target = tol_l1 / math.sqrt(size)
-        basis = np.empty((m + 1, size))
-        precond = np.empty((m, size))
-        hess = np.empty((m, m))
-        # The Givens rotations and the rotated right-hand side g are Python
-        # floats; only the triangular solve at the end reads hess.
-        rotations = []
-        g = [beta]
-        np.divide(r0, beta, out=basis[0])
-        for k in range(m):
-            self.krylov_iterations += 1
-            self.served += 1
-            self.last += 1
-            precond[k] = self.factor.solve(basis[k] / self.row_max)
-            w = matrix @ precond[k]
-            norm_aw = math.sqrt(w.dot(w))
-            col = _orthogonalize(basis[:k + 1], w).tolist()
-            norm_w = math.sqrt(w.dot(w))
-            if norm_w <= EPS * norm_aw:     # the Krylov space is invariant
-                norm_w = 0.0
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
-                                      c * col[i + 1] - s * col[i])
-            rho = math.hypot(col[k], norm_w)
-            if rho <= EPS * norm_aw:
+        stored = [h for h in self.history if h.shape == rhs.shape]
+        dirs = np.empty((len(stored) + m, size))
+        images = np.empty_like(dirs)
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        k = first = 0       # directions kept; the first of this phase
+        while math.sqrt(r.dot(r)) > target:
+            if stored:
+                p = stored.pop(0).copy()
+            elif self.last == m:
                 return None
-            c, s = col[k] / rho, norm_w / rho
-            rotations.append((c, s))
-            col[k] = rho
-            hess[:k + 1, k] = col
-            g.append(-s * g[k])
-            g[k] *= c
-            if abs(g[k + 1]) <= target or norm_w == 0.0:
-                y, _ = dtrtrs(hess[:k + 1, :k + 1], g[:k + 1])
-                return x0 + y.dot(precond[:k + 1])
-            np.divide(w, norm_w, out=basis[k + 1])
-        return None
+            else:
+                if self.last == 0:
+                    first = k
+                self.krylov_iterations += 1
+                self.served += 1
+                self.last += 1
+                p = self.factor.solve(r / self.row_max)
+            w = matrix @ p
+            norm_aw = math.sqrt(w.dot(w))
+            p -= _orthogonalize(images[first:k], w).dot(dirs[first:k])
+            norm_w = math.sqrt(w.dot(w))
+            if self.last == 0 and norm_w <= PROJECTION_RANK * norm_aw:
+                stored = []
+                continue
+            if norm_w <= EPS * norm_aw:
+                return None
+            np.divide(w, norm_w, out=images[k])
+            np.divide(p, norm_w, out=dirs[k])
+            alpha = images[k].dot(r)
+            x += alpha * dirs[k]
+            r -= alpha * images[k]
+            k += 1
+        return x
 
     def refactor(self, scaled, row_max):
         """Factorize the equilibrated matrix and keep the factor, releasing

@@ -147,6 +147,16 @@ FILE_AND_VALUE_ERRORS = [
     ("run --n 2 --lam diag:nan,1",
      "error: tensor entry (0, 0) is not finite: nan", []),
     ("run --n 2 --dt 1e-320", "error: dt too small", []),
+    # a subnormal dt whose steps fit in t_final: 1 / dt overflows
+    ("run --n 4 --dt 1e-320 --tfinal 1e-319",
+     "error: dt too small: 1 / dt is not finite", []),
+    ("longtime --n 4 --dt 1e-320 --tfinal 1e-319",
+     "error: dt too small: 1 / dt is not finite", []),
+    ("converge --n0 4 --levels 1 --dt0 1e-320 --tfinal 1e-319",
+     "error: dt too small: 1 / dt is not finite", []),
+    # at the finest level, dt0 / 4**(levels - 1)
+    ("converge --n0 4 --levels 2 --dt0 1e-308 --tfinal 1e-307",
+     "error: dt too small: 1 / dt is not finite", []),
     # each setting is checked before --out is made
     ("run --beta 2", "error: penalization exponent 2.0 outside (0, 2)", []),
     ("run --newton-max-iter 0", "error: max_iter must be >= 1", []),

@@ -229,66 +229,67 @@ def test_linear_solver_keeps_the_last_answers_as_copies(quad8, rng):
 
 def test_projected_start_answers_a_right_hand_side_in_the_span(quad8, rng):
     # b = A (x1 - 2 x2) lies in the span of A times the stored answers, so
-    # the projection alone leaves a residual at rounding level and the
-    # cycle stops after at most one iteration
+    # the stored answers alone leave a residual at rounding level and the
+    # cycle returns before its first LU solve
     a0, a1 = _jacobians(quad8, rng, 2, 0.05)
     solver = LinearSolver()
     for _ in range(2):
         linear_solve(a0, rng.standard_normal(a0.shape[0]), solver)
     b = a1 @ (solver.history[1] - 2.0 * solver.history[0])
-    x0, r0 = solver.project(a1, b)
-    assert np.linalg.norm(r0) <= 1e-13 * np.linalg.norm(b)
     before = solver.krylov_iterations, solver.factorizations
     tol_l1 = _l1_tolerance(b)
     x = linear_solve(a1, b, solver, tol_l1)
-    assert solver.krylov_iterations - before[0] <= 1
+    assert solver.krylov_iterations == before[0]
     assert solver.factorizations == before[1]
     assert _within(a1, x, b, tol_l1)
+    assert np.linalg.norm(a1 @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_projection_stops_at_an_answer_in_the_span_of_newer_ones(quad8,
                                                                    rng):
     # a repeated answer adds nothing but rounding to the span of the newer
-    # ones, so it and every older one are left out of the start
-    a = _jacobians(quad8, rng, 1, 0.0)[0]
-    x, z = rng.standard_normal((2, a.shape[0]))
-    b = rng.standard_normal(a.shape[0])
+    # ones, so it and every older one are left out of the start; so is
+    # every answer after a zero one
+    a0, a1 = _jacobians(quad8, rng, 2, 0.05)
+    x, z = rng.standard_normal((2, a0.shape[0]))
+    b = rng.standard_normal(a0.shape[0])
+    tol_l1 = _l1_tolerance(b)
     solver = LinearSolver()
-    solver.history = [x]
-    alone = solver.project(a, b)
-    solver.history = [x, 3.0 * x, z]
-    for got, expected in zip(solver.project(a, b), alone):
-        assert np.array_equal(got, expected)
+    linear_solve(a0, b, solver)
+
+    def answer(history):
+        solver.history = history
+        solver.solves, solver.served, solver.last = 1, 0, 0
+        got = solver.krylov(a1, b, tol_l1)
+        assert got is not None and solver.last > 0
+        return got
+
+    alone = answer([x])
+    assert np.array_equal(answer([x, 3.0 * x, z]), alone)
     # an independent answer is used
-    solver.history = [x, z]
-    assert np.linalg.norm(solver.project(a, b)[1]) < np.linalg.norm(alone[1])
-    # a zero answer gives the zero start
-    solver.history = [np.zeros(a.shape[0]), x]
-    x0, r0 = solver.project(a, b)
-    assert not x0.any() and r0 is b
+    assert not np.array_equal(answer([x, z]), alone)
+    assert np.array_equal(answer([np.zeros(a0.shape[0]), x]), answer([]))
 
 
 def test_projected_answers_are_checked_on_the_full_right_hand_side(
         quad8, rng, monkeypatch):
-    # A projection that misreports its residual as zero hands the cycle
-    # nothing to do, so the cycle returns the start itself; the check on
-    # the full b rejects it and the matrix is factorized and solved
-    # directly.  The same start with its true residual is completed by the
-    # cycle and accepted.
+    # A cycle answer off by a relative 1e-6 misses the l1 bound on the full
+    # b, so it is rejected and the matrix is factorized and solved
+    # directly.  The same answer unchanged is accepted.
     a0, a1 = _jacobians(quad8, rng, 2, 0.05)
     b = rng.standard_normal(a0.shape[0])
     tol_l1 = _l1_tolerance(b)
-    project = LinearSolver.project
+    krylov = LinearSolver.krylov
     for lie, factorizations in ((True, 2), (False, 1)):
         solver = LinearSolver()
         linear_solve(a0, rng.standard_normal(a0.shape[0]), solver)
 
-        def claimed(self, matrix, rhs):
-            x0, r0 = project(self, matrix, rhs)
-            assert x0.any()
-            return x0, (np.zeros_like(r0) if lie else r0)
+        def claimed(self, matrix, rhs, tol_l1=0.0):
+            x = krylov(self, matrix, rhs, tol_l1)
+            assert x is not None and x.any()
+            return x * (1.0 + 1e-6) if lie else x
 
-        monkeypatch.setattr(LinearSolver, "project", claimed)
+        monkeypatch.setattr(LinearSolver, "krylov", claimed)
         x = linear_solve(a1, b, solver, tol_l1)
         monkeypatch.undo()
         assert solver.factorizations == factorizations
@@ -296,6 +297,40 @@ def test_projected_answers_are_checked_on_the_full_right_hand_side(
             assert np.array_equal(x, linear_solve(a1, b))
         else:
             assert _within(a1, x, b, tol_l1)
+
+
+def test_cycle_answer_is_right_preconditioned_gmres_from_the_projection(
+        quad8, rng):
+    # The reference, built densely: x0 is the least-squares fit of b by
+    # A V over the stored answers V, and the cycle's answer after its m LU
+    # solves minimises |b - A x|_2 over x0 + M^-1 K_m(A M^-1, r0), with
+    # r0 = b - A x0 and M^-1 v = factor.solve(v / row_max), the Krylov
+    # space spanned by a plain Arnoldi loop
+    a0, a1 = _jacobians(quad8, rng, 2, 0.2)
+    solver = LinearSolver()
+    linear_solve(a0, rng.standard_normal(a0.shape[0]), solver)
+    solver.history = list(rng.standard_normal((PROJECTION_DEPTH,
+                                               a0.shape[0])))
+    b = rng.standard_normal(a0.shape[0])
+    x = solver.krylov(a1, b, 1e-8 * np.abs(b).sum())
+    m = solver.last
+    assert x is not None and 1 < m <= GMRES_RESTART
+
+    dense = a1.toarray()
+    v = np.array(solver.history).T
+    x0 = v @ np.linalg.lstsq(dense @ v, b, rcond=None)[0]
+    r0 = b - dense @ x0
+    basis = [r0 / np.linalg.norm(r0)]
+    z = []
+    for _ in range(m):
+        z.append(solver.factor.solve(basis[-1] / solver.row_max))
+        w = dense @ z[-1]
+        for q in basis:
+            w -= (q @ w) * q
+        basis.append(w / np.linalg.norm(w))
+    z = np.array(z).T
+    expected = x0 + z @ np.linalg.lstsq(dense @ z, r0, rcond=None)[0]
+    assert np.abs(x - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 def test_simulate_starts_each_run_with_an_empty_history(quad8, monkeypatch):
