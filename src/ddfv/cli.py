@@ -23,7 +23,7 @@ from . import harness, mesh as meshmod, selfcheck
 from .errors import (DDFVError, InvariantViolation, MeshError, SolverError,
                      ValidationError)
 from .fields import TensorSpec
-from .scheme import SchemeParams, project_initial
+from .scheme import SchemeParams, check_time_step, project_initial
 from .solver import NewtonConfig
 
 EXIT_OK = 0
@@ -228,6 +228,7 @@ def cmd_run(args):
         beta=cfg["beta"], lam=case.lam, potential=case.potential,
         newton=_newton(cfg),
     )
+    check_time_step(mesh, params.dt)
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
     u0 = project_initial(mesh, case.u0)
@@ -269,6 +270,7 @@ def cmd_longtime(args):
     # they are checked before --out is made.
     SchemeParams(dt=cfg["dt"], t_final=t_final, kappa=cfg["kappa"],
                  beta=cfg["beta"])
+    check_time_step(mesh, cfg["dt"])
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
     result = harness.longtime_study(

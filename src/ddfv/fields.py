@@ -111,10 +111,9 @@ class TensorSpec:
             return np.broadcast_to(self.matrix, (n, 2, 2)).copy()
         # Area barycenter of the diamond: wedge-weighted mean of the two
         # triangle centroids on either side of the primal edge.
-        nodes, verts = mesh.nodes, mesh.primal.vertices
-        xvk, xvl = verts[mesh.dia_vert_k], verts[mesh.dia_vert_l]
-        ck = (nodes[mesh.dia_cell_k] + xvk + xvl) / 3.0
-        cl = (nodes[mesh.dia_cell_l] + xvk + xvl) / 3.0
-        wk, wl = mesh.wedge_cell_k[:, None], mesh.wedge_cell_l[:, None]
+        xk, xl, xvk, xvl = mesh.nodes[mesh.corners]
+        ck = (xk + xvk + xvl) / 3.0
+        cl = (xl + xvk + xvl) / 3.0
+        wk, wl = mesh.wedges[:2, :, None]
         bary = (ck * wk + cl * wl) / (wk + wl)
         return _check_spd(self.func(bary.T), n)

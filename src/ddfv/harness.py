@@ -149,8 +149,7 @@ def _seed_boundary_zeros(mesh, assembly, u_vec):
     local log-gradient starts balanced keeps the Newton iteration off the
     positivity floor.
     """
-    bdia = mesh.dia_is_boundary
-    rows, ks = mesh.dia_cell_l[bdia], mesh.dia_cell_k[bdia]
+    ks, rows = mesh.corners[:2, mesh.dia_is_boundary]
     # Each boundary cell has exactly one diamond, and only boundary rows
     # are written, so the interior values read are the unseeded ones.
     zero = u_vec[rows] <= 0.0

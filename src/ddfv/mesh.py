@@ -10,7 +10,7 @@ diamond areas, quarter-diamond splits and cell/dual-cell overlap areas.
 distort a uniform grid by a family's vertex map; ``family_map`` checks a
 family's arguments and returns that map without making the grid.
 
-Conventions per diamond (one per primal edge):
+Conventions per diamond (one per primal edge, the rows of ``corners``):
 
 * the primal edge runs between vertices ``vert_k`` and ``vert_l``;
 * the dual edge runs between the centers of cells ``cell_k`` and ``cell_l``
@@ -77,7 +77,8 @@ def _shoelace(vertices, loop_vert, loop_next):
     """Loop entries, their successors and the shoelace terms
     x_i y_(i+1) - x_(i+1) y_i."""
     a, b = vertices[loop_vert], vertices[loop_next]
-    return a, b, a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a, b, a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
 
 
 def _cell_sums(loop_cell, values, n_cells):
@@ -236,10 +237,11 @@ class DDFVMesh:
     A scalar field is one packed vector [interior | boundary | dual] with
     one value per interior cell, per boundary (degenerate) cell and per
     vertex (dual cell); ``parts`` splits it into views and ``pack`` joins
-    them.  Primal indices are packed indices; dual ones add ``dual_offset``.
-    Row i of ``nodes`` is the position of packed value i: the cell
-    centroids, the boundary-edge midpoints, then the vertices.  ``h`` is
-    the largest diamond diameter; the sizes are computed once, in
+    them.  Row i of ``nodes`` is the position of packed value i: the cell
+    centroids, the boundary-edge midpoints, then the vertices.  The index
+    tables ``corners`` and ``overlaps`` hold packed indices, so
+    ``u[mesh.corners]`` and ``nodes[mesh.corners]`` need no offset.  ``h``
+    is the largest diamond diameter; the sizes are computed once, in
     ``__post_init__``.
     """
 
@@ -249,10 +251,8 @@ class DDFVMesh:
     vertex_is_boundary: np.ndarray
     dual_areas: np.ndarray        # (n_verts,)
     # diamonds
-    dia_cell_k: np.ndarray        # interior cell index
-    dia_cell_l: np.ndarray        # global primal index (>= n_cells: boundary)
-    dia_vert_k: np.ndarray
-    dia_vert_l: np.ndarray
+    corners: np.ndarray           # (4, n_dia) cell k, cell l, vertex k, l
+    wedges: np.ndarray            # (4, n_dia) quarter areas at the corners
     dia_is_boundary: np.ndarray
     cross_point: np.ndarray       # (n_dia, 2) primal/dual edge crossing
     edge_len: np.ndarray
@@ -261,13 +261,8 @@ class DDFVMesh:
     diamond_area: np.ndarray
     edge_normal: np.ndarray       # (n_dia, 2)
     dual_edge_normal: np.ndarray
-    wedge_cell_k: np.ndarray      # quarter splits of the diamond area
-    wedge_cell_l: np.ndarray
-    wedge_vert_k: np.ndarray
-    wedge_vert_l: np.ndarray
     # overlaps between interior cells and dual cells
-    overlap_cell: np.ndarray
-    overlap_vert: np.ndarray
+    overlaps: np.ndarray          # (2, n_overlaps) cell, vertex
     overlap_area: np.ndarray
     h: float
     domain_area: float = field(init=False)
@@ -328,15 +323,22 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     n_cells = primal.n_cells
     a, b, w = _shoelace(verts, primal.loop_vert, primal.loop_next)
     cell_areas = 0.5 * primal.cell_sums(w)
-    cell_centers = np.column_stack([
-        primal.cell_sums((a[:, 0] + b[:, 0]) * w),
-        primal.cell_sums((a[:, 1] + b[:, 1]) * w),
-    ]) / (6.0 * cell_areas)[:, None]
+    # an overflow of these sums (cubic in the coordinates) is rejected here
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell_centers = np.column_stack([
+            primal.cell_sums((a[:, 0] + b[:, 0]) * w),
+            primal.cell_sums((a[:, 1] + b[:, 1]) * w),
+        ]) / (6.0 * cell_areas)[:, None]
+    bad = ~(np.isfinite(cell_areas) & np.isfinite(cell_centers).all(axis=1))
+    if bad.any():
+        raise ValidationError(f"cell {int(np.argmax(bad))} has a non-finite area "
+                              f"or centre: its coordinates are too large")
 
     bnd_edges = primal.boundary_edges
     nodes = np.vstack([cell_centers,
                        0.5 * (verts[bnd_edges[:, 0]] + verts[bnd_edges[:, 1]]),
                        verts])
+    off = n_cells + len(bnd_edges)      # packed index of vertex 0
 
     vertex_is_boundary = np.zeros(primal.n_vertices, dtype=bool)
     vertex_is_boundary[bnd_edges.ravel()] = True
@@ -350,11 +352,11 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     xk, xl = nodes[cell_k], nodes[cell_l]
 
     # Label the edge endpoints so both local bases come out direct.
-    va, vb = primal.edges.T
-    direct = cross2((verts[vb] - verts[va]).T, (xl - xk).T) > 0.0
+    va, vb = off + primal.edges.T
+    direct = cross2((nodes[vb] - nodes[va]).T, (xl - xk).T) > 0.0
     vert_k = np.where(direct, va, vb)
     vert_l = np.where(direct, vb, va)
-    xvk, xvl = verts[vert_k], verts[vert_l]
+    xvk, xvl = nodes[vert_k], nodes[vert_l]
 
     edge_vec = xvl - xvk
     dual_vec = xl - xk
@@ -404,11 +406,14 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
          lambda d: f"edge {key(d)}: invalid dual quarter split"),
     ])
 
+    corners = np.stack([cell_k, cell_l, vert_k, vert_l])
+    wedges = np.stack([wck, wcl, wvk, wvl])
+    n_values = off + primal.n_vertices
     # Each diamond adds its two vertex quarters to the dual cells, in
     # diamond order.
-    dual_areas = np.zeros(primal.n_vertices)
-    np.add.at(dual_areas, np.column_stack([vert_k, vert_l]).ravel(),
-              np.column_stack([wvk, wvl]).ravel())
+    dual_areas = np.bincount(np.column_stack([vert_k, vert_l]).ravel(),
+                             weights=np.column_stack([wvk, wvl]).ravel(),
+                             minlength=n_values)[off:]
 
     # Cell/dual-cell overlaps: the triangles (center, crossing, vertex),
     # summed per (cell, vertex) pair in diamond order and sorted by pair;
@@ -421,7 +426,7 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         triangle_area(xl.T, xd, xvk.T), triangle_area(xl.T, xd, xvl.T),
     ]).ravel()
     keep = ov_cell < n_cells
-    pairs, slot = np.unique(ov_cell[keep] * primal.n_vertices + ov_vert[keep],
+    pairs, slot = np.unique(ov_cell[keep] * n_values + ov_vert[keep],
                             return_inverse=True)
 
     # h: the largest distance between two corners of one diamond
@@ -433,10 +438,8 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         cell_areas=cell_areas,
         vertex_is_boundary=vertex_is_boundary,
         dual_areas=dual_areas,
-        dia_cell_k=cell_k,
-        dia_cell_l=cell_l,
-        dia_vert_k=vert_k,
-        dia_vert_l=vert_l,
+        corners=corners,
+        wedges=wedges,
         dia_is_boundary=is_bnd,
         cross_point=cross_point,
         edge_len=m_edge,
@@ -445,12 +448,7 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
         diamond_area=area,
         edge_normal=np.column_stack([-tau_e[:, 1], tau_e[:, 0]]),
         dual_edge_normal=np.column_stack([tau_d[:, 1], -tau_d[:, 0]]),
-        wedge_cell_k=wck,
-        wedge_cell_l=wcl,
-        wedge_vert_k=wvk,
-        wedge_vert_l=wvl,
-        overlap_cell=pairs // primal.n_vertices,
-        overlap_vert=pairs % primal.n_vertices,
+        overlaps=np.stack(np.divmod(pairs, n_values)),
         overlap_area=np.bincount(slot, weights=ov_area[keep]),
         h=h,
     )
@@ -526,14 +524,8 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
     ratio = mesh.edge_len / mesh.dual_edge_len
     theta = (ratio + 1.0 / ratio) / (2.0 * mesh.sin_angle)
 
-    parts = np.stack(
-        [
-            mesh.wedge_cell_k,
-            np.where(mesh.dia_is_boundary, np.inf, mesh.wedge_cell_l),
-            mesh.wedge_vert_k,
-            mesh.wedge_vert_l,
-        ]
-    )
+    parts = mesh.wedges.copy()
+    parts[1, mesh.dia_is_boundary] = np.inf
     theta_tilde = mesh.diamond_area / parts.min(axis=0)
 
     interior = ~mesh.dia_is_boundary

@@ -74,6 +74,14 @@ class SchemeParams:
         return max(1, int(np.ceil(self.t_final / self.dt - 1e-9)))
 
 
+def check_time_step(mesh, dt):
+    """ValidationError unless |K| / dt and |K*| / dt, the scale of the
+    time rows, are finite for every primal and dual cell K and K*."""
+    largest = float(max(mesh.cell_areas.max(), mesh.dual_areas.max()))
+    if not math.isfinite(largest / dt):
+        raise ValidationError("dt too small: a cell area / dt is not finite")
+
+
 @dataclass
 class StateRecord:
     """Per-step diagnostics; dissipation entries are None at step 0."""
@@ -150,17 +158,16 @@ def project_initial(mesh, u0) -> np.ndarray:
     w = 0.5 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
                - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0]))
 
-    wedge_vert = np.column_stack([mesh.dia_vert_k, mesh.dia_vert_l]).ravel()
-    wedge_area = np.column_stack([mesh.wedge_vert_k, mesh.wedge_vert_l]).ravel()
-    xk = np.repeat(mesh.nodes[mesh.dia_cell_k], 2, axis=0)
-    xl = np.repeat(mesh.nodes[mesh.dia_cell_l], 2, axis=0)
+    # the centroids of the vertex quarters, two per diamond in diamond order
+    xk, xl, xvk, xvl = mesh.nodes[mesh.corners]
+    quarters = np.stack([xvk + xk + xl, xvl + xk + xl], axis=1) / 3.0
 
-    values = evaluate(u0, np.vstack([(a + b + c) / 3.0,
-                                     (verts[wedge_vert] + xk + xl) / 3.0]))
+    values = evaluate(u0, np.vstack([(a + b + c) / 3.0, quarters.reshape(-1, 2)]))
     n_corners = len(w)
     interior = primal.cell_sums(w * values[:n_corners]) / primal.cell_sums(w)
-    acc = np.zeros(mesh.n_verts)
-    np.add.at(acc, wedge_vert, wedge_area * values[n_corners:])
+    _, _, acc = mesh.parts(np.bincount(
+        np.column_stack(mesh.corners[2:]).ravel(), minlength=mesh.n_values,
+        weights=np.column_stack(mesh.wedges[2:]).ravel() * values[n_corners:]))
     dual = acc / mesh.dual_areas
 
     for arr, what in ((interior, "cell"), (dual, "dual cell")):
@@ -269,11 +276,8 @@ class Assembly:
         self.mats = local_matrices(mesh, params.lam)
         self.v = project_potential(mesh, params.potential)
 
-        off = mesh.dual_offset
         self.n = mesh.n_values
-        # The four corners of each diamond: cells k, l and vertices k, l.
-        self.corners = np.stack([mesh.dia_cell_k, mesh.dia_cell_l,
-                                 off + mesh.dia_vert_k, off + mesh.dia_vert_l])
+        self.corners = mesh.corners
         # s = A d per diamond: s = form_rows[0] * d[0] + form_rows[1] * d[1]
         m = self.mats
         self.form_rows = np.array([[m.a_edge, m.a_cross],
@@ -285,14 +289,14 @@ class Assembly:
         self.coef_l = np.where(mesh.dia_is_boundary, 1.0, -1.0)
 
         # zero on the closure rows, which have no time derivative
+        check_time_step(mesh, params.dt)
         self.time_coef = mesh.pack(0.5 * mesh.cell_areas / params.dt,
                                    np.zeros(mesh.n_bnd),
                                    0.5 * mesh.dual_areas / params.dt)
 
         self.pen_scale = params.kappa / (2.0 * mesh.h**params.beta)
         if params.kappa > 0.0:
-            self.ov_c = mesh.overlap_cell
-            self.ov_v = off + mesh.overlap_vert
+            self.ov_c, self.ov_v = mesh.overlaps
             self.ov_w = mesh.overlap_area
 
         (self.jac_indices, self.jac_indptr,

@@ -57,13 +57,10 @@ def check_partitions(rng):
         ):
             worst = max(worst, abs(total - area) / area)
         # quarter splits per diamond
-        inner = ~mesh.dia_is_boundary
-        worst = max(worst, np.abs(
-            mesh.wedge_cell_k + mesh.wedge_cell_l - mesh.diamond_area
-        )[inner].max() / mesh.diamond_area[inner].min())
-        worst = max(worst, np.abs(
-            mesh.wedge_vert_k + mesh.wedge_vert_l - mesh.diamond_area
-        ).max() / mesh.diamond_area.min())
+        inner, dia = ~mesh.dia_is_boundary, mesh.diamond_area
+        wck, wcl, wvk, wvl = mesh.wedges
+        worst = max(worst, np.abs(wck + wcl - dia)[inner].max() / dia[inner].min(),
+                    np.abs(wvk + wvl - dia).max() / dia.min())
     return CheckResult("partition identities", worst < 1e-12,
                        f"worst relative defect {worst:.2e}")
 
@@ -72,14 +69,9 @@ def check_diamond_area_formula(rng):
     """Half * edge * dual edge * sin(angle) against the shoelace area."""
     worst = 0.0
     for name, mesh in _meshes():
-        verts = mesh.primal.vertices
         for d in range(mesh.n_diamonds):
-            quad = [
-                mesh.nodes[mesh.dia_cell_k[d]],
-                verts[mesh.dia_vert_k[d]],
-                mesh.nodes[mesh.dia_cell_l[d]],
-                verts[mesh.dia_vert_l[d]],
-            ]
+            # the corners in turn: cell k, vertex k, cell l, vertex l
+            quad = mesh.nodes[mesh.corners[[0, 2, 1, 3], d]]
             x = [p[0] for p in quad]
             y = [p[1] for p in quad]
             shoelace = 0.5 * abs(sum(
@@ -95,6 +87,7 @@ def check_duality(rng):
     """Brute-force discrete Green formula for boundary-vanishing fields."""
     worst = 0.0
     for name, mesh in _meshes():
+        ck, cl, vk, vl = mesh.corners
         for _ in range(20):
             xi = rng.standard_normal((mesh.n_diamonds, 2))
             v = rng.standard_normal(mesh.n_values)
@@ -106,8 +99,8 @@ def check_duality(rng):
             # independent evaluation of -(xi, grad v) by per-diamond loops
             rhs = 0.0
             for d in range(mesh.n_diamonds):
-                dv_edge = v[mesh.dia_cell_l[d]] - v[mesh.dia_cell_k[d]]
-                dv_dual = vd[mesh.dia_vert_l[d]] - vd[mesh.dia_vert_k[d]]
+                dv_edge = v[cl[d]] - v[ck[d]]
+                dv_dual = v[vl[d]] - v[vk[d]]
                 rhs -= 0.5 * (
                     mesh.edge_len[d] * dv_edge * np.dot(xi[d], mesh.edge_normal[d])
                     + mesh.dual_edge_len[d] * dv_dual

@@ -54,13 +54,15 @@ def dual_polygon(mesh, v):
     around the vertex, plus the vertex itself and the adjacent
     boundary-edge midpoints when the vertex lies on the boundary."""
     x0 = mesh.primal.vertices[v]
+    node = mesh.dual_offset + v         # packed index of vertex v
+    ck, cl, vk, vl = mesh.corners
     pts = []
     for d in range(mesh.n_diamonds):
         for vert, cells in (
-            (mesh.dia_vert_k[d], (mesh.dia_cell_k[d], mesh.dia_cell_l[d])),
-            (mesh.dia_vert_l[d], (mesh.dia_cell_k[d], mesh.dia_cell_l[d])),
+            (vk[d], (ck[d], cl[d])),
+            (vl[d], (ck[d], cl[d])),
         ):
-            if vert == v:
+            if vert == node:
                 for g in cells:
                     pts.append(tuple(mesh.nodes[g]))
     pts = [np.array(p) for p in sorted(set(pts))]
@@ -83,10 +85,10 @@ def diamond_tensors(mesh, func):
     """(n_diamonds, 2, 2) values of the tensor ``func`` at the area
     centroid of each diamond's quadrilateral (cell k, vertex k, cell l,
     vertex l), called once per diamond with one point x of shape (2,)."""
-    centers, verts = mesh.nodes, mesh.primal.vertices
+    ck, cl, vk, vl = mesh.corners
     out = np.empty((mesh.n_diamonds, 2, 2))
     for d in range(mesh.n_diamonds):
-        quad = [centers[mesh.dia_cell_k[d]], verts[mesh.dia_vert_k[d]],
-                centers[mesh.dia_cell_l[d]], verts[mesh.dia_vert_l[d]]]
+        quad = [mesh.nodes[ck[d]], mesh.nodes[vk[d]],
+                mesh.nodes[cl[d]], mesh.nodes[vl[d]]]
         out[d] = func(polygon_centroid(quad))
     return out

@@ -157,6 +157,16 @@ FILE_AND_VALUE_ERRORS = [
     # at the finest level, dt0 / 4**(levels - 1)
     ("converge --n0 4 --levels 2 --dt0 1e-308 --tfinal 1e-307",
      "error: dt too small: 1 / dt is not finite", []),
+    # cells of area 16 on a mesh file: |K| / dt overflows where 1 / dt does not
+    ("run --mesh big.mesh --dt 1e-308 --tfinal 1e-307 --out big",
+     "error: dt too small: a cell area / dt is not finite", []),
+    ("longtime --mesh big.mesh --dt 1e-308 --tfinal 1e-307 --out big",
+     "error: dt too small: a cell area / dt is not finite", []),
+    # coordinates whose cell centre (1e105) or area (1e160) overflows
+    ("mesh inspect --mesh far105.mesh",
+     "error: cell 0 has a non-finite area or centre", []),
+    ("run --mesh far160.mesh --out far",
+     "error: cell 0 has a non-finite area or centre", []),
     # each setting is checked before --out is made
     ("run --beta 2", "error: penalization exponent 2.0 outside (0, 2)", []),
     ("run --newton-max-iter 0", "error: max_iter must be >= 1", []),
@@ -195,6 +205,13 @@ def test_file_and_value_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
     (tmp_path / "ff.bin").write_bytes(b"\xff\n")
     (tmp_path / "afile").write_text("a regular file\n")
     (tmp_path / "huge.mesh").write_text("vertices 1000000000000000\n0 0\n")
+    (tmp_path / "big.mesh").write_text(
+        "vertices 9\n0 0\n4 0\n8 0\n0 4\n4 4\n8 4\n0 8\n4 8\n8 8\n"
+        "cells 4\n4 0 1 4 3\n4 1 2 5 4\n4 3 4 7 6\n4 4 5 8 7\n")
+    for far in ("1e105", "1e160"):
+        (tmp_path / f"far{far[2:]}.mesh").write_text(
+            f"vertices 4\n0 0\n{far} 0\n{far} {far}\n0 {far}\n"
+            "cells 1\n4 0 1 2 3\n")
     inputs = {p.name for p in tmp_path.iterdir()}
     code, out, err = run_cli(capsys, *argv.split())
     assert code == EXIT_CONFIG and out == ""

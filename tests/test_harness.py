@@ -151,17 +151,17 @@ def test_norm_gap_brute_force_integration(uniform2, rng):
     nc, nb = uniform2.n_cells, uniform2.n_bnd
     dt = 0.3
     mesh = uniform2
-    verts = mesh.primal.vertices
     centers = mesh.nodes
+    ck, cl, vk, vl = mesh.corners
     total = 0.0
     for d in range(mesh.n_diamonds):
         xd = mesh.cross_point[d]
-        for cell in (mesh.dia_cell_k[d], mesh.dia_cell_l[d]):
+        for cell in (ck[d], cl[d]):
             if cell >= nc:
                 continue
-            for vert in (mesh.dia_vert_k[d], mesh.dia_vert_l[d]):
-                area = triangle_area(centers[cell], xd, verts[vert])
-                gap = vec[cell] - vec[nc + nb + vert]
+            for vert in (vk[d], vl[d]):
+                area = triangle_area(centers[cell], xd, centers[vert])
+                gap = vec[cell] - vec[vert]
                 total += dt * area * gap * gap
     got = (dt * norm_primal_dual_gap(mesh, vec)) ** 0.5
     assert got == pytest.approx(total**0.5, rel=1e-12)
@@ -244,7 +244,7 @@ def test_seed_boundary_zeros_matches_loop_version(mesh_zoo, rng):
         v = asm.v
         expected = u.copy()
         for d in np.flatnonzero(mesh.dia_is_boundary):
-            row, k = mesh.dia_cell_l[d], mesh.dia_cell_k[d]
+            row, k = mesh.corners[1, d], mesh.corners[0, d]
             if expected[row] <= 0.0:
                 expected[row] = expected[k] * math.exp(v[k] - v[row])
         seeded = _seed_boundary_zeros(mesh, asm, u)
@@ -572,11 +572,11 @@ def _list_error_gradient(mesh, trajectory, dt, grad_u_exact):
 
 
 def _list_gap(mesh, trajectory, dt):
-    nc, nb = mesh.n_cells, mesh.n_bnd
+    cells, verts = mesh.overlaps
     total = 0.0
     for n in range(1, len(trajectory)):
         vec = trajectory[n]
-        gap = vec[mesh.overlap_cell] - vec[nc + nb + mesh.overlap_vert]
+        gap = vec[cells] - vec[verts]
         total += dt * float(np.dot(mesh.overlap_area, gap * gap))
     return total**0.5
 

@@ -64,9 +64,58 @@ def test_quarter_diamond_consistency(mesh_zoo):
     # (selfcheck.check_partitions)
     for name, mesh in mesh_zoo:
         # boundary convention: the degenerate cell carries no quarter
-        assert (mesh.wedge_cell_l[mesh.dia_is_boundary] == 0.0).all()
-        assert np.allclose(mesh.wedge_cell_k[mesh.dia_is_boundary],
+        wedge_cell_k, wedge_cell_l = mesh.wedges[:2]
+        assert (wedge_cell_l[mesh.dia_is_boundary] == 0.0).all()
+        assert np.allclose(wedge_cell_k[mesh.dia_is_boundary],
                            mesh.diamond_area[mesh.dia_is_boundary])
+
+
+MIXED_MESH = """\
+vertices 10
+0 0
+1 0
+2 0
+0 1
+1.1 0.95
+2 1
+0 2
+1 2
+2 2
+0.5 2.6
+cells 5
+4 0 1 4 3
+3 1 2 5
+3 1 5 4
+4 4 5 8 7
+5 3 4 7 9 6
+"""
+
+
+def test_index_tables_hold_packed_indices(mesh_zoo, tmp_path):
+    path = tmp_path / "mixed.mesh"
+    path.write_text(MIXED_MESH)
+    meshes = mesh_zoo + [("mixed", build_ddfv(read_mesh(path)))]
+    for name, mesh in meshes:
+        ck, cl, vk, vl = mesh.corners
+        nc, off = mesh.n_cells, mesh.dual_offset
+        bnd = mesh.dia_is_boundary
+        assert mesh.corners.shape == mesh.wedges.shape == (4, mesh.n_diamonds)
+        assert (ck < nc).all() and (cl < off).all(), name
+        assert np.array_equal(cl >= nc, bnd), name
+        assert (mesh.corners[2:] >= off).all(), name
+        assert (mesh.corners[2:] < mesh.n_values).all(), name
+        cells, verts = mesh.overlaps
+        assert (cells < nc).all() and nc <= off and (verts >= off).all(), name
+        assert (verts < mesh.n_values).all(), name
+        area = mesh.diamond_area
+        wck, wcl, wvk, wvl = mesh.wedges
+        assert np.allclose((wck + wcl)[~bnd], area[~bnd], rtol=1e-12, atol=0)
+        assert np.allclose(wvk + wvl, area, rtol=1e-12, atol=0), name
+        # the vertex quarters summed in diamond order give the dual areas
+        dual = np.bincount(mesh.corners[2:].T.ravel(),
+                           weights=mesh.wedges[2:].T.ravel(),
+                           minlength=mesh.n_values)[off:]
+        assert np.array_equal(dual, mesh.dual_areas), name
 
 
 def test_sin_angle_bounded_by_theta(mesh_zoo):
@@ -79,11 +128,10 @@ def test_sin_angle_bounded_by_theta(mesh_zoo):
 
 def test_bases_unit_and_direct(mesh_zoo):
     for name, mesh in mesh_zoo:
-        centers = mesh.nodes
-        verts = mesh.primal.vertices
+        xk, xl, xvk, xvl = mesh.nodes[mesh.corners]
         # unit tangents from vertex k to vertex l and from cell k to cell l
-        evec = verts[mesh.dia_vert_l] - verts[mesh.dia_vert_k]
-        dvec = centers[mesh.dia_cell_l] - centers[mesh.dia_cell_k]
+        evec = xvl - xvk
+        dvec = xl - xk
         tangent = evec / np.hypot(*evec.T)[:, None]
         dual_tangent = dvec / np.hypot(*dvec.T)[:, None]
         for arr in (mesh.edge_normal, mesh.dual_edge_normal):
@@ -169,10 +217,10 @@ def test_quality_kershaw_matches_direct_evaluation(kershaw8):
     for d in range(mesh.n_diamonds):
         r = mesh.edge_len[d] / mesh.dual_edge_len[d]
         theta = (r + 1.0 / r) / (2.0 * mesh.sin_angle[d])
-        parts = [mesh.wedge_cell_k[d], mesh.wedge_vert_k[d],
-                 mesh.wedge_vert_l[d]]
+        wedge_cell_k, wedge_cell_l, wedge_vert_k, wedge_vert_l = mesh.wedges[:, d]
+        parts = [wedge_cell_k, wedge_vert_k, wedge_vert_l]
         if not mesh.dia_is_boundary[d]:
-            parts.append(mesh.wedge_cell_l[d])
+            parts.append(wedge_cell_l)
         theta_tilde = mesh.diamond_area[d] / min(parts)
         direct = max(direct, theta, theta_tilde)
     assert q.theta_star == pytest.approx(direct, rel=1e-12)

@@ -39,14 +39,12 @@ def test_gradient_single_diamond_rational_oracle(quad5, kershaw8, rng):
     for name, mesh in (("quad5", quad5), ("kershaw8", kershaw8)):
         u = rng.standard_normal(mesh.n_values)
         got = grad_diamond(mesh, u)
-        up, ud = u, mesh.parts(u)[2]
-        centers, verts = mesh.nodes, mesh.primal.vertices
+        centers = mesh.nodes
         for d in range(mesh.n_diamonds):
-            ck, cl = mesh.dia_cell_k[d], mesh.dia_cell_l[d]
-            vk, vl = mesh.dia_vert_k[d], mesh.dia_vert_l[d]
+            ck, cl, vk, vl = mesh.corners[:, d]
             xk, xl, xvk, xvl = ([Fraction(c) for c in p] for p in (
-                centers[ck], centers[cl], verts[vk], verts[vl]))
-            uk, ul, uvk, uvl = map(Fraction, (up[ck], up[cl], ud[vk], ud[vl]))
+                centers[ck], centers[cl], centers[vk], centers[vl]))
+            uk, ul, uvk, uvl = map(Fraction, (u[ck], u[cl], u[vk], u[vl]))
             edge = (xvl[0] - xvk[0], xvl[1] - xvk[1])
             dual = (xl[0] - xk[0], xl[1] - xk[1])
             # edge_len * edge_normal is the edge vector rotated by +-90
@@ -70,11 +68,11 @@ def test_gradient_two_formulas_agree(mesh_zoo, rng):
     for name, mesh in mesh_zoo:
         u = rng.standard_normal(mesh.n_values)
         g = grad_diamond(mesh, u)
-        up, ud = u, mesh.parts(u)[2]
+        uk, ul, uvk, uvl = u[mesh.corners]
         alt = (
-            ((ud[mesh.dia_vert_l] - ud[mesh.dia_vert_k])
+            ((uvl - uvk)
              / mesh.edge_len)[:, None] * mesh.dual_edge_normal
-            + ((up[mesh.dia_cell_l] - up[mesh.dia_cell_k])
+            + ((ul - uk)
                / mesh.dual_edge_len)[:, None] * mesh.edge_normal
         ) / mesh.sin_angle[:, None]
         assert np.abs(g - alt).max() < 1e-12, name
@@ -132,10 +130,11 @@ def test_local_matrices_match_gradient_inner_product(rng):
     v = rng.standard_normal(mesh.n_values)
     lhs = 0.0
     for d in range(mesh.n_diamonds):
+        ck, cl, vk, vl = mesh.corners[:, d]
         du, dv = (np.array([
-            w[mesh.dia_cell_k[d]] - w[mesh.dia_cell_l[d]],
-            wd[mesh.dia_vert_k[d]] - wd[mesh.dia_vert_l[d]],
-        ]) for w, wd in ((u, mesh.parts(u)[2]), (v, mesh.parts(v)[2])))
+            w[ck] - w[cl],
+            w[vk] - w[vl],
+        ]) for w in (u, v))
         lhs += float(du @ mats.matrix(d) @ dv)
     rhs = _inner_lambda(mesh, lam, grad_diamond(mesh, u), grad_diamond(mesh, v))
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))

@@ -162,13 +162,13 @@ def test_residual_matches_variational_form_brute_force(rng):
     g = np.log(u) + asm.v
     uv = u
     nc, nb = mesh.n_cells, mesh.n_bnd
+    ck, cl, vk, vl = mesh.corners
     # arithmetic mean of the four corner values per diamond
-    rd = 0.25 * (uv[mesh.dia_cell_k] + uv[mesh.dia_cell_l]
-                 + uv[nc + nb + mesh.dia_vert_k] + uv[nc + nb + mesh.dia_vert_l])
+    rd = 0.25 * (uv[ck] + uv[cl] + uv[vk] + uv[vl])
 
     for _ in range(10):
         psi = rng.standard_normal(mesh.n_values)
-        psi_int, psi_bnd, psi_dual = mesh.parts(psi)
+        _, psi_bnd, _ = mesh.parts(psi)
         # left side: bracket with the residual plus boundary closure rows
         lhs = bracket(mesh, res, psi)
         lhs -= 0.5 * float(np.dot(mesh.parts(res)[1], psi_bnd))
@@ -177,19 +177,18 @@ def test_residual_matches_variational_form_brute_force(rng):
         gp = np.concatenate([g[:nc + nb]])
         for d in range(mesh.n_diamonds):
             dg = np.array([
-                g[mesh.dia_cell_k[d]] - g[mesh.dia_cell_l[d]],
-                g[nc + nb + mesh.dia_vert_k[d]] - g[nc + nb + mesh.dia_vert_l[d]],
+                g[ck[d]] - g[cl[d]],
+                g[vk[d]] - g[vl[d]],
             ])
             dpsi = np.array([
-                psi[mesh.dia_cell_k[d]] - psi[mesh.dia_cell_l[d]],
-                psi_dual[mesh.dia_vert_k[d]] - psi_dual[mesh.dia_vert_l[d]],
+                psi[ck[d]] - psi[cl[d]],
+                psi[vk[d]] - psi[vl[d]],
             ])
             rhs += rd[d] * float(dg @ mats.matrix(d) @ dpsi)
         pen = 0.0
-        for c, v, w in zip(mesh.overlap_cell, mesh.overlap_vert,
-                           mesh.overlap_area):
-            pen += w * (g[c] - g[nc + nb + v]) * (
-                psi_int[c] - psi_dual[v])
+        for c, v, w in zip(*mesh.overlaps, mesh.overlap_area):
+            pen += w * (g[c] - g[v]) * (
+                psi[c] - psi[v])
         rhs += params.kappa * pen / (2.0 * mesh.h**params.beta)
         assert lhs == pytest.approx(rhs, abs=1e-11 * max(1.0, abs(rhs)))
 
@@ -374,9 +373,7 @@ def test_dissipation_sandwich(quad8, rng):
         b = np.diag([mats.b_edge[d], mats.b_dual[d]])
         c1 = max(c1, np.linalg.eigvalsh(np.linalg.solve(a, b)).max())
     # corner indices per diamond in the packed vector
-    off = quad8.n_cells + quad8.n_bnd
-    ck, cl = quad8.dia_cell_k, quad8.dia_cell_l
-    vk, vl = off + quad8.dia_vert_k, off + quad8.dia_vert_l
+    ck, cl, vk, vl = quad8.corners
     for _ in range(20):
         u = _positive_field(quad8, rng)
         diss, _ = asm.dissipation_vec(asm.system_vec(u, u)[1])

@@ -43,7 +43,7 @@ def test_partition_check_sees_areas_scaled_together(monkeypatch):
 
     meshes = selfcheck._meshes()
     areas = ("cell_areas", "dual_areas", "diamond_area", "overlap_area",
-             "wedge_cell_k", "wedge_cell_l", "wedge_vert_k", "wedge_vert_l")
+             "wedges")
     scaled = [(name, dataclasses.replace(
         mesh, **{a: getattr(mesh, a) * 1.001 for a in areas}))
         for name, mesh in meshes]

@@ -43,6 +43,7 @@ from ddfv.mesh import (
     triangle_area,
     write_mesh,
 )
+from ddfv.operators import div_discrete
 from ddfv.scheme import project_initial, project_potential
 from oracles import polygon_area, polygon_centroid, segment_intersection
 
@@ -123,11 +124,11 @@ def loop_build_ddfv(primal):
     bnd_index = {tuple(sorted(e)): i for i, e in enumerate(map(tuple, bnd_edges))}
     vertex_is_boundary = np.zeros(primal.n_vertices, dtype=bool)
     vertex_is_boundary[bnd_edges.ravel()] = True
+    off = n_cells + len(bnd_edges)      # packed index of vertex 0
 
-    names = ("dia_cell_k", "dia_cell_l", "dia_vert_k", "dia_vert_l",
-             "dia_is_boundary", "cross_point", "edge_len", "dual_edge_len",
-             "sin_angle", "diamond_area", "edge_normal", "dual_edge_normal",
-             "wedge_cell_k", "wedge_cell_l", "wedge_vert_k", "wedge_vert_l")
+    names = ("corners", "dia_is_boundary", "cross_point", "edge_len",
+             "dual_edge_len", "sin_angle", "diamond_area", "edge_normal",
+             "dual_edge_normal", "wedges")
     dia = {name: [] for name in names}
     dual_areas = np.zeros(primal.n_vertices)
     overlaps = {}
@@ -201,19 +202,20 @@ def loop_build_ddfv(primal):
         h = max([h] + [float(np.hypot(*(corners[i] - corners[j])))
                        for i in range(4) for j in range(i + 1, 4)])
         for name, value in zip(names, (
-                ck, cl_glob, vk, vl, is_bnd, xd, m_edge, m_dual, sin_a, area,
-                np.array([-tau_e[1], tau_e[0]]), np.array([tau_d[1], -tau_d[0]]),
-                wck, wcl, wvk, wvl)):
+                (ck, cl_glob, off + vk, off + vl), is_bnd, xd, m_edge, m_dual,
+                sin_a, area, np.array([-tau_e[1], tau_e[0]]),
+                np.array([tau_d[1], -tau_d[0]]), (wck, wcl, wvk, wvl))):
             dia[name].append(value)
 
     ov_keys = sorted(overlaps)
     out = {name: np.array(values) for name, values in dia.items()}
+    out["corners"], out["wedges"] = out["corners"].T, out["wedges"].T
     out.update(primal=primal,
         nodes=np.vstack([cell_centers, bnd_centers, verts]),
         cell_areas=cell_areas, h=h,
         vertex_is_boundary=vertex_is_boundary, dual_areas=dual_areas,
-        overlap_cell=np.array([k[0] for k in ov_keys], dtype=int),
-        overlap_vert=np.array([k[1] for k in ov_keys], dtype=int),
+        overlaps=np.array([[k[0] for k in ov_keys],
+                           [off + k[1] for k in ov_keys]], dtype=int),
         overlap_area=np.array([overlaps[k] for k in ov_keys]),
     )
     mesh = DDFVMesh(**out)
@@ -287,15 +289,38 @@ def loop_project_initial(mesh, u0):
             area += w
         interior[ci] = acc / area
     centers = mesh.nodes
-    acc = np.zeros(mesh.n_verts)
+    acc = np.zeros(mesh.n_values)
+    ck, cl, vk, vl = mesh.corners
     for d in range(mesh.n_diamonds):
-        xk = centers[mesh.dia_cell_k[d]]
-        xl = centers[mesh.dia_cell_l[d]]
-        for vert, wedge in ((mesh.dia_vert_k[d], mesh.wedge_vert_k[d]),
-                            (mesh.dia_vert_l[d], mesh.wedge_vert_l[d])):
-            centroid = (verts[vert] + xk + xl) / 3.0
+        xk = centers[ck[d]]
+        xl = centers[cl[d]]
+        for vert, wedge in ((vk[d], mesh.wedges[2, d]),
+                            (vl[d], mesh.wedges[3, d])):
+            centroid = (centers[vert] + xk + xl) / 3.0
             acc[vert] += wedge * float(u0(centroid))
-    return np.concatenate([interior, np.zeros(mesh.n_bnd), acc / mesh.dual_areas])
+    return np.concatenate([interior, np.zeros(mesh.n_bnd),
+                           acc[mesh.dual_offset:] / mesh.dual_areas])
+
+
+def loop_div_discrete(mesh, xi):
+    """Discrete divergence summed diamond by diamond, in four passes: the
+    edge flux into cell k, out of cell l, the dual-edge flux into vertex
+    k, out of vertex l."""
+    ck, cl, vk, vl = mesh.corners
+    flux_edge, flux_dual = [], []
+    for d in range(mesh.n_diamonds):
+        ne, nd = mesh.edge_normal[d], mesh.dual_edge_normal[d]
+        flux_edge.append(mesh.edge_len[d] * (xi[d, 0] * ne[0] + xi[d, 1] * ne[1]))
+        flux_dual.append(mesh.dual_edge_len[d] * (xi[d, 0] * nd[0] + xi[d, 1] * nd[1]))
+    out = np.zeros(mesh.n_values)
+    for index, flux, sign in ((ck, flux_edge, 1.0), (cl, flux_edge, -1.0),
+                              (vk, flux_dual, 1.0), (vl, flux_dual, -1.0)):
+        for d in range(mesh.n_diamonds):
+            out[index[d]] += sign * flux[d]
+    out[mesh.n_cells:mesh.dual_offset] = 0.0
+    out[:mesh.n_cells] /= mesh.cell_areas
+    out[mesh.dual_offset:] /= mesh.dual_areas
+    return out
 
 
 def loop_orient(vertices, cells):
@@ -438,6 +463,15 @@ def test_projections_match_loop_version(primals):
                          np.clip(loop_project_initial(mesh, u0), 0.0, None), name)
         assert_agree(project_potential(mesh, case.potential),
                      loop_project_potential(mesh, case.potential), name)
+
+
+def test_div_discrete_matches_loop_version(primals, rng):
+    # the flux sums of both versions add in the same order: equal bits
+    for name, primal in primals:
+        mesh = build_ddfv(primal)
+        xi = rng.standard_normal((mesh.n_diamonds, 2))
+        assert np.array_equal(div_discrete(mesh, xi),
+                              loop_div_discrete(mesh, xi)), name
 
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
