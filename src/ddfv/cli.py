@@ -23,7 +23,8 @@ from . import harness, mesh as meshmod, selfcheck
 from .errors import (DDFVError, InvariantViolation, MeshError, SolverError,
                      ValidationError)
 from .fields import TensorSpec
-from .scheme import SchemeParams, check_time_step, project_initial
+from .scheme import (SchemeParams, check_time_step, project_initial,
+                     project_potential)
 from .solver import NewtonConfig
 
 EXIT_OK = 0
@@ -219,6 +220,14 @@ def _trace_csv(records):
     return "\n".join(lines) + "\n"
 
 
+def _project_data(mesh, case):
+    """The packed initial data of ``case`` on ``mesh``, with its potential
+    evaluated too: data that are not finite there fail before --out is
+    made."""
+    project_potential(mesh, case.potential)
+    return project_initial(mesh, case.u0)
+
+
 def cmd_run(args):
     cfg = effective_config(args)
     mesh = _load_mesh(cfg)
@@ -229,9 +238,9 @@ def cmd_run(args):
         newton=_newton(cfg),
     )
     check_time_step(mesh, params.dt)
+    u0 = _project_data(mesh, case)
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
-    u0 = project_initial(mesh, case.u0)
     result = harness.simulate(mesh, params, u0)
     (out / "trace.csv").write_text(_trace_csv(result.records))
     last = result.records[-1]
@@ -271,6 +280,7 @@ def cmd_longtime(args):
     SchemeParams(dt=cfg["dt"], t_final=t_final, kappa=cfg["kappa"],
                  beta=cfg["beta"])
     check_time_step(mesh, cfg["dt"])
+    _project_data(mesh, case)
     out = _out_dir(cfg)
     write_effective_config(cfg, out)
     result = harness.longtime_study(

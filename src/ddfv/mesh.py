@@ -46,6 +46,7 @@ from .operators import local_matrices
 
 _SIN_TOL = 1e-10
 _PARAM_TOL = 1e-12
+_TINY = np.finfo(float).tiny    # the smallest normal float
 
 
 def cross2(a, b):
@@ -150,17 +151,32 @@ class PrimalMesh:
         # the only ones whose loops index valid vertices.
         ok = ~(small | repeats | missing)
         entries = ok[owner]
-        flipped = np.zeros(n_cells, dtype=bool)
-        flipped[ok] = _signed_areas(
-            self.vertices, flat[entries], self.loop_next[entries],
-            owner[entries], n_cells)[ok] <= 0.0
+        area = _signed_areas(self.vertices, flat[entries],
+                             self.loop_next[entries], owner[entries], n_cells)
+        flipped = ok & (area <= 0.0)
         raise_first([
             (small, ValidationError, lambda c: f"cell {c} has fewer than 3 vertices"),
             (repeats, ValidationError, lambda c: f"cell {c} repeats a vertex"),
             (missing, ValidationError,
              lambda c: f"cell {c} references a missing vertex"),
+            (self._underflows(ok & (np.abs(area) < _TINY)), ValidationError,
+             lambda c: f"cell {c} has an area that underflows: its "
+                       f"coordinates are too small"),
             (flipped, NegativeArea, lambda c: f"cell {c} is not positively oriented"),
         ])
+
+    def _underflows(self, suspects):
+        """The ``suspects`` (cells whose area is below the smallest normal
+        float) one of whose shoelace products x_i y_(i+1), x_(i+1) y_i of
+        nonzero factors is below it too, so lost to underflow.  A cell of
+        exactly collinear vertices at ordinary coordinates loses none."""
+        if not suspects.any():
+            return suspects
+        pick = suspects[self.loop_cell]
+        a = self.vertices[self.loop_vert[pick]]
+        b = self.vertices[self.loop_next[pick]][:, ::-1]
+        lost = ((np.abs(a * b) < _TINY) & (a != 0.0) & (b != 0.0)).any(axis=1)
+        return _cell_sums(self.loop_cell[pick], lost, self.n_cells) > 0
 
     def _build_edges(self):
         n_verts = len(self.vertices)

@@ -113,9 +113,11 @@ def evaluate(fn, points, *args, shape=()):
     (``x[0]`` and ``x[1]`` are arrays) followed by ``args``; a result of
     shape ``shape`` (a scalar for values, a (2,) vector for a gradient) is
     broadcast to all points.  Another shape, or a value that is not
-    finite, is a ValidationError.
+    finite, is a ValidationError; ``fn`` runs with numpy's overflow and
+    invalid-value warnings off, so that check is what reports them.
     """
-    result = fn(np.asarray(points, dtype=float).T, *args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = fn(np.asarray(points, dtype=float).T, *args)
     values = np.empty(shape + (len(points),))
     try:
         result = np.asarray(result, dtype=float)

@@ -88,28 +88,49 @@ saving: depth 5 against 3 ran 0.99x on ``converge_quad_k01`` and 1.02x on
 A factor also is refreshed before it fails, by its amortised cost.  Since
 its factorization the solver counts ``solves`` (the direct solve counts as
 1), ``served`` (the GMRES iterations run) and ``last`` (the iterations of
-the previous cycle).  Counting a factorization as ``REFRESH_COST`` GMRES
-iterations, the mean cost of a solve with this factor is
-(REFRESH_COST + served) / solves.  A factor's cycles lengthen as the matrix
-drifts from it, so once the last cycle cost more than that mean, keeping
-the factor raises the mean and a new factor is cheaper in the long run; the
-solver then factorizes directly and skips the cycle:
+the previous cycle).  Each factorization is priced in GMRES iterations from
+its own fill against the size N, with nnz SuperLU's count of the entries it
+stores for L and U (``SuperLU.nnz``, supernode padding included: 22,332 at
+N = 609, where L.nnz + U.nnz is 19,876):
 
-    last > (REFRESH_COST + served) / solves.
+    price = round(PRICE_SCALE sqrt(nnz / N)),
 
-The rule reads only counts, so the solver's decisions and counters are
-deterministic.  ``GMRES_RESTART`` = 8 stays a ceiling on the cycle: a fresh
-factor answers in 2-6 iterations, and a cycle that misses the bound still
-refactors.
+so the mean cost of a solve with this factor is (price + served) / solves.
+A factor's cycles lengthen as the matrix drifts from it, so once the last
+cycle cost more than that mean, keeping the factor raises the mean and a
+new factor is cheaper in the long run; the solver then factorizes directly
+and skips the cycle:
 
-Why 20.  One factorization costs 20 GMRES iterations at N = 609 (quad
-n=16: 2.0 ms against 101 us), 25 at N = 2241 and 21-35 at N = 8577.  A
-sweep over 15, 20 and 30 on the benchmark workloads and on 600 steps of
-quad n=64 (amplitude 0.15, kappa=0.1, dt=6.25e-5) left no workload worse
-at 20 than with refresh-on-miss alone; 30 was the slowest of the three on
-the long-time study.  There GMRES iterations went 3703 -> 1814 and
-factorizations 6 -> 17 (500 steps at n=16), and on the n=64 steps
-4716 -> 2152 and 7 -> 23; Newton counts did not change.
+    last > (price + served) / solves.
+
+The rule reads only counts (the fill is a count too), so the solver's
+decisions and counters are deterministic.  ``GMRES_RESTART`` = 8 stays a
+ceiling on the cycle: a fresh factor answers in 2-6 iterations, and a cycle
+that misses the bound still refactors.
+
+Why sqrt(nnz / N) and 3.3.  A factorization costs more GMRES iterations as
+N grows: measured, it costs (factorization time over the time of one
+iteration of an 8-iteration cycle, i.e. LU solve, matvec and Gram-Schmidt;
+quad, amplitude 0.15, kappa=0.1, three runs on a 2-vCPU Xeon VM)
+
+    N        nnz         price   measured
+    177      4,930       17      14-22
+    609      22,332      20      23-25
+    2,241    120,476     24      28
+    8,577    720,624     30      33-39 (kershaw n=64: 29-32)
+    33,537   4,021,456   36      29-30
+
+``PRICE_SCALE`` = 3.3 prices quad n=16 at exactly 20, the price a sweep
+over 15, 20 and 30 found best on ``longtime_n16`` (522 Newton and 842 GMRES
+iterations, 7 factorizations).  A price of 20 at every N is too low at
+N = 8577: on the 4 steps of ``run_kershaw_n64`` it pays for a third
+factorization to save 6 GMRES iterations, while priced at 30 the run makes
+2 (GMRES 44 -> 50, Newton 12 either way).  Long runs at large N make the
+same number of factorizations with either price (9 on 400 steps of quad
+n=64, 6 on 150 steps at n=128), so the gain is on short runs.  Against refreshing only
+after a missed cycle, the rule takes the long-time study from 3703 to 1814
+GMRES iterations for 6 -> 17 factorizations (500 steps at n=16), with the
+same Newton counts.
 
 The solver counts its factorizations and its GMRES iterations (those of
 cycles that missed included); ``newton_solve`` reports both per solve in
@@ -164,9 +185,10 @@ PROJECTION_DEPTH = 3
 PROJECTION_RANK = 1e-8
 # Largest Krylov basis of the single GMRES cycle tried before refactorizing.
 GMRES_RESTART = 8
-# Cost of one factorization in GMRES iterations, in the refresh rule
-# last > (REFRESH_COST + served) / solves (see the module docstring).
-REFRESH_COST = 20
+# A factor's price in GMRES iterations is round(PRICE_SCALE sqrt(nnz / N))
+# for its fill nnz, in the refresh rule last > (price + served) / solves
+# (see the module docstring).
+PRICE_SCALE = 3.3
 EPS = np.finfo(float).eps
 # SuperLU settings of every factorization (see the module docstring).
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
@@ -210,16 +232,17 @@ class NewtonStats:
 
 class LinearSolver:
     """Lagged-LU state of one run: the factor of the last equilibrated
-    matrix it factorized (with that matrix's row scaling), the counts of
-    the refresh rule since that factorization (``solves``, ``served`` and
-    ``last``), how many factorizations it made and how many GMRES
-    iterations it ran (those of cycles that missed included), the last
-    ``PROJECTION_DEPTH`` accepted answers (``history``, newest first)."""
+    matrix it factorized (with that matrix's row scaling) and its
+    ``price``, the counts of the refresh rule since that factorization
+    (``solves``, ``served`` and ``last``), how many factorizations it made
+    and how many GMRES iterations it ran (those of cycles that missed
+    included), the last ``PROJECTION_DEPTH`` accepted answers
+    (``history``, newest first)."""
 
     def __init__(self):
         self.factor = None
         self.row_max = None
-        self.solves = self.served = self.last = 0
+        self.solves = self.served = self.last = self.price = 0
         self.factorizations = 0
         self.krylov_iterations = 0
         self.history = []
@@ -239,13 +262,13 @@ class LinearSolver:
         min(GMRES_RESTART, N); it returns x once |rhs - A x|_2 <=
         tol_l1 / sqrt(N).  Returns None when ``tol_l1`` is not positive,
         there is no factor of this size, the refresh rule drops the factor
-        (last > (REFRESH_COST + served) / solves, compared as integers), the
+        (last > (price + served) / solves, compared as integers), the
         cycle ends short of the bound, or a cycle image keeps at most
         ``EPS`` of its norm (a singular matrix, which the direct solve then
         reports)."""
         if (tol_l1 <= 0.0 or self.factor is None
                 or self.factor.shape != matrix.shape
-                or self.last * self.solves > REFRESH_COST + self.served):
+                or self.last * self.solves > self.price + self.served):
             return None
         self.solves += 1
         self.last = 0
@@ -293,6 +316,8 @@ class LinearSolver:
         self.factor = None
         self.factor = spla.splu(scaled.tocsc(), **LU_OPTIONS)
         self.row_max = row_max
+        self.price = round(PRICE_SCALE
+                           * math.sqrt(self.factor.nnz / scaled.shape[0]))
         self.solves, self.served, self.last = 1, 0, 0
         self.factorizations += 1
         return self.factor

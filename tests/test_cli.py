@@ -167,6 +167,16 @@ FILE_AND_VALUE_ERRORS = [
      "error: cell 0 has a non-finite area or centre", []),
     ("run --mesh far160.mesh --out far",
      "error: cell 0 has a non-finite area or centre", []),
+    # data that overflow on a mesh of side 1e100, rejected before --out
+    ("run --mesh far100.mesh --dt 1e-3 --tfinal 2e-3 --out far",
+     "error: data of shape (40,) has the non-finite value", []),
+    ("longtime --mesh far100.mesh --dt 1e-3 --tfinal 2e-3 --out far",
+     "error: data of shape (40,) has the non-finite value", []),
+    # coordinates whose shoelace products underflow (1e-320 and 0)
+    ("mesh inspect --mesh tiny160.mesh",
+     "error: cell 0 has an area that underflows", []),
+    ("mesh inspect --mesh tiny170.mesh",
+     "error: cell 0 has an area that underflows", []),
     # each setting is checked before --out is made
     ("run --beta 2", "error: penalization exponent 2.0 outside (0, 2)", []),
     ("run --newton-max-iter 0", "error: max_iter must be >= 1", []),
@@ -208,10 +218,16 @@ def test_file_and_value_errors_exit_2(tmp_path, capsys, monkeypatch, argv,
     (tmp_path / "big.mesh").write_text(
         "vertices 9\n0 0\n4 0\n8 0\n0 4\n4 4\n8 4\n0 8\n4 8\n8 8\n"
         "cells 4\n4 0 1 4 3\n4 1 2 5 4\n4 3 4 7 6\n4 4 5 8 7\n")
-    for far in ("1e105", "1e160"):
-        (tmp_path / f"far{far[2:]}.mesh").write_text(
-            f"vertices 4\n0 0\n{far} 0\n{far} {far}\n0 {far}\n"
+    for name, side in (("far105", "1e105"), ("far160", "1e160"),
+                       ("tiny160", "1e-160"), ("tiny170", "1e-170")):
+        (tmp_path / f"{name}.mesh").write_text(
+            f"vertices 4\n0 0\n{side} 0\n{side} {side}\n0 {side}\n"
             "cells 1\n4 0 1 2 3\n")
+    # the 2x2 mesh of big.mesh, with side 1e100
+    (tmp_path / "far100.mesh").write_text(
+        "vertices 9\n" + "".join(f"{x} {y}\n" for y in ("0", "5e99", "1e100")
+                                 for x in ("0", "5e99", "1e100"))
+        + "cells 4\n4 0 1 4 3\n4 1 2 5 4\n4 3 4 7 6\n4 4 5 8 7\n")
     inputs = {p.name for p in tmp_path.iterdir()}
     code, out, err = run_cli(capsys, *argv.split())
     assert code == EXIT_CONFIG and out == ""

@@ -27,8 +27,8 @@ from ddfv.solver import (
     FORCING_SLOPE,
     GMRES_RESTART,
     INNER_ETA,
+    PRICE_SCALE,
     PROJECTION_DEPTH,
-    REFRESH_COST,
     LinearSolver,
     NewtonConfig,
     inner_tolerance,
@@ -168,9 +168,10 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
     # b, or one drifting smoothly with u, is answered mostly by the
     # projected start, so the factor ages slower).  The counts of the rule
     # are rebuilt from the solver's public counters alone, and before every
-    # solve the documented inequality last > (REFRESH_COST + served) /
-    # solves decides whether the solve factorizes directly (no GMRES
-    # iteration) or runs a cycle that the factor answers.
+    # solve the documented inequality last > (price + served) / solves,
+    # with the price of the solver's current factor, decides whether the
+    # solve factorizes directly (no GMRES iteration) or runs a cycle that
+    # the factor answers.
     rng = np.random.default_rng(7)
     asm = Assembly(quad8, SchemeParams(dt=1e-2, t_final=1e-2, kappa=0.1,
                                        potential=lambda x: -x[1]))
@@ -185,10 +186,11 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
         tol_l1 = _l1_tolerance(b)
         a = asm.system_jacobian(asm.system_vec(u, u)[1])
         before = solver.factorizations, solver.krylov_iterations
+        price = solver.price
         x = linear_solve(a, b, solver, tol_l1)
         refreshed = solver.factorizations - before[0]
         cycle = solver.krylov_iterations - before[1]
-        if k == 0 or last > Fraction(REFRESH_COST + served, solves):
+        if k == 0 or last > Fraction(price + served, solves):
             assert (cycle, refreshed) == (0, 1), k
             assert np.array_equal(x, linear_solve(a, b))
             refreshed_by_rule.append(k)
@@ -202,11 +204,35 @@ def test_linear_solver_refreshes_where_the_amortised_cost_rule_says(quad8):
     # the first factorization and at least two refreshes by the rule
     assert len(refreshed_by_rule) >= 3
     # the inequality is strict: at equality the factor serves one more cycle
-    for last, refreshes in ((REFRESH_COST, 0), (REFRESH_COST + 1, 1)):
+    price = solver.price
+    for last, refreshes in ((price, 0), (price + 1, 1)):
         solver.solves, solver.served, solver.last = 1, 0, last
         before = solver.factorizations
         linear_solve(a, b, solver, tol_l1)
         assert solver.factorizations - before == refreshes
+
+
+def test_factor_price_is_a_function_of_the_factor_fill():
+    # each factorization is priced round(PRICE_SCALE sqrt(nnz / N)) GMRES
+    # iterations from SuperLU's fill count: 20 on quad n=16 (N = 609, the
+    # size the constant is anchored at), more on kershaw n=64 (N = 8577);
+    # Jacobians at other states of the same run have the same fill, so
+    # their factors have the same price
+    prices = []
+    for primal in (gen_quad_fvca(16, 0.1), gen_kershaw(64)):
+        mesh = build_ddfv(primal)
+        solver = LinearSolver()
+        assert solver.price == 0
+        seen = set()
+        for seed in range(2):
+            a = _jacobians(mesh, np.random.default_rng(seed), 1, 0.5)[0]
+            linear_solve(a, np.ones(mesh.n_values), solver)
+            assert solver.price == round(
+                PRICE_SCALE * math.sqrt(solver.factor.nnz / mesh.n_values))
+            seen.add(solver.price)
+        assert solver.factorizations == 2 and len(seen) == 1
+        prices.append(solver.price)
+    assert prices[0] == 20 and prices[1] > 20
 
 
 def test_linear_solver_keeps_the_last_answers_as_copies(quad8, rng):
