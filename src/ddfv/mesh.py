@@ -46,7 +46,6 @@ from .operators import local_matrices
 
 _SIN_TOL = 1e-10
 _PARAM_TOL = 1e-12
-_TINY = np.finfo(float).tiny    # the smallest normal float
 
 
 def cross2(a, b):
@@ -78,8 +77,21 @@ def _shoelace(vertices, loop_vert, loop_next):
     """Loop entries, their successors and the shoelace terms
     x_i y_(i+1) - x_(i+1) y_i."""
     a, b = vertices[loop_vert], vertices[loop_next]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a, b, a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+    return a, b, a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+
+
+def _frame(vertices):
+    """The binary exponent e of the largest |coordinate| and the vertices
+    times 2^-e, all in (-1, 1); a non-finite vertex is a ValidationError.
+    Scaling by 2^k is exact and commutes with rounding, so geometry
+    computed in this frame, where it cannot overflow, and scaled back by
+    ``np.ldexp`` has the same bits at every scale of the mesh."""
+    bad = ~np.isfinite(vertices).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"vertex {int(np.argmax(bad))} has a non-finite coordinate")
+    e = int(np.frexp(np.abs(vertices).max(initial=0.0))[1])
+    return e, np.ldexp(vertices, -e)
 
 
 def _cell_sums(loop_cell, values, n_cells):
@@ -121,22 +133,19 @@ class PrimalMesh:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValidationError("vertices must be an (n, 2) array")
-        bad = ~np.isfinite(self.vertices).all(axis=1)
-        if bad.any():
-            raise ValidationError(
-                f"vertex {int(np.argmax(bad))} has a non-finite coordinate")
+        _, frame = _frame(self.vertices)
         if not len(cells):
             raise ValidationError("mesh has no cells")
         (self.loop_vert, self.loop_start, self.loop_cell,
          self.loop_next) = _loop_table(cells)
-        self._check_cells(np.diff(self.loop_start))
+        self._check_cells(np.diff(self.loop_start), frame)
         self._build_edges()
         unused = np.bincount(self.loop_vert, minlength=self.n_vertices) == 0
         if unused.any():
             raise ValidationError(
                 f"vertex {int(np.argmax(unused))} belongs to no cell")
 
-    def _check_cells(self, sizes):
+    def _check_cells(self, sizes, frame):
         n_cells = len(sizes)
         owner, flat = self.loop_cell, self.loop_vert
         order = np.lexsort((flat, owner))
@@ -148,10 +157,10 @@ class PrimalMesh:
         missing[owner[(flat < 0) | (flat >= len(self.vertices))]] = True
         small = sizes < 3
         # Orientation is checked on the cells that pass the checks above,
-        # the only ones whose loops index valid vertices.
+        # the only ones whose loops index valid vertices, in the frame.
         ok = ~(small | repeats | missing)
         entries = ok[owner]
-        area = _signed_areas(self.vertices, flat[entries],
+        area = _signed_areas(frame, flat[entries],
                              self.loop_next[entries], owner[entries], n_cells)
         flipped = ok & (area <= 0.0)
         raise_first([
@@ -159,24 +168,8 @@ class PrimalMesh:
             (repeats, ValidationError, lambda c: f"cell {c} repeats a vertex"),
             (missing, ValidationError,
              lambda c: f"cell {c} references a missing vertex"),
-            (self._underflows(ok & (np.abs(area) < _TINY)), ValidationError,
-             lambda c: f"cell {c} has an area that underflows: its "
-                       f"coordinates are too small"),
             (flipped, NegativeArea, lambda c: f"cell {c} is not positively oriented"),
         ])
-
-    def _underflows(self, suspects):
-        """The ``suspects`` (cells whose area is below the smallest normal
-        float) one of whose shoelace products x_i y_(i+1), x_(i+1) y_i of
-        nonzero factors is below it too, so lost to underflow.  A cell of
-        exactly collinear vertices at ordinary coordinates loses none."""
-        if not suspects.any():
-            return suspects
-        pick = suspects[self.loop_cell]
-        a = self.vertices[self.loop_vert[pick]]
-        b = self.vertices[self.loop_next[pick]][:, ::-1]
-        lost = ((np.abs(a * b) < _TINY) & (a != 0.0) & (b != 0.0)).any(axis=1)
-        return _cell_sums(self.loop_cell[pick], lost, self.n_cells) > 0
 
     def _build_edges(self):
         n_verts = len(self.vertices)
@@ -281,7 +274,6 @@ class DDFVMesh:
     overlaps: np.ndarray          # (2, n_overlaps) cell, vertex
     overlap_area: np.ndarray
     h: float
-    domain_area: float = field(init=False)
     # sizes and packed-vector layout, computed once
     n_cells: int = field(init=False)
     n_bnd: int = field(init=False)
@@ -291,7 +283,6 @@ class DDFVMesh:
     n_values: int = field(init=False)
 
     def __post_init__(self):
-        self.domain_area = float(self.cell_areas.sum())
         self.n_cells = len(self.cell_areas)
         self.n_bnd = len(self.primal.boundary_edges)
         self.n_verts = len(self.dual_areas)
@@ -333,22 +324,19 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     Raises NonConvexDiamond when a primal edge and its dual edge fail to
     cross (or cross at a nearly-degenerate angle), NegativeArea when a
     diamond's quarter split is invalid; the first failing edge in edge
-    order is reported.  Diamonds follow the primal edge order.
+    order is reported.  Diamonds follow the primal edge order.  The
+    geometry is computed in the frame of ``_frame`` and scaled back; a mesh
+    whose areas or edge lengths, scaled back, are not finite normal floats
+    is a ValidationError.
     """
-    verts = primal.vertices
+    e, verts = _frame(primal.vertices)
     n_cells = primal.n_cells
     a, b, w = _shoelace(verts, primal.loop_vert, primal.loop_next)
     cell_areas = 0.5 * primal.cell_sums(w)
-    # an overflow of these sums (cubic in the coordinates) is rejected here
-    with np.errstate(over="ignore", invalid="ignore"):
-        cell_centers = np.column_stack([
-            primal.cell_sums((a[:, 0] + b[:, 0]) * w),
-            primal.cell_sums((a[:, 1] + b[:, 1]) * w),
-        ]) / (6.0 * cell_areas)[:, None]
-    bad = ~(np.isfinite(cell_areas) & np.isfinite(cell_centers).all(axis=1))
-    if bad.any():
-        raise ValidationError(f"cell {int(np.argmax(bad))} has a non-finite area "
-                              f"or centre: its coordinates are too large")
+    cell_centers = np.column_stack([
+        primal.cell_sums((a[:, 0] + b[:, 0]) * w),
+        primal.cell_sums((a[:, 1] + b[:, 1]) * w),
+    ]) / (6.0 * cell_areas)[:, None]
 
     bnd_edges = primal.boundary_edges
     nodes = np.vstack([cell_centers,
@@ -448,44 +436,53 @@ def build_ddfv(primal: PrimalMesh) -> DDFVMesh:
     # h: the largest distance between two corners of one diamond
     h = max(float(np.hypot(*(p - q).T).max())
             for p, q in itertools.combinations((xk, xvk, xl, xvl), 2))
-    mesh = DDFVMesh(
+    overlap_area = np.bincount(slot, weights=ov_area[keep])
+
+    domain = cell_areas.sum()
+    _validate_partitions(domain, area, dual_areas, overlap_area)
+    # Scaled back, the areas and edge lengths must be finite normal floats
+    # (h bounds the lengths, the domain area the cell areas); decided from
+    # exponents, so that np.ldexp below cannot overflow.
+    info = np.finfo(float)
+    exps = np.concatenate([
+        np.frexp([cell_areas.min(), dual_areas.min(), dual_areas.max(),
+                  domain])[1] + 2 * e,
+        np.frexp([m_edge.min(), m_dual.min(), h])[1] + e])
+    if exps.min() <= info.minexp or exps.max() > info.maxexp:
+        raise ValidationError(
+            "mesh areas and edge lengths are not all finite normal floats "
+            f"(largest |coordinate| {np.abs(primal.vertices).max():.3e})")
+
+    return DDFVMesh(
         primal=primal,
-        nodes=nodes,
-        cell_areas=cell_areas,
+        nodes=np.ldexp(nodes, e),
+        cell_areas=np.ldexp(cell_areas, 2 * e),
         vertex_is_boundary=vertex_is_boundary,
-        dual_areas=dual_areas,
+        dual_areas=np.ldexp(dual_areas, 2 * e),
         corners=corners,
-        wedges=wedges,
+        wedges=np.ldexp(wedges, 2 * e),
         dia_is_boundary=is_bnd,
-        cross_point=cross_point,
-        edge_len=m_edge,
-        dual_edge_len=m_dual,
+        cross_point=np.ldexp(cross_point, e),
+        edge_len=np.ldexp(m_edge, e),
+        dual_edge_len=np.ldexp(m_dual, e),
         sin_angle=sin_a,
-        diamond_area=area,
+        diamond_area=np.ldexp(area, 2 * e),
         edge_normal=np.column_stack([-tau_e[:, 1], tau_e[:, 0]]),
         dual_edge_normal=np.column_stack([tau_d[:, 1], -tau_d[:, 0]]),
         overlaps=np.stack(np.divmod(pairs, n_values)),
-        overlap_area=np.bincount(slot, weights=ov_area[keep]),
-        h=h,
+        overlap_area=np.ldexp(overlap_area, 2 * e),
+        h=math.ldexp(h, e),
     )
-    _validate_partitions(mesh)
-    return mesh
 
 
-def _validate_partitions(mesh):
-    """Cheap exact-identity checks run at the end of every build."""
-    tol = 1e-10 * max(mesh.domain_area, 1.0)
-    checks = [
-        ("diamond areas", mesh.diamond_area.sum()),
-        ("dual-cell areas", mesh.dual_areas.sum()),
-        ("overlap areas", mesh.overlap_area.sum()),
-    ]
-    for name, total in checks:
-        if abs(total - mesh.domain_area) > tol:
-            raise ValidationError(
-                f"{name} sum {total!r} does not match domain area "
-                f"{mesh.domain_area!r}"
-            )
+def _validate_partitions(domain, *pieces):
+    """ValidationError unless the diamond, dual-cell and overlap areas
+    (``pieces``) each sum to the ``domain`` area, within 1e-10 of it."""
+    for name, areas in zip(("diamond", "dual-cell", "overlap"), pieces):
+        gap = abs(areas.sum() - domain) / domain
+        if gap > 1e-10:
+            raise ValidationError(f"{name} areas sum to the domain area "
+                                  f"only within {gap:.3e} of it")
 
 
 # --- quality -----------------------------------------------------------
@@ -799,7 +796,8 @@ def read_mesh(path) -> PrimalMesh:
         raise ParseError("trailing content after last cell", line=lines[pos][0])
 
     loop_vert, _, loop_cell, loop_next = _loop_table(cells)
-    areas = _signed_areas(vertices, loop_vert, loop_next, loop_cell, len(cells))
+    areas = _signed_areas(_frame(vertices)[1], loop_vert, loop_next, loop_cell,
+                          len(cells))
     for i in np.flatnonzero(areas < 0.0):
         warnings.warn(f"cell {i} was clockwise; reoriented", stacklevel=2)
         cells[i] = cells[i][::-1]

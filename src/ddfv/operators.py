@@ -138,5 +138,6 @@ def penalization_bracket(mesh, u, v, beta: float) -> float:
     """Symmetric positive form: overlap-weighted primal/dual gap product."""
     if not 0.0 < beta < 2.0:
         raise BadBeta(f"penalization exponent {beta!r} outside (0, 2)")
-    gap_u, gap_v = overlap_gap(mesh, u), overlap_gap(mesh, v)
+    gap_u = overlap_gap(mesh, u)
+    gap_v = gap_u if v is u else overlap_gap(mesh, v)
     return float(np.dot(mesh.overlap_area, gap_u * gap_v)) / (2.0 * mesh.h**beta)

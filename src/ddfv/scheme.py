@@ -446,12 +446,15 @@ class Assembly:
             np.take(inv, self.ov_v, out=parts[6 * nd + n_ov:-1])
         parts[-1] = 1.0
         # The pattern arrays are copied so that in-place edits of a returned
-        # matrix cannot corrupt the cached pattern.
-        return sp.csr_matrix(
+        # matrix cannot corrupt the cached pattern.  It comes from
+        # np.unique: sorted, without duplicates, so canonical.
+        jac = sp.csr_matrix(
             (self.jac_map @ parts, self.jac_indices.copy(),
              self.jac_indptr.copy()),
             shape=(self.n, self.n),
         )
+        jac.has_canonical_format = True
+        return jac
 
     def dissipation_vec(self, it: Iterate):
         """Entropy production and its diagonal-form counterpart at ``it``."""

@@ -1,136 +1,21 @@
 """Newton iteration for the per-step nonlinear system and the inner solve.
 
-Every linear system is row-equilibrated first (the boundary closure rows
-scale differently from the mass rows).  The direct solve is a sparse LU
-factorization of the equilibrated matrix; its answer must have a backward
-error below ``DIRECT_BOUND``.
-
-Every factorization uses ``LU_OPTIONS``: a minimum-degree ordering of the
-pattern of A + A^T, applied to rows and columns alike, and a diagonal pivot
-whenever it is at least 0.1 times the largest entry of its column.  The
-scheme's Jacobian is structurally symmetric (4x4 diamond blocks, the time
-diagonal and the 2x2 penalization blocks), so an ordering of A + A^T fits
-it, but only while the pivots stay on the diagonal: with SuperLU's default
-partial pivoting the off-diagonal pivots undo much of it (0.92M entries in
-L + U on quad n=64, against 0.72M with the threshold and 1.04M with the
-default COLAMD ordering; 5.7M -> 4.0M at kershaw n=128).  A column whose
-diagonal entry is below the threshold still takes an off-diagonal pivot.
-
-Within one run the Jacobian keeps its sparsity pattern and its values drift
-slowly, so Newton solves through a ``LinearSolver`` that keeps the LU factor
-of the last matrix it factorized and uses it as the preconditioner of one
-GMRES cycle of at most ``GMRES_RESTART`` iterations on each new system (a
-lagged preconditioner, Knoll & Keyes, J. Comput. Phys. 193, 2004).  The
-reuse rule:
-
-- the Krylov answer is accepted when its l1 residual |A x - b|_1 on the
-  full b is at most the caller's ``tol_l1``;
-- otherwise the stale factor is dropped, the current matrix is factorized
-  and solved directly (with the direct solve's checks and errors), and that
-  factor becomes the preconditioner of the following systems.
-
-A call without a positive ``tol_l1`` (the default 0) is the direct solve.
-``newton_solve`` sizes ``tol_l1`` to its own residual F_k (an inexact
-Newton method with the forcing term of Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 1982; see also Eisenstat & Walker, SIAM J. Sci. Comput.
-17, 1996):
-
-    tol_l1 = max(INNER_ETA tol, eta_k |F_k|_1),
-    eta_k = min(FORCING_MAX, FORCING_SLOPE |F_k|_1)
-
-(``inner_tolerance``).  Near convergence (|F_k|_1 <= 3.2e-4 for the default
-tol = 1e-10) that is ``INNER_ETA`` (0.01) times Newton's l1 tolerance, far
-below what Newton asks of the nonlinear residual.  On transient iterates it
-is far looser: at |F_k|_1 = 82, 0.067 instead of 1e-12.  With eta_k
-proportional to |F_k|, Newton keeps its quadratic rate.  The cycle stops
-once its residual 2-norm is at most tol_l1 / sqrt(N), which bounds the l1
-norm by tol_l1.  That is the only acceptance test: a second one, a
-backward error 100 times below the direct solve's bound, accepted nothing
-more on the benchmark workloads and convergence studies.
-
-Why these values.  ``FORCING_SLOPE`` = 1e-5 is the largest power of ten
-that leaves every benchmark workload's Newton count as it is: at 1e-4 the
-kershaw n=64 run takes 13 Newton iterations instead of 12, at 1e-3 14 (and
-``longtime_n16`` 523 instead of 522).  ``FORCING_MAX`` = 1e-2 keeps eta_k
-well below 1, which Newton's convergence needs far from the root; it only
-binds above |F_k|_1 = 1e3, which no benchmark workload reaches (1e-3 and
-1e-1 give the same counts).
-
-Each cycle starts from the span of the last answers.  The solver keeps the
-last ``PROJECTION_DEPTH`` (3) accepted answers x_j, newest first, as the
-columns of V; the Newton corrections of successive steps change smoothly,
-so a combination of them is close to the next one.  The cycle is GMRES
-computed as GCR (generalized conjugate residual; Eisenstat, Elman & Schultz,
-SIAM J. Numer. Anal. 20, 1983): one loop over directions p, each kept with
-its image A p, which reorthogonalized Gram-Schmidt orthonormalizes against
-the earlier images (p alike); x and the explicit residual r move along it.
-There is no Hessenberg matrix, no rotation and no triangular solve, and no
-normal equations, whose condition number reaches 1e12 on ``longtime_n16``.
-The stored answers come first, at no solve: they give x0 = V y with y
-minimising |b - A V y|_2, the projection onto previous solutions of Fischer
-(Comput. Methods Appl. Mech. Engrg. 163, 1998).  Then come M^-1 r, one LU
-solve each; their images are orthogonalized against each other only, so
-the start stays fixed and the iterates are those of GMRES from x0 (against
-all images, kershaw n=64 took 13 Newton iterations instead of 12).  The
-residual is tested before every direction, so a start within the bound
-costs no solve.  The answer is checked against the full b.  Only a cycle
-projects: the direct path factorizes and solves b as before.  The history
-belongs to the solver, so it starts empty with each run.
-
-Why 3.  On the benchmark workloads depths 1, 2, 3, 4 and 5 leave 1069,
-965, 817, 811 and 720 GMRES iterations on ``converge_quad_k01`` and 1682,
-1127, 838, 803 and 734 on ``longtime_n16`` (2233 without the projection),
-with the same Newton counts (820 and 842 at 3 in the GCR form, from
-rounding).  Past 3 the Gram-Schmidt work grows with k^2 and eats the
-saving: depth 5 against 3 ran 0.99x on ``converge_quad_k01`` and 1.02x on
-``longtime_n16`` in 10 in-process pairs each.
-
-A factor also is refreshed before it fails, by its amortised cost.  Since
-its factorization the solver counts ``solves`` (the direct solve counts as
-1), ``served`` (the GMRES iterations run) and ``last`` (the iterations of
-the previous cycle).  Each factorization is priced in GMRES iterations from
-its own fill against the size N, with nnz SuperLU's count of the entries it
-stores for L and U (``SuperLU.nnz``, supernode padding included: 22,332 at
-N = 609, where L.nnz + U.nnz is 19,876):
-
-    price = round(PRICE_SCALE sqrt(nnz / N)),
-
-so the mean cost of a solve with this factor is (price + served) / solves.
-A factor's cycles lengthen as the matrix drifts from it, so once the last
-cycle cost more than that mean, keeping the factor raises the mean and a
-new factor is cheaper in the long run; the solver then factorizes directly
-and skips the cycle:
-
-    last > (price + served) / solves.
-
-The rule reads only counts (the fill is a count too), so the solver's
-decisions and counters are deterministic.  ``GMRES_RESTART`` = 8 stays a
-ceiling on the cycle: a fresh factor answers in 2-6 iterations, and a cycle
-that misses the bound still refactors.
-
-Why sqrt(nnz / N) and 3.3.  A factorization costs more GMRES iterations as
-N grows: measured, it costs (factorization time over the time of one
-iteration of an 8-iteration cycle, i.e. LU solve, matvec and Gram-Schmidt;
-quad, amplitude 0.15, kappa=0.1, three runs on a 2-vCPU Xeon VM)
-
-    N        nnz         price   measured
-    177      4,930       17      14-22
-    609      22,332      20      23-25
-    2,241    120,476     24      28
-    8,577    720,624     30      33-39 (kershaw n=64: 29-32)
-    33,537   4,021,456   36      29-30
-
-``PRICE_SCALE`` = 3.3 prices quad n=16 at exactly 20, the price a sweep
-over 15, 20 and 30 found best on ``longtime_n16`` (522 Newton and 842 GMRES
-iterations, 7 factorizations).  A price of 20 at every N is too low at
-N = 8577: on the 4 steps of ``run_kershaw_n64`` it pays for a third
-factorization to save 6 GMRES iterations, while priced at 30 the run makes
-2 (GMRES 44 -> 50, Newton 12 either way).  Long runs at large N make the
-same number of factorizations with either price (9 on 400 steps of quad
-n=64, 6 on 150 steps at n=128), so the gain is on short runs.  Against refreshing only
-after a missed cycle, the rule takes the long-time study from 3703 to 1814
-GMRES iterations for 6 -> 17 factorizations (500 steps at n=16), with the
-same Newton counts.
+Every linear system is row-equilibrated; the direct solve is a sparse LU
+factorization (``LU_OPTIONS``) whose answer must have a backward error
+below ``DIRECT_BOUND``.  Newton solves through a ``LinearSolver``: it keeps
+the LU factor of the last matrix it factorized as the preconditioner of one
+GMRES cycle (computed as GCR, at most ``GMRES_RESTART`` iterations) per new
+system, started from the projection onto the last ``PROJECTION_DEPTH``
+answers.  A cycle's answer is accepted when its l1 residual is at most
+``tol_l1`` (``inner_tolerance``, a forcing term of ``INNER_ETA``,
+``FORCING_SLOPE`` and ``FORCING_MAX``); otherwise, and whenever the last
+cycle cost more GMRES iterations than the factor's mean cost per solve,
+with the factor priced at round(``PRICE_SCALE`` sqrt(nnz / N)), the matrix
+is factorized and solved directly.  A call without a positive ``tol_l1``
+is the direct solve.  The rules, their sources, the reasons for each
+constant and the measurements behind them (the price table included) are
+in README.md, "Numerical notes": "Linear solves", "Inner tolerance",
+"Projected start", "Factor refresh" and "LU ordering".
 
 The solver counts its factorizations and its GMRES iterations (those of
 cycles that missed included); ``newton_solve`` reports both per solve in

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from ddfv.errors import (
 )
 from ddfv.fields import TensorSpec
 from ddfv.mesh import (
+    DDFVMesh,
     PrimalMesh,
     build_ddfv,
+    gen_family,
     gen_kershaw,
     gen_quad_fvca,
     gen_uniform_quad,
@@ -380,3 +383,39 @@ def test_mesh_arrays_immutable(uniform4):
         uniform4.cell_areas[0] = 7.0
     with pytest.raises(ValueError):
         uniform4.edge_normal[0, 0] = 7.0
+
+
+# The power of the scale in each DDFVMesh field: 1 for positions and
+# lengths, 2 for areas, 0 for the scale-free rest.
+SCALE_POWER = {"nodes": 1, "cross_point": 1, "edge_len": 1,
+               "dual_edge_len": 1, "h": 1, "cell_areas": 2, "dual_areas": 2,
+               "wedges": 2, "diamond_area": 2, "overlap_area": 2}
+
+
+@pytest.mark.parametrize("k", [-300, -200, -1, 200, 300])
+@pytest.mark.parametrize("family", ["quad", "kershaw", "uniform"])
+def test_mesh_scaled_by_a_power_of_two_has_exactly_scaled_geometry(family, k):
+    primal = gen_family(family, 8)
+    unit = build_ddfv(primal)
+    scaled = build_ddfv(PrimalMesh(np.ldexp(primal.vertices, k), primal.cells))
+    for f in dataclasses.fields(DDFVMesh):
+        if f.name == "primal":
+            continue
+        value, power = getattr(unit, f.name), SCALE_POWER.get(f.name, 0)
+        expected = np.ldexp(value, power * k) if power else value
+        assert np.array_equal(getattr(scaled, f.name), expected), f.name
+
+
+@pytest.mark.parametrize("family, n, scale", [
+    ("quad", 8, 1e-108), ("quad", 8, 2.0**-400), ("uniform", 1, 1e105),
+], ids=["quad8-1e-108", "quad8-2^-400", "square-1e105"])
+def test_mesh_far_from_unit_scale_builds(family, n, scale):
+    primal = gen_family(family, n)
+    unit = build_ddfv(primal)
+    mesh = build_ddfv(PrimalMesh(primal.vertices * scale, primal.cells))
+    np.testing.assert_allclose(mesh.cell_areas, unit.cell_areas * scale**2,
+                               rtol=1e-12)
+    np.testing.assert_allclose(mesh.edge_len, unit.edge_len * scale,
+                               rtol=1e-12)
+    np.testing.assert_allclose(mesh.sin_angle, unit.sin_angle, rtol=1e-12)
+    assert mesh.h == pytest.approx(unit.h * scale, rel=1e-12)

@@ -266,6 +266,15 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(kappa, kershaw8, rng):
         ref = _coo_system_jacobian(asm, u)
         jac = asm.system_jacobian(asm.system_vec(u, u)[1])
         assert jac.has_canonical_format
+        # the flag is set, not computed: a canonicalised copy of the same
+        # arrays keeps the pattern and the values
+        canon = sp.csr_matrix((jac.data, jac.indices, jac.indptr),
+                              shape=jac.shape, copy=True)
+        canon.sum_duplicates()
+        canon.sort_indices()
+        assert np.array_equal(canon.indices, jac.indices)
+        assert np.array_equal(canon.indptr, jac.indptr)
+        assert np.array_equal(canon.data, jac.data)
         # duplicate entries (at most a dozen terms each) may be summed in
         # another order: allow 16 ulps of the largest entry in the row
         tol = 16 * np.finfo(float).eps * abs(ref).max(axis=1).toarray()
@@ -325,7 +334,7 @@ def test_energy_reference_values(quad5):
         0.0, abs=1e-14)
     ue = np.full(quad5.n_values, math.e)
     assert energy(quad5, ue, zero_v) == pytest.approx(
-        quad5.domain_area, rel=1e-13)
+        quad5.cell_areas.sum(), rel=1e-13)
 
 
 def test_energy_accepts_zeros(quad5):
@@ -333,7 +342,7 @@ def test_energy_accepts_zeros(quad5):
     u = np.zeros(quad5.n_values)
     # H(0) = 1 with 0*log(0) = 0
     assert energy(quad5, u, zero_v) == pytest.approx(
-        quad5.domain_area, rel=1e-13)
+        quad5.cell_areas.sum(), rel=1e-13)
 
 
 def test_relative_energy_zero_at_reference(quad8):
@@ -392,7 +401,7 @@ def test_dissipation_sandwich(quad8, rng):
 
 def test_stationary_state_flat_without_potential(quad5):
     u_inf = stationary_state(quad5, np.zeros(quad5.n_values), mass=3.0)
-    expect = 3.0 / quad5.domain_area
+    expect = 3.0 / quad5.cell_areas.sum()
     assert np.allclose(u_inf, expect)
 
 

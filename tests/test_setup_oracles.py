@@ -219,7 +219,8 @@ def loop_build_ddfv(primal):
         overlap_area=np.array([overlaps[k] for k in ov_keys]),
     )
     mesh = DDFVMesh(**out)
-    _validate_partitions(mesh)
+    _validate_partitions(cell_areas.sum(), mesh.diamond_area, mesh.dual_areas,
+                         mesh.overlap_area)
     return mesh
 
 
