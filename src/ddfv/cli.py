@@ -5,10 +5,10 @@ Commands: mesh (gen | inspect | convert), run, converge, longtime, check.
 names the settings each command (each mesh action on its own) reads.  A
 command accepts exactly these, as ``--flag`` or as a key of an optional
 flat ``key = value`` config file (``--config``; flags override the file);
-any other flag or key is a config error.  run, converge and longtime check
-their settings first and then echo them to ``effective_config`` in the
-output directory, so a run can be reproduced bit-identically from it and a
-config error leaves no file.
+any other flag or key is a config error.  run, converge and longtime make
+the output directory and echo their settings to ``effective_config`` there
+at the run's first state (``_first_state``), so a run can be reproduced
+bit-identically from it and an error before that state leaves no file.
 
 Exit codes: 0 ok, 2 config/mesh/file error, 3 solver failure, 4 property
 failure (``check``, or a runtime invariant that stops a time loop).
@@ -23,8 +23,7 @@ from . import harness, mesh as meshmod, selfcheck
 from .errors import (DDFVError, InvariantViolation, MeshError, SolverError,
                      ValidationError)
 from .fields import TensorSpec
-from .scheme import (SchemeParams, check_time_step, project_initial,
-                     project_potential)
+from .scheme import SchemeParams, project_initial
 from .solver import NewtonConfig
 
 EXIT_OK = 0
@@ -110,11 +109,6 @@ def effective_config(args):
     return cfg
 
 
-def write_effective_config(cfg, out_dir):
-    lines = [f"{k} = {cfg[k]}" for k in sorted(cfg) if cfg[k] is not None]
-    (out_dir / "effective_config").write_text("\n".join(lines) + "\n")
-
-
 def _family_kwargs(cfg):
     """The family arguments given, as keywords of ``mesh.gen_family``:
     --amplitude is read only with --family quad and --distortion only with
@@ -156,6 +150,29 @@ def _out_dir(cfg):
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _first_state(cfg):
+    """The observer that run, converge and longtime hand to the library.
+
+    Its first call is ``simulate``'s step-0 call, which comes after every
+    set-up check (settings, mesh, data, the time rows and, for converge,
+    the level count and the finest level); it makes --out and writes
+    ``effective_config`` there.  So an error before the run's first state
+    leaves no file, and a run that fails later can still be reproduced.
+    """
+    made = False
+
+    def observe(rec, u_vec):
+        nonlocal made
+        if not made:
+            made = True
+            lines = [f"{k} = {v}" for k, v in sorted(cfg.items())
+                     if v is not None]
+            (_out_dir(cfg) / "effective_config").write_text(
+                "\n".join(lines) + "\n")
+
+    return observe
 
 
 # --- commands -----------------------------------------------------------
@@ -220,14 +237,6 @@ def _trace_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def _project_data(mesh, case):
-    """The packed initial data of ``case`` on ``mesh``, with its potential
-    evaluated too: data that are not finite there fail before --out is
-    made."""
-    project_potential(mesh, case.potential)
-    return project_initial(mesh, case.u0)
-
-
 def cmd_run(args):
     cfg = effective_config(args)
     mesh = _load_mesh(cfg)
@@ -237,12 +246,9 @@ def cmd_run(args):
         beta=cfg["beta"], lam=case.lam, potential=case.potential,
         newton=_newton(cfg),
     )
-    check_time_step(mesh, params.dt)
-    u0 = _project_data(mesh, case)
-    out = _out_dir(cfg)
-    write_effective_config(cfg, out)
-    result = harness.simulate(mesh, params, u0)
-    (out / "trace.csv").write_text(_trace_csv(result.records))
+    u0 = project_initial(mesh, case.u0)
+    result = harness.simulate(mesh, params, u0, _first_state(cfg))
+    (_out_dir(cfg) / "trace.csv").write_text(_trace_csv(result.records))
     last = result.records[-1]
     print(f"steps            {last.n}")
     print(f"final time       {last.t:.6g}")
@@ -257,15 +263,12 @@ def cmd_run(args):
 
 def cmd_converge(args):
     cfg = effective_config(args)
-    case, newton = _case(cfg), _newton(cfg)
-    study = dict(case=case, family=cfg["family"], levels=cfg["levels"],
-                 n0=cfg["n0"], dt0=cfg["dt0"], kappa=cfg["kappa"],
-                 beta=cfg["beta"], family_kwargs=_family_kwargs(cfg))
-    harness.check_convergence(**study)
-    out = _out_dir(cfg)
-    write_effective_config(cfg, out)
-    rows = harness.convergence_study(newton=newton, **study)
-    (out / "convergence.csv").write_text(harness.rows_to_csv(rows))
+    rows = harness.convergence_study(
+        _case(cfg), cfg["family"], cfg["levels"], n0=cfg["n0"],
+        dt0=cfg["dt0"], kappa=cfg["kappa"], beta=cfg["beta"],
+        newton=_newton(cfg), family_kwargs=_family_kwargs(cfg),
+        observe=_first_state(cfg))
+    (_out_dir(cfg) / "convergence.csv").write_text(harness.rows_to_csv(rows))
     print(harness.rows_to_text(rows), end="")
     return EXIT_OK
 
@@ -273,20 +276,12 @@ def cmd_converge(args):
 def cmd_longtime(args):
     cfg = effective_config(args)
     mesh = _load_mesh(cfg)
-    case, newton = _case(cfg), _newton(cfg)
     t_final = cfg["tfinal"] if cfg["tfinal"] is not None else 2.0
-    # longtime_study builds these parameters itself; built here first,
-    # they are checked before --out is made.
-    SchemeParams(dt=cfg["dt"], t_final=t_final, kappa=cfg["kappa"],
-                 beta=cfg["beta"])
-    check_time_step(mesh, cfg["dt"])
-    _project_data(mesh, case)
-    out = _out_dir(cfg)
-    write_effective_config(cfg, out)
     result = harness.longtime_study(
-        case, mesh, cfg["dt"], t_final, kappa=cfg["kappa"],
-        beta=cfg["beta"], newton=newton,
+        _case(cfg), mesh, cfg["dt"], t_final, kappa=cfg["kappa"],
+        beta=cfg["beta"], newton=_newton(cfg), observe=_first_state(cfg),
     )
+    out = _out_dir(cfg)
     (out / "energy_decay.csv").write_text(result.to_csv())
     if args.plot_script:
         (out / "plot_energy.py").write_text(_PLOT_SCRIPT)

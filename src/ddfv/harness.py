@@ -408,37 +408,30 @@ def observed_order(prev_err, err, prev_h, h):
     return math.log(prev_err / err) / math.log(prev_h / h)
 
 
-def check_convergence(case: TestCase, family: str, levels: int,
+def convergence_study(case: TestCase, family: str, levels: int,
                       n0: int = 8, dt0: float = 4e-3,
                       kappa: float = 0.0, beta: float = 1.0,
-                      family_kwargs=None):
-    """Raise what ``convergence_study`` would raise before its level 0
-    runs (the level count, a case without an exact solution, the mesh
-    family's arguments at n0 and the memory bound at the finest n, the
-    finest level's parameters, whose dt is the smallest), building
-    nothing."""
+                      newton=None, family_kwargs=None, observe=None) -> list:
+    """Refine n0 -> 2*n0 -> ... with the time step divided by 4 per level.
+
+    Error orders come from mesh-size ratios; the first row has no orders.
+    Before level 0 runs, the level count, the case's exact solution, the
+    family's arguments at n0, the memory bound at the finest n and the
+    finest level's parameters (its dt is the smallest) are checked,
+    building nothing.  ``observe(record, u_vec)``, when given, sees every
+    state of every level in order, step 0 of each level included, after
+    the study has read it (as ``simulate`` calls its observer).
+    """
     if levels < 1:
         raise ValidationError("levels must be >= 1")
     if case.u_exact is None:
         raise ValidationError("convergence study needs a case with an exact solution")
-    family_map(family, n0, **(family_kwargs or {}))
+    family_kwargs = family_kwargs or {}
+    family_map(family, n0, **family_kwargs)
     # n0 * 2**64 is beyond any memory: the cap keeps the power small
-    family_map(family, n0 * 2 ** min(levels - 1, 64), **(family_kwargs or {}))
+    family_map(family, n0 * 2 ** min(levels - 1, 64), **family_kwargs)
     SchemeParams(dt=dt0 / 4 ** (levels - 1), t_final=case.t_final,
                  kappa=kappa, beta=beta)
-
-
-def convergence_study(case: TestCase, family: str, levels: int,
-                      n0: int = 8, dt0: float = 4e-3,
-                      kappa: float = 0.0, beta: float = 1.0,
-                      newton=None, family_kwargs=None) -> list:
-    """Refine n0 -> 2*n0 -> ... with the time step divided by 4 per level.
-
-    Error orders come from mesh-size ratios; the first row has no orders.
-    """
-    check_convergence(case, family, levels, n0, dt0, kappa, beta,
-                      family_kwargs)
-    family_kwargs = family_kwargs or {}
     rows = []
     prev = None
     for lev in range(levels):
@@ -453,14 +446,16 @@ def convergence_study(case: TestCase, family: str, levels: int,
         # the squared errgu and normU.
         acc = [0.0, 0.0, 0.0]
 
-        def observe(rec, u_vec):
+        def reduce(rec, u_vec):
             acc[0] = max(acc[0], error_u(mesh, u_vec, rec.t, case.u_exact))
             if rec.n > 0:
                 acc[1] += dt * error_gradient(mesh, u_vec, rec.t,
                                               case.grad_u_exact)
                 acc[2] += dt * norm_primal_dual_gap(mesh, u_vec)
+            if observe is not None:
+                observe(rec, u_vec)
 
-        result = simulate(mesh, params, nodal_initial(mesh, case.u0), observe)
+        result = simulate(mesh, params, nodal_initial(mesh, case.u0), reduce)
         errs = tuple(a**0.5 for a in acc)
         if prev is None:
             orders = (None, None, None)
@@ -503,7 +498,7 @@ class LongtimeResult:
 
 def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
                    kappa: float = 0.0, beta: float = 1.0,
-                   newton=None) -> LongtimeResult:
+                   newton=None, observe=None) -> LongtimeResult:
     """Relative-energy decay towards the discrete steady state.
 
     The reference state is u_inf = rho * exp(-V).  With kappa = 0 the
@@ -512,7 +507,9 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
     instead of a quadrature floor.  With kappa > 0 the penalization moves
     mass between the two meshes and only the total bracket(u, 1) is
     conserved, so a single rho matches it.  The exponential rate is fitted
-    on the range above the saturation cutoff.
+    on the range above the saturation cutoff.  ``observe(record,
+    u_vec)``, when given, sees every state in order after the study has
+    read it (as ``simulate`` calls its observer).
     """
     params = SchemeParams(
         dt=dt, t_final=t_final, kappa=kappa, beta=beta,
@@ -534,11 +531,13 @@ def longtime_study(case: TestCase, mesh, dt: float, t_final: float,
 
     series = []
 
-    def observe(rec, u_vec):
+    def reduce(rec, u_vec):
         erel = relative_energy(mesh, u_vec, u_inf, log_u_inf)
         series.append((rec.n, rec.t, erel))
+        if observe is not None:
+            observe(rec, u_vec)
 
-    simulate(mesh, params, u0, observe)
+    simulate(mesh, params, u0, reduce)
 
     usable = [(t, e) for _, t, e in series if e > SATURATION_CUTOFF]
     if len(usable) < 3:

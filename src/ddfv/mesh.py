@@ -554,10 +554,10 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
     if lam is not None:
         lam_d = lam.on_diamonds(mesh)
         mats = local_matrices(mesh, lam, lam_d)
-        report.cond2_max = float(mats.cond2().max())
+        report.cond2_max = float(mats.cond2(lam_d).max())
         evals = np.linalg.eigvalsh(lam_d)
-        report.cond2_bound = (4.0 * report.theta_star**2 * float(evals.max())
-                              / float(evals.min()))
+        report.cond2_bound = (4.0 * report.theta_star**2
+                              * float(evals.max() / evals.min()))
     return report
 
 

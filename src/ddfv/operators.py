@@ -98,12 +98,21 @@ class LocalMatrices:
     def quad_b(self, w1, w2):
         return self.b_edge * w1 * w1 + self.b_dual * w2 * w2
 
-    def cond2(self):
-        """2-norm condition number per diamond (eigenvalue ratio)."""
-        tr = self.a_edge + self.a_dual
-        det = self.a_edge * self.a_dual - self.a_cross**2
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        return (tr + disc) / (tr - disc)
+    def cond2(self, lam_d):
+        """2-norm condition number per diamond of the matrices built from
+        the tensors ``lam_d``: lambda_max^2 / det A, with
+        lambda_max = (a + d + hypot(a - d, 2c)) / 2 and
+        det A = det(Lambda_D) / 4 (|sigma| |sigma*| sin(alpha) = 2 |D|),
+        both in the frame of A and Lambda_D times 2^-e, e the binary
+        exponent of max(a, d): exact, so scale-free and safe from overflow
+        and underflow."""
+        e = np.frexp(np.maximum(self.a_edge, self.a_dual))[1]
+        a, c, d = (np.ldexp(x, -e)
+                   for x in (self.a_edge, self.a_cross, self.a_dual))
+        lam = np.ldexp(lam_d, -e[:, None, None])
+        det = lam[:, 0, 0] * lam[:, 1, 1] - lam[:, 0, 1] * lam[:, 1, 0]
+        lam_max = 0.5 * (a + d + np.hypot(a - d, 2.0 * c))
+        return 4.0 * lam_max * lam_max / det
 
 
 def local_matrices(mesh, lam, lam_d=None) -> LocalMatrices:

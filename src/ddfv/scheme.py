@@ -74,14 +74,6 @@ class SchemeParams:
         return max(1, int(np.ceil(self.t_final / self.dt - 1e-9)))
 
 
-def check_time_step(mesh, dt):
-    """ValidationError unless |K| / dt and |K*| / dt, the scale of the
-    time rows, are finite for every primal and dual cell K and K*."""
-    largest = float(max(mesh.cell_areas.max(), mesh.dual_areas.max()))
-    if not math.isfinite(largest / dt):
-        raise ValidationError("dt too small: a cell area / dt is not finite")
-
-
 @dataclass
 class StateRecord:
     """Per-step diagnostics; dissipation entries are None at step 0."""
@@ -290,8 +282,12 @@ class Assembly:
         # a boundary cell (its row is half the outgoing edge flux).
         self.coef_l = np.where(mesh.dia_is_boundary, 1.0, -1.0)
 
+        # The time rows: |K| / dt and |K*| / dt, which must be finite, and
         # zero on the closure rows, which have no time derivative
-        check_time_step(mesh, params.dt)
+        largest = float(max(mesh.cell_areas.max(), mesh.dual_areas.max()))
+        if not math.isfinite(largest / params.dt):
+            raise ValidationError("dt too small: a cell area / dt is not "
+                                  "finite")
         self.time_coef = mesh.pack(0.5 * mesh.cell_areas / params.dt,
                                    np.zeros(mesh.n_bnd),
                                    0.5 * mesh.dual_areas / params.dt)

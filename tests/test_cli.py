@@ -181,8 +181,17 @@ FILE_AND_VALUE_ERRORS = [
     ("run --family nope", "error: unknown mesh family 'nope'", []),
     ("run --case nope", "error: unknown case 'nope'", []),
     ("run --n 1", "error: n must be >= 2", []),
+    ("run --family uniform --n 0", "error: n must be >= 1", []),
+    ("run --family kershaw --n 1", "error: n must be >= 2", []),
+    ("mesh gen --family kershaw --distortion -1",
+     "error: distortion must be nonnegative", []),
+    ("mesh inspect", "error: mesh inspect needs --mesh PATH", []),
+    ("mesh convert", "error: mesh convert needs --mesh PATH", []),
     ("run --dt nan", "error: dt must be finite and positive", []),
     ("converge --levels 0", "error: levels must be >= 1", []),
+    # level 0's mesh is rejected before the run's first state
+    ("converge --family kershaw --n0 4 --levels 1",
+     "error: edge (8, 13): primal and dual edges do not cross", []),
     ("longtime --tfinal -1", "error: t_final must be finite and positive", []),
     # grids whose solve needs more than the physical memory, rejected
     # before anything is allocated
@@ -403,6 +412,8 @@ def test_run_invariant_violation_exit_code(tmp_path, capsys, flags, message):
     assert code == EXIT_PROPERTY and out == ""
     assert err.startswith("property failure: " + message), err
     assert not (tmp_path / "trace.csv").exists()
+    # the run failed after its first state, so it can be reproduced
+    assert (tmp_path / "effective_config").exists()
 
 
 # ROADMAP item 3: Newton's l1 test cannot pass below the rounding floor of

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from ddfv.harness import (
     exact_decay_case,
     uniform_case,
     get_case,
-    check_convergence,
     convergence_study,
     error_gradient,
     error_u,
@@ -442,10 +442,15 @@ def test_family_argument_the_family_does_not_take(family, key):
     message = f"mesh family '{family}' takes no argument '{key}'"
     with pytest.raises(ValidationError, match=message):
         gen_family(family, 6, **{key: 0.1})
-    for study in (check_convergence, convergence_study):
-        with pytest.raises(ValidationError, match=message):
-            study(exact_decay_case(), family, 2, n0=6,
-                  family_kwargs={key: 0.1})
+    with pytest.raises(ValidationError, match=message):
+        convergence_study(exact_decay_case(), family, 2, n0=6,
+                          family_kwargs={key: 0.1})
+
+
+def test_convergence_study_needs_an_exact_solution():
+    case = dataclasses.replace(exact_decay_case(), u_exact=None)
+    with pytest.raises(ValidationError, match="needs a case with an exact"):
+        convergence_study(case, "uniform", 1, n0=3)
 
 
 def test_csv_and_text_formatting():
@@ -537,6 +542,29 @@ def test_simulate_observer_sees_every_state_in_order(quad8):
     # the loop never wrote to a state after handing it over
     assert all(np.array_equal(kept, copy) for _, kept, copy in seen)
     assert len({id(kept) for _, kept, _ in seen}) == len(seen)
+
+
+def test_study_observers_see_every_state_in_order(quad5):
+    case = dataclasses.replace(exact_decay_case(), t_final=0.02)
+    seen = []
+
+    def observe(rec, u_vec):
+        seen.append((rec.n, rec.t, u_vec.copy()))
+
+    rows = convergence_study(case, "uniform", levels=2, n0=3, dt0=0.01,
+                             observe=observe)
+    # step 0 of each level, then each accepted step: 2 and 8 steps
+    assert [n for n, _, _ in seen] == list(range(3)) + list(range(9))
+    for n, row, states in zip((3, 6), rows, (seen[:3], seen[3:])):
+        mesh = build_ddfv(gen_family("uniform", n))
+        worst = max(error_u(mesh, u, t, case.u_exact) for _, t, u in states)
+        assert row.erru == worst**0.5
+    seen.clear()
+    result = longtime_study(case, quad5, dt=5e-3, t_final=0.02,
+                            observe=observe)
+    assert [(n, t) for n, t, _ in seen] == [(n, t) for n, t, _ in
+                                            result.series]
+    assert [n for n, _, _ in seen] == list(range(5))
 
 
 # Reference for the streamed reductions: every state is collected, then the

@@ -25,6 +25,7 @@ from ddfv.mesh import (
     read_mesh,
     write_mesh,
 )
+from ddfv.operators import local_matrices
 from oracles import dual_polygon, polygon_area
 
 
@@ -204,13 +205,49 @@ def test_gen_kershaw_refinement_halves_h():
 
 
 def test_quality_uniform_identity_condition(uniform4):
-    from ddfv.operators import local_matrices
-
     q = quality(uniform4, TensorSpec.identity())
     mats = local_matrices(uniform4, TensorSpec.identity())
     inner = ~uniform4.dia_is_boundary
-    assert np.allclose(mats.cond2()[inner], 1.0)
+    lam_d = TensorSpec.identity().on_diamonds(uniform4)
+    assert np.allclose(mats.cond2(lam_d)[inner], 1.0)
     assert q.cond2_max < q.cond2_bound
+
+
+# the cond2 lines of `ddfv mesh inspect --mesh quad_4.mesh --lam SPEC`:
+# the same for any multiple of the identity, finite far from 1
+@pytest.mark.parametrize("spec, cond2_max", [
+    ("identity", 7.745727),
+    ("diag:1e-170,1e-170", 7.745727),
+    ("diag:1e300,1e300", 7.745727),
+    ("diag:1e308,1e308", 7.745727),
+    ("diag:1e150,1", 7.704830e150),
+])
+def test_quality_summary_cond2_lines(spec, cond2_max):
+    q = quality(build_ddfv(gen_family("quad", 4)), TensorSpec.parse(spec))
+    assert q.cond2_max == pytest.approx(cond2_max, rel=1e-6)
+    lines = q.summary().splitlines()
+    assert lines[-2] == f"cond2 max          {q.cond2_max:.6f}"
+    assert lines[-1] == f"cond2 bound        {q.cond2_bound:.6f} (ok)"
+
+
+def test_quality_cond2_is_exact_on_a_uniform_mesh(uniform4):
+    # the matrices are diagonal there, with ratio 4 max(l, 1 / l)
+    for lam in (1e-8, 0.01, 3.0, 1e5):
+        q = quality(uniform4, TensorSpec.parse(f"diag:{lam},1"))
+        assert q.cond2_max == 4.0 * max(lam, 1.0 / lam)
+    assert q.summary().splitlines()[-2] == "cond2 max          400000.000000"
+
+
+@pytest.mark.parametrize("family", ["quad", "kershaw"])
+def test_quality_cond2_is_scale_free(family):
+    mesh = build_ddfv(gen_family(family, 8))
+    lam_d = TensorSpec.rotated(1.0, 0.1, 0.3).on_diamonds(mesh)
+    ref = local_matrices(mesh, None, lam_d).cond2(lam_d)
+    assert np.isfinite(ref).all() and (ref >= 1.0).all()
+    for k in (-900, -600, 600, 900):
+        scaled = np.ldexp(lam_d, k)
+        assert np.array_equal(
+            local_matrices(mesh, None, scaled).cond2(scaled), ref), k
 
 
 def test_quality_kershaw_matches_direct_evaluation(kershaw8):
@@ -312,18 +349,46 @@ def test_read_missing_vertex_reference(tmp_path):
     assert err.value.line == 6
 
 
-@pytest.mark.parametrize("text, line", [
-    ("vertices 3\n0 0\n1 0\n0 1\ncells 2\n3 0 1 2\n0\n", 7),
-    ("vertices -3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 2\n", 1),
-    ("vertices 3\n0 0\n1 0\n0 1\ncells -1\n", 5),
-    ("vertices 3\n0 0\n1 0\n0 1\ncells 0\n", 5),
-], ids=["empty-cell", "negative-vertices", "negative-cells", "zero-cells"])
-def test_read_bad_counts(tmp_path, text, line):
+# read_mesh's ParseErrors: file content, line number, message
+_TRIANGLE = "vertices 3\n0 0\n1 0\n0 1\n"
+READ_ERRORS = {
+    "empty-cell": (_TRIANGLE + "cells 2\n3 0 1 2\n0\n", 7,
+                   "cell 1 has no vertices"),
+    "negative-vertices": ("vertices -3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 2\n",
+                          1, "vertex count is negative"),
+    "negative-cells": (_TRIANGLE + "cells -1\n", 5,
+                       "cell count must be positive"),
+    "zero-cells": (_TRIANGLE + "cells 0\n", 5, "cell count must be positive"),
+    "eof-before-cells": (_TRIANGLE, 4,
+                         "unexpected end of file, expected 'cells M'"),
+    "vertex-count-word": ("vertices three\n0 0\n", 1,
+                          "vertex count is not an integer"),
+    "vertex-3-tokens": ("vertices 3\n0 0 0\n1 0\n0 1\ncells 1\n3 0 1 2\n",
+                        2, "expected 'x y'"),
+    "vertex-not-a-number": ("vertices 3\n0 0\n1 x\n0 1\ncells 1\n3 0 1 2\n",
+                            3, "vertex coordinates are not numbers"),
+    "no-cells-header": (_TRIANGLE + "faces 1\n3 0 1 2\n", 5,
+                        "expected 'cells M'"),
+    "cell-count-word": (_TRIANGLE + "cells one\n3 0 1 2\n", 5,
+                        "cell count is not an integer"),
+    "cell-entry-word": (_TRIANGLE + "cells 1\n3 0 1 b\n", 6,
+                        "cell line contains a non-integer"),
+    "cell-length": (_TRIANGLE + "cells 1\n4 0 1 2\n", 6,
+                    "cell line length does not match its count"),
+    "trailing": (_TRIANGLE + "cells 1\n3 0 1 2\n# done\nextra\n", 8,
+                 "trailing content after last cell"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", READ_ERRORS.values(),
+                         ids=READ_ERRORS)
+def test_read_bad_counts(tmp_path, text, line, message):
     path = tmp_path / "counts.mesh"
     path.write_text(text)
     with pytest.raises(ParseError) as err:
         read_mesh(path)
     assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -345,6 +410,11 @@ def test_non_finite_vertex_rejected(tmp_path, value):
 def test_mesh_without_cells_rejected():
     with pytest.raises(ValidationError, match="no cells"):
         PrimalMesh(np.zeros((3, 2)), [])
+
+
+def test_vertices_must_be_points_of_the_plane():
+    with pytest.raises(ValidationError, match=r"vertices must be an \(n, 2\)"):
+        PrimalMesh(np.zeros((3, 3)), [[0, 1, 2]])
 
 
 def test_read_reorients_clockwise_cell(tmp_path):

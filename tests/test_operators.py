@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddfv.errors import BadBeta
+from ddfv.errors import BadBeta, ValidationError
 from ddfv.fields import TensorSpec
 from ddfv.mesh import PrimalMesh, build_ddfv, gen_quad_fvca, quality
 from ddfv.operators import (
@@ -86,6 +86,13 @@ def test_divergence_of_zero(quad5):
     assert np.abs(d).max() == 0.0
 
 
+def test_divergence_rejects_a_field_of_the_wrong_shape(quad5):
+    nd = quad5.n_diamonds
+    for shape in ((nd, 3), (nd - 1, 2), (2, nd), (2 * nd,)):
+        with pytest.raises(ValidationError, match=r"\(n_diamonds, 2\)"):
+            div_discrete(quad5, np.zeros(shape))
+
+
 def test_divergence_of_constant_interior(quad5):
     xi = np.tile([0.3, -1.1], (quad5.n_diamonds, 1))
     d = div_discrete(quad5, xi)
@@ -147,7 +154,7 @@ def test_condition_number_bound(kershaw8):
     q = quality(kershaw8)
     lam_min, lam_max = np.linalg.eigvalsh(lam.matrix)
     bound = 4.0 * q.theta_star**2 * lam_max / lam_min
-    assert (mats.cond2() < bound).all()
+    assert (mats.cond2(lam.on_diamonds(kershaw8)) < bound).all()
 
 
 def test_assembled_forms_orientation_invariant(rng):

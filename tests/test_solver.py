@@ -69,6 +69,27 @@ def test_linear_solve_singular():
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrix):
         linear_solve(a, np.array([1.0, 2.0]))
+    # a row whose stored entries are all zero
+    a = sp.csr_matrix((np.array([1.0, 0.0, 0.0]), np.array([0, 0, 1]),
+                       np.array([0, 1, 3])), shape=(2, 2))
+    assert a.has_canonical_format and a.nnz == 3
+    with pytest.raises(SingularMatrix, match="identically zero row"):
+        linear_solve(a, np.array([1.0, 1.0]))
+
+
+def test_linear_solve_input_forms():
+    csr = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0],
+                                  [0.0, 1.0, 2.0]]))
+    b = np.array([1.0, -2.0, 0.5])
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        linear_solve(csr, b[:2])
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        linear_solve(csr[:2], b[:2])
+    # COO with the entry (1, 1) split in two: summed, it is the CSR matrix
+    coo = sp.coo_matrix((np.array([4.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]),
+                         (np.array([0, 0, 1, 1, 1, 1, 2, 2]),
+                          np.array([0, 1, 0, 1, 1, 2, 1, 2]))), shape=(3, 3))
+    assert np.array_equal(linear_solve(coo, b), linear_solve(csr, b))
 
 
 def _backward_error(a, x, b):
