@@ -7,12 +7,31 @@ import numpy as np
 from .errors import NotSPD, ValidationError, raise_first
 
 
+def eigenvalues(stack):
+    """The eigenvalues (lo, hi) of a stack of symmetric 2x2 tensors
+    [[a, c], [c, d]] with finite entries (c read from the lower corner):
+    hi = a/2 + d/2 + hypot(a/2 - d/2, c) and, where a + d > 0, lo = det /
+    hi taken as min(a, d) (max(a, d) / hi) - c (c / hi), which neither
+    overflows nor underflows where lo is a float (else a/2 + d/2 - hypot,
+    free of cancellation).  A tensor with an entry from 2^1020 on is
+    quartered first, exactly, so that only the scaled-back hi overflows."""
+    scale = np.where(np.abs(stack).max(axis=(1, 2)) < 2.0**1020, 1.0, 0.25)
+    a, c, d = (stack[:, i, j] * scale for i, j in ((0, 0), (1, 0), (1, 1)))
+    mean, radius = 0.5 * a + 0.5 * d, np.hypot(0.5 * a - 0.5 * d, c)
+    hi = mean + radius
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo = np.where(mean > 0.0, np.minimum(a, d) * (np.maximum(a, d) / hi)
+                      - c * (c / hi), mean - radius)
+        return lo / scale, hi / scale
+
+
 def _check_spd(values, n=1):
     """The tensors ``values`` as an (n, 2, 2) stack.  ``values`` is one
     2x2 matrix for all n, or broadcasts to (2, 2, n) with tensor d at
     values[:, :, d].  NotSPD reports another shape, and else the first
     tensor that is not a symmetric positive definite matrix of finite
-    entries."""
+    entries; a ValidationError, the first whose eigenvalue ratio is not
+    a finite float."""
     try:
         values = np.atleast_3d(np.asarray(values, dtype=float))
         stack = np.ascontiguousarray(
@@ -26,7 +45,9 @@ def _check_spd(values, n=1):
     safe = np.where(nonfinite[:, None, None], np.eye(2), stack)
     asym = (np.abs(safe[:, 0, 1] - safe[:, 1, 0])
             > 1e-12 * (1.0 + np.abs(safe).max(axis=(1, 2))))
-    evals = np.linalg.eigvalsh(safe)
+    lo, hi = eigenvalues(safe)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        wide = (lo > 0.0) & ~np.isfinite(hi / lo)
 
     def nonfinite_entry(d):
         i, j = np.argwhere(~finite[d])[0]
@@ -35,8 +56,11 @@ def _check_spd(values, n=1):
     raise_first([
         (nonfinite, NotSPD, nonfinite_entry),
         (asym, NotSPD, lambda d: "tensor is not symmetric"),
-        (evals[:, 0] <= 0.0, NotSPD,
-         lambda d: f"tensor has nonpositive eigenvalue {evals[d, 0]:.3e}"),
+        (lo <= 0.0, NotSPD,
+         lambda d: f"tensor has nonpositive eigenvalue {lo[d]:.3e}"),
+        (wide, ValidationError,
+         lambda d: f"tensor eigenvalues {lo[d]:.3e} and {hi[d]:.3e} have a "
+                   f"ratio that is not a finite float"),
     ])
     return stack
 

@@ -42,6 +42,7 @@ from .errors import (
     ValidationError,
     raise_first,
 )
+from .fields import eigenvalues
 from .operators import local_matrices
 
 _SIN_TOL = 1e-10
@@ -488,6 +489,12 @@ def _validate_partitions(domain, *pieces):
 # --- quality -----------------------------------------------------------
 
 
+def _decimal(x):
+    """Six decimals below 1e6; from there on, where a float has no
+    fractional digits left to show, six of the mantissa."""
+    return f"{x:.6f}" if x < 1e6 else f"{x:.6e}"
+
+
 @dataclass
 class QualityReport:
     """The diamonds' regularity factors from ``quality``; ``summary``
@@ -523,9 +530,9 @@ class QualityReport:
             f"theta_star         {self.theta_star:.6f}",
         ]
         if self.cond2_max is not None:
-            lines.append(f"cond2 max          {self.cond2_max:.6f}")
+            lines.append(f"cond2 max          {_decimal(self.cond2_max)}")
             lines.append(
-                f"cond2 bound        {self.cond2_bound:.6f}"
+                f"cond2 bound        {_decimal(self.cond2_bound)}"
                 f" ({'ok' if self.cond_ok else 'VIOLATED'})"
             )
         return "\n".join(lines)
@@ -555,9 +562,9 @@ def quality(mesh: DDFVMesh, lam=None) -> QualityReport:
         lam_d = lam.on_diamonds(mesh)
         mats = local_matrices(mesh, lam, lam_d)
         report.cond2_max = float(mats.cond2(lam_d).max())
-        evals = np.linalg.eigvalsh(lam_d)
+        lo, hi = eigenvalues(lam_d)
         report.cond2_bound = (4.0 * report.theta_star**2
-                              * float(evals.max() / evals.min()))
+                              * (float(hi.max()) / float(lo.min())))
     return report
 
 

@@ -197,7 +197,8 @@ class LinearSolver:
 
     def refactor(self, scaled, row_max):
         """Factorize the equilibrated matrix and keep the factor, releasing
-        the stale one first (it would add to the memory peak)."""
+        the stale one first (it would add to the memory peak).  A CSC
+        ``scaled`` is factorized as it is, without a copy."""
         self.factor = None
         self.factor = spla.splu(scaled.tocsc(), **LU_OPTIONS)
         self.row_max = row_max
@@ -247,8 +248,7 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
         raise ValidationError("linear system shape mismatch")
 
     starts = matrix.indptr[:-1]
-    row_nnz = np.diff(matrix.indptr)
-    if not row_nnz.all():           # reduceat below needs nonempty rows
+    if not np.diff(matrix.indptr).all():  # reduceat needs nonempty rows
         raise SingularMatrix("matrix has an identically zero row")
     abs_data = np.abs(matrix.data)
     row_sum = np.add.reduceat(abs_data, starts)
@@ -260,12 +260,13 @@ def linear_solve(matrix, rhs, solver: LinearSolver | None = None,
         solver.remember(x)
         return x
 
+    # One scaled copy, the CSC that SuperLU reads, with each row divided by
+    # its largest |entry|; |values| goes first, so that the factorization
+    # holds only the matrix and this copy.
     row_max = np.maximum.reduceat(abs_data, starts)
-    scaled = sp.csr_matrix(
-        (matrix.data * np.repeat(1.0 / row_max, row_nnz),
-         matrix.indices, matrix.indptr),
-        shape=matrix.shape,
-    )
+    del abs_data
+    scaled = matrix.tocsc()
+    scaled.data *= (1.0 / row_max)[scaled.indices]
     try:
         x = solver.refactor(scaled, row_max).solve(rhs / row_max)
     except RuntimeError as exc:

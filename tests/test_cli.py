@@ -175,6 +175,12 @@ FILE_AND_VALUE_ERRORS = [
      "error: mesh areas and edge lengths are not all finite normal floats", []),
     ("mesh inspect --mesh tiny170.mesh",
      "error: mesh areas and edge lengths are not all finite normal floats", []),
+    # an SPD tensor whose eigenvalue ratio 1e600 is not a float
+    ("mesh inspect --mesh big.mesh --lam diag:1e-300,1e300",
+     "error: tensor eigenvalues 1.000e-300 and 1.000e+300 have a ratio that "
+     "is not a finite float", []),
+    ("run --n 2 --lam diag:1e300,1e-300 --out o",
+     "error: tensor eigenvalues 1.000e-300 and 1.000e+300 have a ratio", []),
     # each setting is checked before --out is made
     ("run --beta 2", "error: penalization exponent 2.0 outside (0, 2)", []),
     ("run --newton-max-iter 0", "error: max_iter must be >= 1", []),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddfv.errors import NotSPD, ValidationError
-from ddfv.fields import TensorSpec
+from ddfv.fields import TensorSpec, eigenvalues
 from ddfv.harness import simulate
 from ddfv.operators import (
     bracket,
@@ -100,6 +100,38 @@ def test_tensor_rejects_non_spd():
         TensorSpec.constant(np.array([[1.0, 0.3], [0.0, 1.0]]))  # asymmetric
     with pytest.raises(NotSPD):
         TensorSpec.rotated(-1.0, 2.0, 0.0)
+
+
+def test_tensor_eigenvalues_match_eigvalsh_and_span_every_float(rng):
+    angles = rng.uniform(0.0, np.pi, 200)
+    c, s = np.cos(angles), np.sin(angles)
+    rot = np.stack([np.stack([c, -s]), np.stack([s, c])]).transpose(2, 0, 1)
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, (200, 2))
+    stack = rot @ (lam[:, :, None] * rot.transpose(0, 2, 1))
+    stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+    lo, hi = eigenvalues(stack)
+    ref = np.linalg.eigvalsh(stack)
+    assert np.allclose(lo, ref[:, 0], rtol=1e-10, atol=0.0)
+    assert np.allclose(hi, ref[:, 1], rtol=1e-13, atol=0.0)
+    # where eigvalsh's rescaling underflows the small eigenvalue to 0
+    lo, hi = eigenvalues(np.array([np.diag([1e-300, 1e300]),
+                                   np.diag([1e300, 5e-324])]))
+    assert lo.tolist() == [1e-300, 5e-324] and hi.tolist() == [1e300, 1e300]
+    assert TensorSpec.parse("diag:1e-150,1e150").matrix[0, 0] == 1e-150
+
+
+# an SPD tensor whose eigenvalue ratio is not a finite float names both
+# eigenvalues (the largest one overflows in the last row)
+@pytest.mark.parametrize("spec, pair", [
+    ("diag:1e-300,1e300", "1.000e-300 and 1.000e+300"),
+    ("diag:1,5e-324", "4.941e-324 and 1.000e+00"),
+    ("matrix:1.7e308,1.5e308,1.7e308", "2.000e+307 and inf"),
+])
+def test_tensor_rejects_an_eigenvalue_ratio_beyond_floats(spec, pair):
+    with pytest.raises(ValidationError) as err:
+        TensorSpec.parse(spec)
+    assert str(err.value) == (f"tensor eigenvalues {pair} have a ratio that "
+                              f"is not a finite float")
 
 
 def test_tensor_rejects_non_finite_entries(quad5):

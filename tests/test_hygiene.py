@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +159,33 @@ def test_benchmark_tracer_finds_every_wrapped_function():
     # every original is put back
     for owner, names in before:
         assert all(vars(owner).get(k) is v for k, v in names.items()), owner
+
+
+# Every command, a run and a long-time study in one fresh process: none
+# loads scipy.special, whose import alone costs 3.7 MB of resident memory.
+NO_SPECIAL = """
+import sys
+from ddfv import harness, mesh, scheme
+from ddfv.cli import main
+
+quad = mesh.build_ddfv(mesh.gen_family("quad", 4))
+case = harness.get_case("decay")
+params = scheme.SchemeParams(dt=0.01, t_final=0.02, lam=case.lam,
+                             potential=case.potential)
+harness.simulate(quad, params, scheme.project_initial(quad, case.u0))
+harness.longtime_study(case, quad, dt=0.05, t_final=0.2)
+for argv in ("check --seed 1", "run --n 4 --tfinal 0.008 --out run",
+             "converge --levels 2 --n0 4 --tfinal 0.008 --out converge",
+             "longtime --n 4 --tfinal 0.02 --plot-script --out longtime",
+             "mesh gen --n 4 --out m", "mesh convert --mesh m/quad_4.mesh",
+             "mesh inspect --mesh m/quad_4.mesh --lam rotated:1,0.1,0.3"):
+    assert main(argv.split()) == 0, argv
+sys.exit("scipy.special" in sys.modules)
+"""
+
+
+def test_no_run_or_command_loads_scipy_special(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", NO_SPECIAL], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -214,20 +214,35 @@ def test_quality_uniform_identity_condition(uniform4):
 
 
 # the cond2 lines of `ddfv mesh inspect --mesh quad_4.mesh --lam SPEC`:
-# the same for any multiple of the identity, finite far from 1
+# the same for any multiple of the identity, finite far from 1, with six
+# decimals below 1e6 and in scientific notation from there on
+CONDITION_TEXT = {
+    "identity": ("7.745727", "32.653061"),
+    "diag:1e-170,1e-170": ("7.745727", "32.653061"),
+    "diag:1e300,1e300": ("7.745727", "32.653061"),
+    "diag:1e308,1e308": ("7.745727", "32.653061"),
+    "diag:1e150,1": ("7.704830e+150", "3.265306e+151"),
+    "diag:1e-150,1e150": ("7.704830e+300", "3.265306e+301"),
+    "diag:1e5,1": ("770483.047493", "3.265306e+06"),
+}
+
+
 @pytest.mark.parametrize("spec, cond2_max", [
     ("identity", 7.745727),
     ("diag:1e-170,1e-170", 7.745727),
     ("diag:1e300,1e300", 7.745727),
     ("diag:1e308,1e308", 7.745727),
     ("diag:1e150,1", 7.704830e150),
+    ("diag:1e-150,1e150", 7.704830e300),
+    ("diag:1e5,1", 770483.047493),
 ])
 def test_quality_summary_cond2_lines(spec, cond2_max):
     q = quality(build_ddfv(gen_family("quad", 4)), TensorSpec.parse(spec))
     assert q.cond2_max == pytest.approx(cond2_max, rel=1e-6)
     lines = q.summary().splitlines()
-    assert lines[-2] == f"cond2 max          {q.cond2_max:.6f}"
-    assert lines[-1] == f"cond2 bound        {q.cond2_bound:.6f} (ok)"
+    max_text, bound_text = CONDITION_TEXT[spec]
+    assert lines[-2] == f"cond2 max          {max_text}"
+    assert lines[-1] == f"cond2 bound        {bound_text} (ok)"
 
 
 def test_quality_cond2_is_exact_on_a_uniform_mesh(uniform4):

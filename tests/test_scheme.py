@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from ddfv.errors import BadBeta, NonPositiveState, ValidationError
 from ddfv.mesh import build_ddfv, gen_quad_fvca
-from ddfv.operators import bracket, local_matrices
+from ddfv.operators import bracket, half_mass, local_matrices
 from ddfv.scheme import (
     Assembly,
     SchemeParams,
@@ -343,6 +344,26 @@ def test_energy_accepts_zeros(quad5):
     # H(0) = 1 with 0*log(0) = 0
     assert energy(quad5, u, zero_v) == pytest.approx(
         quad5.cell_areas.sum(), rel=1e-13)
+
+
+def test_energies_take_x_log_x_with_math_log_at_extreme_entries(quad5):
+    # exact zeros, the least subnormal, and entries near both ends of the
+    # float range: no warning, and x log x as math.log gives it, 0 at 0
+    n = quad5.n_values
+    u = np.resize([0.0, 5e-324, 1e-300, 1e300, 1.0, 0.25], n)
+    v = np.linspace(-1.0, 1.0, n)
+    u_inf = np.resize([2.0, 0.5, 1e-3], n)
+    xlogx = np.array([x * math.log(x) if x > 0.0 else 0.0 for x in u])
+    log_u_inf = np.array([math.log(x) for x in u_inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(quad5, u, v) == pytest.approx(
+            half_mass(quad5, xlogx - u + 1.0 + v * u), rel=1e-15)
+        assert relative_energy(quad5, u, u_inf) == pytest.approx(
+            half_mass(quad5, xlogx - u * log_u_inf - u + u_inf), rel=1e-15)
+    u[n // 2] = -2e-12
+    with pytest.raises(ValidationError, match="negative value -2.000e-12"):
+        energy(quad5, u, v)
 
 
 def test_relative_energy_zero_at_reference(quad8):
