@@ -268,6 +268,7 @@ def simulate(mesh, params: SchemeParams, u0, observe=None) -> RunResult:
             newton_backtracks=stats.backtracks,
             factorizations=stats.factorizations,
             krylov_iterations=stats.krylov_iterations,
+            chord=stats.chord,
             floor_activated=stats.floor_activated,
         )
         _check_step(rec, records[0].mass, en_prev, params)

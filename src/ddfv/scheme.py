@@ -90,6 +90,7 @@ class StateRecord:
     newton_backtracks: int = 0
     factorizations: int = 0
     krylov_iterations: int = 0
+    chord: str = "none"             # NewtonStats.chord of the step
     floor_activated: bool = False
 
 
@@ -185,10 +186,16 @@ def _xlogx(x):
     return out
 
 
-def _entropy(values):
+def _nonnegative(values):
+    """``values`` with entries down to -1e-12 raised to 0; a lower entry
+    is a ValidationError (the floor of both energies)."""
     if values.min() < -1e-12:
         raise ValidationError(f"negative value {values.min():.3e} in entropy")
-    values = np.maximum(values, 0.0)
+    return np.maximum(values, 0.0)
+
+
+def _entropy(values):
+    values = _nonnegative(values)
     return _xlogx(values) - values + 1.0
 
 
@@ -211,7 +218,7 @@ def relative_energy(mesh, u, u_inf, log_u_inf=None) -> float:
     if log_u_inf is None:
         log_u_inf = np.log(u_inf)
     mesh.check(log_u_inf)
-    uu = np.maximum(u, 0.0)
+    uu = _nonnegative(u)
     return half_mass(mesh, _xlogx(uu) - uu * log_u_inf - uu + u_inf)
 
 

@@ -17,6 +17,12 @@ constant and the measurements behind them (the price table included) are
 in README.md, "Numerical notes": "Linear solves", "Inner tolerance",
 "Projected start", "Factor refresh" and "LU ordering".
 
+Before its first Newton iteration a solve may try one chord correction
+u - M^-1 F(u) with the kept factor M, accepted when it meets the tolerance
+and counted as one iteration; after a rejected chord the next 1, 2, 4, ...
+(at most ``CHORD_BACKOFF_MAX``) solves try none (README.md, "Chord
+correction").
+
 The solver counts its factorizations and its GMRES iterations (those of
 cycles that missed included); ``newton_solve`` reports both per solve in
 ``NewtonStats``.
@@ -70,6 +76,10 @@ PROJECTION_DEPTH = 3
 PROJECTION_RANK = 1e-8
 # Largest Krylov basis of the single GMRES cycle tried before refactorizing.
 GMRES_RESTART = 8
+# Most solves a LinearSolver lets pass without a chord correction after a
+# rejected one; the gap doubles from 1 up to this cap (see the module
+# docstring).
+CHORD_BACKOFF_MAX = 16
 # A factor's price in GMRES iterations is round(PRICE_SCALE sqrt(nnz / N))
 # for its fill nnz, in the refresh rule last > (price + served) / solves
 # (see the module docstring).
@@ -111,6 +121,7 @@ class NewtonStats:
     floor_activated: bool
     factorizations: int = 0
     krylov_iterations: int = 0
+    chord: str = "none"                 # "none", "rejected" or "accepted"
     residual: np.ndarray | None = None  # the residual at the returned iterate
     state: object = None                # what residual_fn returned with it
 
@@ -122,7 +133,9 @@ class LinearSolver:
     (``solves``, ``served`` and ``last``), how many factorizations it made
     and how many GMRES iterations it ran (those of cycles that missed
     included), the last ``PROJECTION_DEPTH`` accepted answers
-    (``history``, newest first)."""
+    (``history``, newest first), and the chord backoff: ``chord_gap``
+    solves are skipped after the last rejected chord, ``chord_wait`` of
+    them are left."""
 
     def __init__(self):
         self.factor = None
@@ -131,6 +144,28 @@ class LinearSolver:
         self.factorizations = 0
         self.krylov_iterations = 0
         self.history = []
+        self.chord_gap = self.chord_wait = 0
+
+    def chord_ready(self, size):
+        """Whether a chord correction may be tried on a system of ``size``
+        unknowns: the solver holds a factor of that size and the backoff
+        has no solve left to skip (a skipped solve counts down)."""
+        if self.factor is None or self.factor.shape[0] != size:
+            return False
+        if self.chord_wait:
+            self.chord_wait -= 1
+            return False
+        return True
+
+    def chord_done(self, accepted):
+        """Record a chord's outcome: an accepted one resets the gap, a
+        rejected one doubles it (from 1, at most ``CHORD_BACKOFF_MAX``)
+        and skips that many solves."""
+        if accepted:
+            self.chord_gap = 0
+        else:
+            self.chord_gap = min(CHORD_BACKOFF_MAX, max(1, 2 * self.chord_gap))
+            self.chord_wait = self.chord_gap
 
     def remember(self, x):
         """Keep a copy of the accepted answer ``x``, dropping the oldest
@@ -315,6 +350,14 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
     solver to successive solves reuses its factor and its stored answers
     across them; each accepts the l1 residual ``inner_tolerance`` allows
     at the current residual.
+
+    When the chosen start misses the tolerance, the solver holds a factor
+    of this size and its backoff allows it (``LinearSolver.chord_ready``),
+    one chord correction start - M^-1 F(start) with that factor M is tried
+    first: a strictly positive trial whose l1 residual is below the
+    tolerance is returned as one iteration, without a Jacobian; otherwise
+    Newton runs from the start as if no chord had been tried.  The stats'
+    ``chord`` says which happened.
     """
     solver = linear_solver if linear_solver is not None else LinearSolver()
     factorizations0 = solver.factorizations
@@ -334,19 +377,40 @@ def newton_solve(residual_fn, jacobian_fn, u_init, config: NewtonConfig,
         if other_l1 < l1 or math.isnan(l1):
             u, res, state, l1, floor_activated = start(other)
 
+    def stats(iterations, l1, res, state, chord, backtracks=0):
+        return NewtonStats(
+            iterations=iterations,
+            residual_l1=l1,
+            backtracks=backtracks,
+            floor_activated=floor_activated,
+            factorizations=solver.factorizations - factorizations0,
+            krylov_iterations=solver.krylov_iterations - krylov0,
+            chord=chord,
+            residual=res,
+            state=state,
+        )
+
+    chord = "none"
+    if l1 >= tol and solver.chord_ready(res.shape[0]):
+        step = solver.factor.solve(-res / solver.row_max)
+        trial = u + step
+        if trial.min() > 0.0:
+            trial_res, trial_state = residual_fn(trial)
+            trial_l1 = float(np.abs(trial_res).sum())
+            if trial_l1 < tol:
+                solver.chord_done(True)
+                solver.remember(step)
+                return trial, stats(1, trial_l1, trial_res, trial_state,
+                                    "accepted")
+            del trial_res, trial_state  # not kept through Newton's solves
+        solver.chord_done(False)
+        chord = "rejected"
+
     backtracks_total = 0
     for iteration in range(config.max_iter + 1):
         if l1 < tol:
-            return u, NewtonStats(
-                iterations=iteration,
-                residual_l1=l1,
-                backtracks=backtracks_total,
-                floor_activated=floor_activated,
-                factorizations=solver.factorizations - factorizations0,
-                krylov_iterations=solver.krylov_iterations - krylov0,
-                residual=res,
-                state=state,
-            )
+            return u, stats(iteration, l1, res, state, chord,
+                            backtracks_total)
         if iteration == config.max_iter:
             break
         # The state is not kept through the solve, which may factorize:

@@ -29,6 +29,7 @@ from ddfv.harness import (
 from ddfv.mesh import build_ddfv, gen_family, triangle_area
 from ddfv.operators import grad_diamond
 from ddfv.scheme import Assembly, SchemeParams, evaluate, project_initial
+from ddfv.solver import CHORD_BACKOFF_MAX
 
 
 # --- reference case -----------------------------------------------------------
@@ -383,10 +384,37 @@ def test_extrapolated_start_keeps_large_steps_cheap(quad8):
     assert sum(r.newton_iterations for r in result.records) <= 19
 
 
+def test_steady_steps_close_by_one_chord_correction():
+    # quad n=4, dt=4e-3, 250 steps: the chord is tried on the schedule of
+    # the backoff (after a rejection the next 1, 2, 4, 8, 16, 16, ... steps
+    # skip it); once past the transient every step closes by one chord
+    mesh = build_ddfv(gen_family("quad", 4))
+    case = exact_decay_case()
+    params = SchemeParams(dt=4e-3, t_final=1.0, potential=case.potential)
+    result = simulate(mesh, params, project_initial(mesh, case.u0))
+    steps = result.records[1:]
+    assert len(steps) == 250
+    gap, expected = 0, 2        # step 1 makes the first factor
+    for rec in steps:
+        assert (rec.chord != "none") == (rec.n == expected), rec.n
+        if rec.chord == "rejected":
+            gap = min(CHORD_BACKOFF_MAX, max(1, 2 * gap))
+        elif rec.chord == "accepted":
+            gap = 0
+        if rec.chord != "none":
+            expected = rec.n + gap + 1
+    accepted = [r for r in steps if r.chord == "accepted"]
+    assert len(accepted) >= 90
+    assert all(r.chord == "accepted" for r in steps[accepted[0].n - 1:])
+    assert all((r.newton_iterations, r.factorizations, r.krylov_iterations)
+               == (1, 0, 0) for r in accepted)
+
+
 def test_each_newton_iterate_is_evaluated_once(quad8, monkeypatch):
     # one flux evaluation (an Iterate) per residual, one residual per
     # Newton iterate plus each step's start value (the guard derives u^n's
-    # residual), and one Jacobian per Newton iteration
+    # residual) plus each rejected chord's trial, and one Jacobian per
+    # Newton iteration except an accepted chord, which builds none
     import ddfv.scheme as scheme
 
     calls = dict.fromkeys(("Iterate", "system_vec", "system_jacobian"), 0)
@@ -408,10 +436,11 @@ def test_each_newton_iterate_is_evaluated_once(quad8, monkeypatch):
     result = simulate(quad8, params, project_initial(quad8, case.u0))
     steps = len(result.records) - 1
     newton = sum(r.newton_iterations for r in result.records)
+    chords = [r.chord for r in result.records]
     assert steps == 200
     assert calls["Iterate"] == calls["system_vec"]
-    assert calls["system_vec"] == newton + steps
-    assert calls["system_jacobian"] == newton
+    assert calls["system_vec"] == newton + steps + chords.count("rejected")
+    assert calls["system_jacobian"] == newton - chords.count("accepted")
 
 
 # --- studies -------------------------------------------------------------------

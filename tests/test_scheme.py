@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -364,6 +365,22 @@ def test_energies_take_x_log_x_with_math_log_at_extreme_entries(quad5):
     u[n // 2] = -2e-12
     with pytest.raises(ValidationError, match="negative value -2.000e-12"):
         energy(quad5, u, v)
+
+
+@pytest.mark.parametrize("name", ["energy", "relative_energy"])
+def test_both_energies_share_the_negative_floor(quad5, name):
+    # entries down to -1e-12 count as 0, a lower one is a ValidationError
+    fn = {"energy": energy, "relative_energy": relative_energy}[name]
+    ones = np.ones(quad5.n_values)
+    u = ones.copy()
+    u[3] = -1e-12
+    expected = fn(quad5, np.where(u < 0.0, 0.0, u), ones)
+    assert fn(quad5, u, ones) == pytest.approx(expected, rel=0, abs=1e-11)
+    for low in (-1.0, -2e-12):
+        u[3] = low
+        with pytest.raises(ValidationError, match=re.escape(
+                f"negative value {low:.3e} in entropy")):
+            fn(quad5, u, ones)
 
 
 def test_relative_energy_zero_at_reference(quad8):

@@ -651,6 +651,109 @@ def test_newton_config_rejects_bad_backtracks_and_floor(kwargs):
         NewtonConfig(**kwargs)
 
 
+# --- chord corrections --------------------------------------------------------
+
+
+def _factored(root):
+    """A LinearSolver holding the factor of the scalar system's Jacobian
+    at ``root``, as after a direct solve there."""
+    solver = LinearSolver()
+    linear_solve(sp.diags(2.0 * root).tocsr(), np.ones_like(root), solver)
+    return solver
+
+
+def _counted(fn):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted, calls
+
+
+def test_accepted_chord_is_one_iteration_without_a_jacobian():
+    # from (1 + 1e-6) root, one chord with the factor at the root leaves
+    # an l1 residual of about 1e-12 |root|^2
+    root = np.array([1.0, 2.0, 0.5])
+    res, jac = _scalar_system(root)
+    jac, jac_calls = _counted(jac)
+    solver = _factored(root)
+    remember, remembered = _counted(solver.remember)
+    solver.remember = remember
+    counts = (solver.solves, solver.served, solver.last)
+    start = root * (1.0 + 1e-6)
+    u, stats = newton_solve(res, jac, start, NewtonConfig(), solver)
+    assert stats.chord == "accepted"
+    assert stats.iterations == 1 and jac_calls == []
+    assert stats.residual_l1 == float(np.abs(res(u)[0]).sum()) < 1e-10
+    assert stats.factorizations == stats.krylov_iterations == 0
+    assert np.array_equal(stats.state, u)
+    (step,), = remembered
+    assert np.array_equal(start + step, u)
+    assert (solver.solves, solver.served, solver.last) == counts
+
+
+def test_rejected_chord_leaves_the_newton_iterates_unchanged():
+    # the same solve with the chord tried (and rejected) and with the
+    # chord skipped by the backoff: bit-identical iterates and counts
+    root = np.array([1.0, 2.0, 0.5])
+    res, jac = _scalar_system(root)
+    start = root * 1.01
+    results = []
+    for wait in (0, 1):
+        solver = _factored(root)
+        solver.chord_wait = wait
+        recorded, history = _recording(res)
+        u, stats = newton_solve(recorded, jac, start, NewtonConfig(), solver)
+        results.append((u, stats, history, solver))
+    (u, stats, history, solver), (u_ref, ref, ref_history, _) = results
+    assert (stats.chord, ref.chord) == ("rejected", "none")
+    assert np.array_equal(u, u_ref)
+    assert stats.iterations == ref.iterations > 1
+    assert stats.residual_l1 == ref.residual_l1
+    # the rejected trial is the one extra residual, right after the start
+    assert history[:1] + history[2:] == ref_history
+    assert (solver.chord_gap, solver.chord_wait) == (1, 1)
+
+
+def test_chord_trial_with_a_nonpositive_entry_is_not_evaluated():
+    # the factor at 1e-3 root turns the start's residual into a step of
+    # -1500 root: the trial is negative and never evaluated
+    root = np.array([1.0, 2.0, 0.5])
+    res, jac = _scalar_system(root)
+    recorded, history = _recording(res)
+    solver = _factored(1e-3 * root)
+    u, stats = newton_solve(recorded, jac, 2.0 * root, NewtonConfig(), solver)
+    assert stats.chord == "rejected"
+    assert len(history) == 1 + stats.iterations
+    assert stats.residual_l1 < 1e-10
+
+
+def test_chord_backoff_doubles_to_its_cap_and_resets():
+    solver = LinearSolver()
+    assert not solver.chord_ready(3)        # no factor yet
+    solver = _factored(np.ones(3))
+    assert not solver.chord_ready(4)        # a factor of another size
+
+    def skipped():
+        count = 0
+        while not solver.chord_ready(3):
+            count += 1
+        return count
+
+    gaps = []
+    for _ in range(6):
+        solver.chord_done(False)
+        gaps.append(skipped())
+    assert solver_mod.CHORD_BACKOFF_MAX == 16
+    assert gaps == [1, 2, 4, 8, 16, 16]
+    solver.chord_done(True)
+    assert skipped() == 0
+    solver.chord_done(False)
+    assert skipped() == 1
+
+
 # --- factor reuse over a whole run ------------------------------------------------
 
 
